@@ -32,7 +32,7 @@ from .errors import (
     ShapeMismatch,
     ZeroNormInput,
 )
-from .nn import Adam, Conv1d, Linear, Module, ReLU, ResBlock, Upsample2
+from .nn import Adam, Conv1d, Linear, Module, ReLU, ResBlock, Segments, Upsample2
 
 
 @dataclass(frozen=True)
@@ -123,13 +123,17 @@ class Encoder(Module):
         # start the posterior tight so early reconstruction is not noise-bound
         self.logvar_head.b.value[...] = -4.0
 
-    def forward(self, z: np.ndarray):
+    def forward(self, z: np.ndarray, seg: Segments | None = None):
+        """Posterior parameters of one sequence, or of packed ``seg`` segments
+        whose lengths are multiples of the compression."""
+        seg = Segments.of(z, seg)
         h, c_in = self.in_proj.forward(z)
         caches = [c_in]
         for down, res, relu in self.levels:
-            h, c_down = down.forward(h)
+            h, c_down = down.forward(h, seg)
+            seg = down.out_segments(seg)
             h, c_relu = relu.forward(h)
-            h, c_res = res.forward(h)
+            h, c_res = res.forward(h, seg)
             caches.append((c_down, c_relu, c_res))
         mu, c_mu = self.mu_head.forward(h)
         log_var, c_lv = self.logvar_head.forward(h)
@@ -161,14 +165,17 @@ class Decoder(Module):
             self.levels.append((up, conv, res, ReLU()))
         self.out_head = self.add_child("out", Linear(rng, cfg.width, cfg.d_z))
 
-    def forward(self, m: np.ndarray):
+    def forward(self, m: np.ndarray, seg: Segments | None = None):
+        """Latent frames of one compact program, or of packed ``seg`` segments."""
+        seg = Segments.of(m, seg)
         h, c_in = self.in_proj.forward(m)
         caches = [c_in]
         for up, conv, res, relu in self.levels:
             h, c_up = up.forward(h)
-            h, c_conv = conv.forward(h)
+            seg = up.out_segments(seg)
+            h, c_conv = conv.forward(h, seg)
             h, c_relu = relu.forward(h)
-            h, c_res = res.forward(h)
+            h, c_res = res.forward(h, seg)
             caches.append((c_up, c_conv, c_relu, c_res))
         z_hat, c_out = self.out_head.forward(h)
         caches.append(c_out)
@@ -211,6 +218,12 @@ class BottleneckModel(Module):
 # encode / decode
 # ---------------------------------------------------------------------------
 
+# Padded input frames per packed chunk.  One pack per batch holds every
+# layer's activations for every item at once; chunks of about this size keep
+# peak memory at the per-item level for nearly all of the speed.
+_FRAME_BUDGET = 320
+
+
 def pad_to_multiple(z: np.ndarray, c: int):
     """Right-pad by repeating the final frame; returns (padded, n_real)."""
     n_real = z.shape[0]
@@ -228,6 +241,58 @@ def _check_latents(model: BottleneckModel, z) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DivergenceDetected("latents contain non-finite values")
     return arr
+
+
+def _check_sequences(model: BottleneckModel, latents):
+    """Checked latent arrays and their frame counts."""
+    zs = [_check_latents(model, z) for z in latents]
+    if not zs:
+        raise DegenerateBatch("no latent sequences given")
+    n_real = np.array([z.shape[0] for z in zs])
+    if n_real.min() < 1:
+        raise RangeError("every latent sequence needs at least one frame")
+    return zs, n_real
+
+
+def _offsets(lengths) -> np.ndarray:
+    """Start row of each segment packed back to back."""
+    lengths = np.asarray(lengths)
+    return np.cumsum(lengths) - lengths
+
+
+def _chunks(padded) -> list:
+    """Runs [lo, hi) of consecutive items within the frame budget; an item
+    longer than the budget gets a run of its own."""
+    bounds, used = [0], 0
+    for i, n in enumerate(padded):
+        if used and used + n > _FRAME_BUDGET:
+            bounds.append(i)
+            used = 0
+        used += n
+    bounds.append(len(padded))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _pack(zs, c: int) -> np.ndarray:
+    return np.concatenate([pad_to_multiple(z, c)[0] for z in zs])
+
+
+def encode_packed(model: BottleneckModel, latents):
+    """Posteriors of many sequences, encoded in packed chunks.
+
+    Returns one Posterior over every sequence's compact frames, back to
+    back, and the row at which each sequence's frames start.
+    """
+    zs, n_real = _check_sequences(model, latents)
+    c = model.compression
+    t_m = -(-n_real // c)
+    mus, log_vars = [], []
+    for lo, hi in _chunks(t_m * c):
+        mu, log_var, _ = model.encoder.forward(_pack(zs[lo:hi], c), Segments(t_m[lo:hi] * c))
+        mus.append(mu)
+        log_vars.append(log_var)
+    post = Posterior(mu=np.concatenate(mus), log_var=np.concatenate(log_vars))
+    return post, _offsets(t_m)
 
 
 def encode(model: BottleneckModel, z, pad: bool = True) -> Posterior:
@@ -328,27 +393,28 @@ def _check_unit_rows(name: str, rows_list):
             raise NonUnitInput(f"{name}[{idx}] rows deviate from unit norm")
 
 
-def _similarity_forward(programs, texts, lambda_tok: float, lambda_frm: float):
-    """R[i, j] plus the caches the backward pass needs."""
-    b = len(programs)
-    r_mat = np.empty((b, b))
-    caches = [[None] * b for _ in range(b)]
-    for i, prog in enumerate(programs):
-        for j, text in enumerate(texts):
-            cos = prog @ text.T  # [T, K]
-            scaled = cos / lambda_tok
-            peak = scaled.max(axis=1, keepdims=True)
-            expd = np.exp(scaled - peak)
-            mean_exp = expd.mean(axis=1)
-            f_vec = lambda_tok * (peak[:, 0] + np.log(mean_exp))  # [T]
-            a_mat = expd / expd.sum(axis=1, keepdims=True)  # softmax over tokens
-            g = f_vec / lambda_frm
-            g = g - g.max()
-            w_vec = np.exp(g)
-            w_vec /= w_vec.sum()
-            r_mat[i, j] = float(w_vec @ f_vec)
-            caches[i][j] = (a_mat, w_vec, f_vec)
-    return r_mat, caches
+def _similarity_forward(prog, p_starts, text, t_starts, lambda_tok: float, lambda_frm: float):
+    """R[i, j] for packed unit rows, plus the caches the backward pass needs.
+
+    Program i holds the rows of ``prog`` from ``p_starts[i]`` up to the next
+    start, text j likewise in ``text``.  Every pair shares one cosine matrix;
+    token and frame pooling are segment reductions over it.
+    """
+    p_starts, t_starts = np.asarray(p_starts), np.asarray(t_starts)
+    k_len = np.diff(t_starts, append=text.shape[0])
+    row_item = np.repeat(np.arange(p_starts.size), np.diff(p_starts, append=prog.shape[0]))
+    col_item = np.repeat(np.arange(t_starts.size), k_len)
+    scaled = (prog @ text.T) / lambda_tok  # [sum T, sum K]
+    peak = np.maximum.reduceat(scaled, t_starts, axis=1)  # [sum T, n texts]
+    expd = np.exp(scaled - peak[:, col_item])
+    sums = np.add.reduceat(expd, t_starts, axis=1)
+    f_mat = lambda_tok * (peak + np.log(sums / k_len))  # token-pooled score of frame vs text
+    a_mat = expd / sums[:, col_item]  # softmax over each text's tokens
+    g = f_mat / lambda_frm
+    w_mat = np.exp(g - np.maximum.reduceat(g, p_starts, axis=0)[row_item])
+    w_mat /= np.add.reduceat(w_mat, p_starts, axis=0)[row_item]  # softmax over each program's frames
+    r_mat = np.add.reduceat(w_mat * f_mat, p_starts, axis=0)
+    return r_mat, (a_mat, w_mat, f_mat, r_mat, row_item, col_item)
 
 
 def similarity_matrix(programs, texts, lambda_tok: float, lambda_frm: float) -> np.ndarray:
@@ -367,32 +433,29 @@ def similarity_matrix(programs, texts, lambda_tok: float, lambda_frm: float) -> 
         raise DegenerateBatch("empty batch")
     _check_unit_rows("programs", programs)
     _check_unit_rows("texts", texts)
+    progs = [np.asarray(p, dtype=float) for p in programs]
+    toks = [np.asarray(t, dtype=float) for t in texts]
     r_mat, _ = _similarity_forward(
-        [np.asarray(p, dtype=float) for p in programs],
-        [np.asarray(t, dtype=float) for t in texts],
+        np.concatenate(progs), _offsets([len(p) for p in progs]),
+        np.concatenate(toks), _offsets([len(t) for t in toks]),
         lambda_tok, lambda_frm,
     )
     return r_mat
 
 
-def _similarity_backward(programs, texts, caches, g_mat, lambda_tok, lambda_frm):
-    """Push dL/dR back to the unit-norm program and text rows."""
-    d_progs = [np.zeros_like(p) for p in programs]
-    d_texts = [np.zeros_like(t) for t in texts]
-    for i, prog in enumerate(programs):
-        for j, text in enumerate(texts):
-            g = g_mat[i, j]
-            if g == 0.0:
-                continue
-            a_mat, w_vec, f_vec = caches[i][j]
-            r_ij = float(w_vec @ f_vec)
-            # dR/dF_t = w_t (1 + (F_t - R) / lambda_frm)
-            dfd = g * w_vec * (1.0 + (f_vec - r_ij) / lambda_frm)  # [T]
-            # dF_t/d cos_tk = a_tk
-            dcos = dfd[:, None] * a_mat  # [T, K]
-            d_progs[i] += dcos @ text
-            d_texts[j] += dcos.T @ prog
-    return d_progs, d_texts
+def _similarity_backward(prog, text, cache, g_mat, lambda_frm: float):
+    """Push dL/dR back to the packed unit-norm program and text rows."""
+    a_mat, w_mat, f_mat, r_mat, row_item, col_item = cache
+    # dR/dF_t = w_t (1 + (F_t - R) / lambda_frm), per frame and text
+    dfd = g_mat[row_item] * w_mat * (1.0 + (f_mat - r_mat[row_item]) / lambda_frm)
+    # dF_t/d cos_tk = a_tk
+    dcos = dfd[:, col_item] * a_mat
+    return dcos @ text, dcos.T @ prog
+
+
+def _unit_rows_backward(g: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """dL/dv from dL/du for u = v / ||v|| per row: (g - (g . u) u) / ||v||."""
+    return (g - (g * unit).sum(axis=1, keepdims=True) * unit) / norms[:, None]
 
 
 def _softmax_rows(mat: np.ndarray) -> np.ndarray:
@@ -474,11 +537,22 @@ def make_noises(model: BottleneckModel, batch, rng) -> list:
 
 def vbb_loss(model: BottleneckModel, world, batch, noises):
     """Total objective and its components for one batch (forward only)."""
-    total, comps, _ = _vbb_forward(model, world, batch, noises)
-    return total, comps
+    return _vbb_step(model, world, batch, noises, grad=False)
 
 
-def _vbb_forward(model: BottleneckModel, world, batch, noises):
+def vbb_grad(model: BottleneckModel, world, batch, noises):
+    """Forward plus hand-derived backward; accumulates into param grads."""
+    return _vbb_step(model, world, batch, noises, grad=True)
+
+
+def _vbb_step(model: BottleneckModel, world, batch, noises, grad: bool):
+    """Objective and components; with ``grad`` also the parameter gradients.
+
+    Items run through the encoder and decoder in packed chunks of
+    consecutive items.  Reconstruction is per item, so the decoder's
+    backward pass runs inside its chunk; the encoder's waits for the
+    contrastive term, which couples the whole batch.
+    """
     cfg = model.cfg
     if len(batch) != len(noises):
         raise CountMismatch(f"{len(batch)} items vs {len(noises)} noises")
@@ -486,42 +560,54 @@ def _vbb_forward(model: BottleneckModel, world, batch, noises):
         raise DegenerateBatch("alignment needs a batch of at least 2")
     c = model.compression
     b = len(batch)
+    zs, n_real = _check_sequences(model, [item.latents for item in batch])
+    t_m = -(-n_real // c)
+    texts = [np.asarray(item.text_emb, dtype=float) for item in batch]
+    for item, noise, n, t, text in zip(batch, noises, n_real, t_m, texts):
+        if np.shape(item.states)[0] < n:
+            raise CountMismatch(f"need {n} states, got {np.shape(item.states)[0]}")
+        if np.shape(noise) != (t, cfg.d_m):
+            raise ShapeMismatch(f"noise {np.shape(noise)} vs posterior {(t, cfg.d_m)}")
+        if text.ndim != 2 or text.shape[0] < 1 or text.shape[1] != cfg.d_text:
+            raise ShapeMismatch(f"prompt embedding {text.shape}, want [K >= 1, {cfg.d_text}]")
 
-    rec_sum = 0.0
-    kl_sum = 0.0
-    item_caches = []
-    prog_units = []
-    text_units = []
-    for item, noise in zip(batch, noises):
-        z = _check_latents(model, item.latents)
-        z_pad, n_real = pad_to_multiple(z, c)
-        mu, log_var, enc_cache = model.encoder.forward(z_pad)
-        if noise.shape != mu.shape:
-            raise ShapeMismatch(f"noise {noise.shape} vs posterior {mu.shape}")
+    pi_scale = cfg.lambda_pi / (2.0 * world.sigma_pi ** 2)
+    rec_sum = kl_sum = 0.0
+    programs, saved = [], []
+    for lo, hi in _chunks(t_m * c):
+        padded, t_chunk = t_m[lo:hi] * c, t_m[lo:hi]
+        z = _pack(zs[lo:hi], c)
+        mu, log_var, enc_cache = model.encoder.forward(z, Segments(padded))
+        noise = np.concatenate(noises[lo:hi])
         sigma = np.exp(0.5 * log_var)
         m = mu + sigma * noise
-        z_hat, dec_cache = model.decoder.forward(m)
+        z_hat, dec_cache = model.decoder.forward(m, Segments(t_chunk))
+        programs.append(m)
 
-        rec_sum += reconstruction_loss(model, world, z_pad, z_hat, item.states, n_real)
-        var = np.exp(log_var)
-        kl_sum += float((0.5 * (mu ** 2 + var - log_var - 1.0)).mean())
+        # reconstruction over real frames only; the policy term is teacher-forced
+        starts = _offsets(padded)
+        real = np.arange(z.shape[0]) - np.repeat(starts, padded) < np.repeat(n_real[lo:hi], padded)
+        diff = (z_hat - z) * real[:, None]
+        gap = diff @ world.W_z.T
+        frame_rec = (diff * diff).sum(axis=1) + pi_scale * (gap * gap).sum(axis=1)
+        rec_sum += float((np.add.reduceat(frame_rec, starts) / n_real[lo:hi]).sum())
+        frame_kl = (0.5 * (mu ** 2 + np.exp(log_var) - log_var - 1.0)).sum(axis=1)
+        kl_sum += float((np.add.reduceat(frame_kl, _offsets(t_chunk)) / (t_chunk * cfg.d_m)).sum())
 
-        v_m, pm_cache = model.P_m.forward(m)
-        m_unit, m_norms = _normalize_rows(v_m)
-        v_y, py_cache = model.P_y.forward(np.asarray(item.text_emb, dtype=float))
-        y_unit, y_norms = _normalize_rows(v_y)
-        prog_units.append(m_unit)
-        text_units.append(y_unit)
-        item_caches.append({
-            "z_pad": z_pad, "n_real": n_real, "mu": mu, "log_var": log_var,
-            "sigma": sigma, "noise": noise, "m": m, "z_hat": z_hat,
-            "enc_cache": enc_cache, "dec_cache": dec_cache,
-            "pm_cache": pm_cache, "m_norms": m_norms, "m_unit": m_unit,
-            "py_cache": py_cache, "y_norms": y_norms, "y_unit": y_unit,
-        })
+        if grad:
+            frame_scale = np.repeat(1.0 / (b * n_real[lo:hi]), padded)[:, None]
+            dz_hat = (2.0 * diff + 2.0 * pi_scale * (gap @ world.W_z)) * frame_scale
+            dm_rec = model.decoder.backward(dz_hat, dec_cache)
+            kl_scale = np.repeat(cfg.beta / (b * t_chunk * cfg.d_m), t_chunk)[:, None]
+            saved.append((enc_cache, mu, log_var, sigma, noise, dm_rec, kl_scale))
 
-    r_mat, sim_caches = _similarity_forward(prog_units, text_units,
-                                            cfg.lambda_tok, cfg.lambda_frm)
+    v_m, pm_cache = model.P_m.forward(np.concatenate(programs))
+    m_unit, m_norms = _normalize_rows(v_m)
+    v_y, py_cache = model.P_y.forward(np.concatenate(texts))
+    y_unit, y_norms = _normalize_rows(v_y)
+    r_mat, sim_cache = _similarity_forward(m_unit, _offsets(t_m),
+                                           y_unit, _offsets([len(t) for t in texts]),
+                                           cfg.lambda_tok, cfg.lambda_frm)
     gamma = model.gamma
     sem, p_rows, p_cols = _contrastive_forward(r_mat, gamma)
 
@@ -531,61 +617,25 @@ def _vbb_forward(model: BottleneckModel, world, batch, noises):
     if not np.isfinite(total):
         raise DivergenceDetected("objective is non-finite")
     comps = {"total": float(total), "rec": float(rec), "kl": float(kl), "sem": float(sem)}
-    fwd = {
-        "item_caches": item_caches, "prog_units": prog_units,
-        "text_units": text_units, "r_mat": r_mat, "sim_caches": sim_caches,
-        "gamma": gamma, "p_rows": p_rows, "p_cols": p_cols,
-    }
-    return float(total), comps, fwd
+    if not grad:
+        return float(total), comps
 
-
-def vbb_grad(model: BottleneckModel, world, batch, noises):
-    """Forward plus hand-derived backward; accumulates into param grads."""
-    cfg = model.cfg
-    total, comps, fwd = _vbb_forward(model, world, batch, noises)
-    b = len(batch)
-
-    # semantic head: dL/dR and dL/dalpha
-    dr, dalpha = _contrastive_backward(fwd["r_mat"], fwd["gamma"],
-                                       fwd["p_rows"], fwd["p_cols"])
-    dr = cfg.lambda_sem * dr
+    # semantic head: dL/dR and dL/dalpha, then back to the projected rows
+    dr, dalpha = _contrastive_backward(r_mat, gamma, p_rows, p_cols)
     model.alpha.grad += cfg.lambda_sem * dalpha
-    d_prog_units, d_text_units = _similarity_backward(
-        fwd["prog_units"], fwd["text_units"], fwd["sim_caches"], dr,
-        cfg.lambda_tok, cfg.lambda_frm,
-    )
+    d_munit, d_yunit = _similarity_backward(m_unit, y_unit, sim_cache,
+                                            cfg.lambda_sem * dr, cfg.lambda_frm)
+    model.P_y.backward(_unit_rows_backward(d_yunit, y_unit, y_norms), py_cache)
+    dm_sem = model.P_m.backward(_unit_rows_backward(d_munit, m_unit, m_norms), pm_cache)
 
-    w_zt_w_z = world.W_z.T @ world.W_z
-    inv_two_var = 1.0 / (2.0 * world.sigma_pi ** 2)
-    for item, cache, d_munit, d_yunit in zip(batch, fwd["item_caches"],
-                                             d_prog_units, d_text_units):
-        n_real = cache["n_real"]
-        diff = cache["z_hat"][:n_real] - cache["z_pad"][:n_real]
-        dz_hat = np.zeros_like(cache["z_hat"])
-        dz_hat[:n_real] = (2.0 * diff + cfg.lambda_pi * 2.0 * inv_two_var * (diff @ w_zt_w_z)) / n_real
-        dz_hat /= b
-        dm = model.decoder.backward(dz_hat, cache["dec_cache"])
-
-        # unit-normalisation backward: dL/dv = (g - (g . u) u) / ||v||
-        u = cache["m_unit"]
-        g = d_munit
-        dv_m = (g - (g * u).sum(axis=1, keepdims=True) * u) / cache["m_norms"][:, None]
-        dm = dm + model.P_m.backward(dv_m, cache["pm_cache"])
-
-        uy = cache["y_unit"]
-        gy = d_yunit
-        dv_y = (gy - (gy * uy).sum(axis=1, keepdims=True) * uy) / cache["y_norms"][:, None]
-        model.P_y.backward(dv_y, cache["py_cache"])
-
-        mu, log_var, sigma, noise = (cache["mu"], cache["log_var"],
-                                     cache["sigma"], cache["noise"])
-        n_entries = mu.size
-        kl_scale = cfg.beta / (b * n_entries)
+    row = 0
+    for enc_cache, mu, log_var, sigma, noise, dm_rec, kl_scale in saved:
+        dm = dm_rec + dm_sem[row:row + mu.shape[0]]
+        row += mu.shape[0]
         dmu = dm + kl_scale * mu
         dlog_var = dm * noise * 0.5 * sigma + kl_scale * 0.5 * (np.exp(log_var) - 1.0)
-        model.encoder.backward(dmu, dlog_var, cache["enc_cache"])
-
-    return total, comps
+        model.encoder.backward(dmu, dlog_var, enc_cache)
+    return float(total), comps
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bottleneck import embed_text, encode, sample_posterior
+from .bottleneck import embed_text, encode_packed, sample_posterior
 from .errors import (
     CountMismatch,
     DegenerateBatch,
@@ -228,13 +228,14 @@ class FlowTrainConfig:
 
 
 def prepare_flow_targets(bottleneck, samples, rng):
-    """Fresh posterior draws for every sample; called once per epoch."""
-    targets = []
-    for s in samples:
-        post = encode(bottleneck, s.latents)
-        noise = rng.standard_normal(post.mu.shape)
-        targets.append(sample_posterior(post, noise))
-    return targets
+    """Fresh posterior draws for every sample; called once per epoch.
+
+    One noise draw covers every sample's frames back to back, which is the
+    same stream as one draw per sample in order.
+    """
+    post, starts = encode_packed(bottleneck, [s.latents for s in samples])
+    draws = sample_posterior(post, rng.standard_normal(post.mu.shape))
+    return np.split(draws, starts[1:])
 
 
 def prepare_text_contexts(bottleneck, vocab, samples):

@@ -7,6 +7,11 @@ batch of variable-length sequences before any backward pass runs.
 
 Sequences are time-major ``[T, channels]`` float64 arrays.  Convolutions use
 replicate padding so edge frames are extended, not zero-filled.
+
+Several sequences can be packed back to back along time and described by a
+``Segments``; a convolution then pads every segment on its own, so one call
+gives what one call per sequence would.  A single sequence is the
+one-segment case.
 """
 
 import numpy as np
@@ -92,11 +97,80 @@ def replicate_unpad_grad(dxp: np.ndarray, pad: int, length: int) -> np.ndarray:
     return dx
 
 
+class Segments:
+    """Lengths of sequences packed back to back along time.
+
+    Convolutions run over the whole packed buffer, padded only at its two
+    ends, and then recompute the few output rows whose window crossed into a
+    neighbouring segment.  Those rows depend only on the lengths, the kernel
+    and the stride, so they are found once and shared by every convolution
+    at this resolution.
+    """
+
+    __slots__ = ("lengths", "_fixes")
+
+    def __init__(self, lengths):
+        self.lengths = tuple(int(n) for n in lengths)
+        self._fixes = {}
+
+    @staticmethod
+    def of(x: np.ndarray, seg: "Segments | None") -> "Segments":
+        """``seg``, or one segment spanning all of ``x``."""
+        return Segments((x.shape[0],)) if seg is None else seg
+
+    @property
+    def total(self) -> int:
+        return sum(self.lengths)
+
+    def fixes(self, kernel: int, stride: int):
+        """``_boundary_fixes`` for this layout, or None for one segment."""
+        key = (kernel, stride)
+        if key not in self._fixes:
+            packed = len(self.lengths) > 1
+            self._fixes[key] = _boundary_fixes(self.lengths, kernel, stride) if packed else None
+        return self._fixes[key]
+
+
+def _boundary_fixes(lengths, kernel: int, stride: int):
+    """Output rows whose window, padded as one buffer, leaves its segment.
+
+    Returns ``(rows, right, taps)``: ``right[i, n]`` is the input row that tap
+    ``i`` of output ``rows[n]`` reads under its own segment's replicate
+    padding, and ``taps`` lists ``(i, sel, wrong)`` for each tap that read
+    ``wrong`` in place of ``right[i, sel]``.  Only the first and last
+    ``ceil(pad / stride)`` outputs of a segment can reach past it.
+    """
+    n = np.asarray(lengths)
+    if np.any(n[:-1] % stride):
+        raise ShapeMismatch(f"packed segments {lengths} are not aligned to stride {stride}")
+    pad = (kernel - 1) // 2
+    t_out = (n + 2 * pad - kernel) // stride + 1
+    edge = -(-pad // stride)
+    e = np.arange(edge)[:, None]
+    # first and last `edge` outputs of each segment; a short segment's last
+    # outputs that are also among its first are taken once
+    local = np.concatenate([e + 0 * t_out, t_out - 1 - e])
+    seg = np.nonzero(np.concatenate([e < t_out, t_out - 1 - e >= edge]))
+    local, seg = local[seg], seg[1]
+    rows = (np.cumsum(t_out) - t_out)[seg] + local
+    start, last = (np.cumsum(n) - n)[seg], n[seg] - 1
+    offset = stride * local + np.arange(kernel)[:, None] - pad  # [kernel, rows]
+    right = start + np.minimum(np.maximum(offset, 0), last)
+    wrong = np.minimum(np.maximum(start + offset, 0), n.sum() - 1)
+    bad = right != wrong
+    keep = bad.any(axis=0)
+    rows, right, wrong, bad = rows[keep], right[:, keep], wrong[:, keep], bad[:, keep]
+    taps = [(i, bad[i], wrong[i, bad[i]]) for i in range(kernel) if bad[i].any()]
+    return rows, right, taps
+
+
 class Conv1d(Module):
     """Temporal convolution with replicate padding.
 
     With kernel 3 and pad 1 the output has ceil(T / stride) frames, so a
-    stride-2 level exactly halves even-length sequences.
+    stride-2 level exactly halves even-length sequences.  Packed input
+    (``seg`` with several segments) needs every segment but the last to be a
+    multiple of the stride, so output segments stay back to back.
     """
 
     def __init__(self, rng, c_in: int, c_out: int, kernel: int = 3, stride: int = 1,
@@ -114,26 +188,51 @@ class Conv1d(Module):
     def out_length(self, length: int) -> int:
         return (length + 2 * self.pad - self.kernel) // self.stride + 1
 
-    def forward(self, x: np.ndarray):
+    def out_segments(self, seg: Segments) -> Segments:
+        return Segments(self.out_length(n) for n in seg.lengths)
+
+    def forward(self, x: np.ndarray, seg: Segments | None = None):
         if x.ndim != 2 or x.shape[1] != self.c_in:
             raise ShapeMismatch(f"conv input {x.shape}, want [T, {self.c_in}]")
+        seg = Segments.of(x, seg)
+        if seg.total != x.shape[0]:
+            raise ShapeMismatch(f"segments cover {seg.total} frames, input has {x.shape[0]}")
         length = x.shape[0]
         xp = replicate_pad(x, self.pad)
         t_out = self.out_length(length)
+        fixes = seg.fixes(self.kernel, self.stride)
         y = np.tile(self.b.value, (t_out, 1))
         for i in range(self.kernel):
             y += xp[i:i + self.stride * t_out:self.stride] @ self.W.value[i]
-        return y, (xp, length, t_out)
+        if fixes is not None:
+            # recompute these rows from their own segment's frames
+            rows, right, _ = fixes
+            y_rows = np.tile(self.b.value, (rows.size, 1))
+            for i in range(self.kernel):
+                y_rows += x[right[i]] @ self.W.value[i]
+            y[rows] = y_rows
+        return y, (xp, length, t_out, fixes)
 
     def backward(self, dy: np.ndarray, cache):
-        xp, length, t_out = cache
+        xp, length, t_out, fixes = cache
         self.b.grad += dy.sum(axis=0)
         dxp = np.zeros_like(xp)
         for i in range(self.kernel):
             sl = slice(i, i + self.stride * t_out, self.stride)
             self.W.grad[i] += xp[sl].T @ dy
             dxp[sl] += dy @ self.W.value[i].T
-        return replicate_unpad_grad(dxp, self.pad, length)
+        dx = replicate_unpad_grad(dxp, self.pad, length)
+        if fixes is not None:
+            # move what the padded buffer credited to the wrong input rows
+            x = xp[self.pad:self.pad + length]
+            rows, right, taps = fixes
+            for i, sel, wrong in taps:
+                d_rows = dy[rows[sel]]
+                self.W.grad[i] += (x[right[i, sel]] - x[wrong]).T @ d_rows
+                d_in = d_rows @ self.W.value[i].T
+                np.add.at(dx, right[i, sel], d_in)
+                np.subtract.at(dx, wrong, d_in)
+        return dx
 
 
 class Linear(Module):
@@ -173,7 +272,14 @@ class ReLU(Module):
 
 
 class Upsample2(Module):
-    """Nearest-neighbour doubling along time."""
+    """Nearest-neighbour doubling along time.
+
+    Doubling a packed buffer doubles each segment in place, so packed input
+    needs no segment bookkeeping here.
+    """
+
+    def out_segments(self, seg: Segments) -> Segments:
+        return Segments(2 * n for n in seg.lengths)
 
     def forward(self, x: np.ndarray):
         return np.repeat(x, 2, axis=0), x.shape[0]
@@ -192,10 +298,10 @@ class ResBlock(Module):
         self.relu = ReLU()
         self.conv_b = self.add_child("b", Conv1d(rng, width, width, kernel))
 
-    def forward(self, x: np.ndarray):
-        h, ca = self.conv_a.forward(x)
+    def forward(self, x: np.ndarray, seg: Segments | None = None):
+        h, ca = self.conv_a.forward(x, seg)
         a, cr = self.relu.forward(h)
-        r, cb = self.conv_b.forward(a)
+        r, cb = self.conv_b.forward(a, seg)
         return x + r, (ca, cr, cb)
 
     def backward(self, dy: np.ndarray, cache):

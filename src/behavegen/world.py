@@ -11,7 +11,7 @@ sqrt(d_z) sphere, so nearby timesteps receive similar commands and a
 trajectory's commands vary smoothly in time.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -591,22 +591,53 @@ def dataset_to_dict(world: SyntheticWorld, extraction: ExtractionConfig,
     }
 
 
+_WORLD_KEYS = ("state_dim", "action_dim", "d_z", "target_L_s", "target_L_z",
+               "target_L_B", "sigma_pi", "seed")
+
+
+def _require(doc, keys, where: str) -> dict:
+    """``doc`` if it is a JSON object holding every key, else InvalidSpec."""
+    if not isinstance(doc, dict):
+        raise InvalidSpec(f"dataset {where} is not a JSON object")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise InvalidSpec(f"dataset {where} lacks {', '.join(missing)}")
+    return doc
+
+
 def dataset_from_dict(doc: dict):
-    """Rebuild (world, extraction, spec, vocab, seed, samples) from a dataset doc."""
-    spec_doc = doc["spec"]
-    world = world_from_config(spec_doc["world"])
-    extraction = ExtractionConfig(
-        lookahead=int(spec_doc["extraction"]["lookahead"]),
-        norm_floor=float(spec_doc["extraction"]["norm_floor"]),
-    )
-    spec = DatasetSpec.from_dict(spec_doc["dataset"])
-    vocab = make_vocabulary(spec.behaviors, spec.separator, spec.d_text, spec.embed_seed)
-    samples = [
-        Sample(
-            token_ids=tuple(int(t) for t in s["prompt_tokens"]),
-            states=np.asarray(s["states"], dtype=float),
-            latents=np.asarray(s["latents"], dtype=float),
+    """Rebuild (world, extraction, spec, vocab, seed, samples) from a dataset doc.
+
+    A document that lacks a key the rebuild needs, or holds a value of the
+    wrong type or shape, is rejected with InvalidSpec.
+    """
+    _require(doc, ("spec", "seed", "samples"), "document")
+    spec_doc = _require(doc["spec"], ("world", "extraction", "dataset"), "spec")
+    world_doc = _require(spec_doc["world"], _WORLD_KEYS, "spec.world")
+    ext_doc = _require(spec_doc["extraction"], ("lookahead", "norm_floor"), "spec.extraction")
+    spec_keys = [f.name for f in fields(DatasetSpec)]
+    spec = DatasetSpec.from_dict(_require(spec_doc["dataset"], spec_keys, "spec.dataset"))
+    if not isinstance(doc["samples"], list):
+        raise InvalidSpec("dataset samples is not a list")
+    sample_docs = [_require(s, ("prompt_tokens", "states", "latents"), f"samples[{i}]")
+                   for i, s in enumerate(doc["samples"])]
+
+    try:
+        world = world_from_config(world_doc)
+        extraction = ExtractionConfig(
+            lookahead=int(ext_doc["lookahead"]),
+            norm_floor=float(ext_doc["norm_floor"]),
         )
-        for s in doc["samples"]
-    ]
-    return world, extraction, spec, vocab, int(doc["seed"]), samples
+        samples = [
+            Sample(
+                token_ids=tuple(int(t) for t in s["prompt_tokens"]),
+                states=np.asarray(s["states"], dtype=float),
+                latents=np.asarray(s["latents"], dtype=float),
+            )
+            for s in sample_docs
+        ]
+        seed = int(doc["seed"])
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"dataset holds a malformed value: {exc}") from exc
+    vocab = make_vocabulary(spec.behaviors, spec.separator, spec.d_text, spec.embed_seed)
+    return world, extraction, spec, vocab, seed, samples

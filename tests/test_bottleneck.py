@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from behavegen.bottleneck import (
     BatchItem,
@@ -18,11 +20,13 @@ from behavegen.bottleneck import (
     Posterior,
     TrainConfig,
     batch_from_samples,
+    _chunks,
     contrastive_loss,
     decode,
     embed_program,
     embed_text,
     encode,
+    encode_packed,
     kl_prior_loss,
     make_noises,
     pad_to_multiple,
@@ -98,6 +102,100 @@ def mc_prior_kl(mu, log_var, rng, n=300_000):
     log_p = -0.5 * (x ** 2 + math.log(2 * math.pi)).sum(axis=1)
     vals = log_q - log_p
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
+
+
+def _pair_pooling(prog, text, lam_tok, lam_frm):
+    """Pooled score of one (program, text) pair and its pooling weights."""
+    scaled = prog @ text.T / lam_tok
+    peak = scaled.max(axis=1, keepdims=True)
+    expd = np.exp(scaled - peak)
+    f_vec = lam_tok * (peak[:, 0] + np.log(expd.mean(axis=1)))
+    a_mat = expd / expd.sum(axis=1, keepdims=True)
+    g = f_vec / lam_frm
+    w_vec = np.exp(g - g.max())
+    w_vec /= w_vec.sum()
+    return float(w_vec @ f_vec), a_mat, w_vec, f_vec
+
+
+def per_item_vbb(model, world, batch, noises, grad=False):
+    """The VBB objective one item and one (program, text) pair at a time.
+
+    Reference for the packed step: every item runs through the encoder and
+    decoder on its own, and similarity loops over all B^2 pairs.  With
+    ``grad`` it also accumulates parameter gradients.
+    """
+    cfg = model.cfg
+    b = len(batch)
+    items = []
+    for item, noise in zip(batch, noises):
+        z_pad, n_real = pad_to_multiple(np.asarray(item.latents, dtype=float),
+                                        model.compression)
+        mu, log_var, enc_cache = model.encoder.forward(z_pad)
+        sigma = np.exp(0.5 * log_var)
+        m = mu + sigma * noise
+        z_hat, dec_cache = model.decoder.forward(m)
+        v_m, pm_cache = model.P_m.forward(m)
+        v_y, py_cache = model.P_y.forward(np.asarray(item.text_emb, dtype=float))
+        m_norms = np.linalg.norm(v_m, axis=1)
+        y_norms = np.linalg.norm(v_y, axis=1)
+        items.append(dict(
+            z_pad=z_pad, n_real=n_real, mu=mu, log_var=log_var, sigma=sigma,
+            noise=noise, z_hat=z_hat, enc_cache=enc_cache, dec_cache=dec_cache,
+            pm_cache=pm_cache, py_cache=py_cache, m_norms=m_norms, y_norms=y_norms,
+            m_unit=v_m / m_norms[:, None], y_unit=v_y / y_norms[:, None],
+            rec=reconstruction_loss(model, world, z_pad, z_hat, item.states, n_real),
+            kl=kl_prior_loss(Posterior(mu=mu, log_var=log_var)),
+        ))
+    pairs = [[_pair_pooling(p["m_unit"], t["y_unit"], cfg.lambda_tok, cfg.lambda_frm)
+              for t in items] for p in items]
+    r_mat = np.array([[pair[0] for pair in row] for row in pairs])
+    sem = contrastive_loss(r_mat, model.gamma)
+    rec = sum(it["rec"] for it in items) / b
+    kl = sum(it["kl"] for it in items) / b
+    total = rec + cfg.beta * kl + cfg.lambda_sem * sem
+    if not grad:
+        return total
+    # contrastive head, as in the assembled objective
+    s_mat = model.gamma * r_mat
+    p_rows = np.exp(s_mat - s_mat.max(axis=1, keepdims=True))
+    p_rows /= p_rows.sum(axis=1, keepdims=True)
+    p_cols = np.exp(s_mat - s_mat.max(axis=0, keepdims=True))
+    p_cols /= p_cols.sum(axis=0, keepdims=True)
+    eye = np.eye(b)
+    dr = model.gamma * ((p_rows - eye) + (p_cols - eye)) / (2.0 * b)
+    model.alpha.grad += cfg.lambda_sem * float((dr * r_mat).sum())
+    dr = cfg.lambda_sem * dr
+    d_m = [np.zeros_like(it["m_unit"]) for it in items]
+    d_y = [np.zeros_like(it["y_unit"]) for it in items]
+    for i, p in enumerate(items):
+        for j, t in enumerate(items):
+            r_ij, a_mat, w_vec, f_vec = pairs[i][j]
+            dfd = dr[i, j] * w_vec * (1.0 + (f_vec - r_ij) / cfg.lambda_frm)
+            dcos = dfd[:, None] * a_mat
+            d_m[i] += dcos @ t["y_unit"]
+            d_y[j] += dcos.T @ p["m_unit"]
+    w_zt_w_z = world.W_z.T @ world.W_z
+    for it, g, gy in zip(items, d_m, d_y):
+        n_real = it["n_real"]
+        diff = it["z_hat"][:n_real] - it["z_pad"][:n_real]
+        dz_hat = np.zeros_like(it["z_hat"])
+        dz_hat[:n_real] = (2.0 * diff + cfg.lambda_pi / world.sigma_pi ** 2
+                           * (diff @ w_zt_w_z)) / n_real / b
+        dm = model.decoder.backward(dz_hat, it["dec_cache"])
+        u = it["m_unit"]
+        dm = dm + model.P_m.backward(
+            (g - (g * u).sum(axis=1, keepdims=True) * u) / it["m_norms"][:, None],
+            it["pm_cache"])
+        uy = it["y_unit"]
+        model.P_y.backward(
+            (gy - (gy * uy).sum(axis=1, keepdims=True) * uy) / it["y_norms"][:, None],
+            it["py_cache"])
+        kl_scale = cfg.beta / (b * it["mu"].size)
+        dmu = dm + kl_scale * it["mu"]
+        dlog_var = (dm * it["noise"] * 0.5 * it["sigma"]
+                    + kl_scale * 0.5 * (np.exp(it["log_var"]) - 1.0))
+        model.encoder.backward(dmu, dlog_var, it["enc_cache"])
+    return total
 
 
 def unit_rows(rng, n, d):
@@ -385,6 +483,72 @@ class TestVBBLoss:
         for name in analytic:
             err = relative_grad_error({name: analytic[name]}, {name: numeric[name]})
             assert err < 1e-4, f"{name}: relative error {err:.3e}"
+
+
+# (frames, tokens) per item; the padded frames fill three packed chunks
+SEVERAL_CHUNKS = [(90, 5), (1, 1), (77, 2), (89, 3), (64, 4), (3, 1), (90, 2),
+                  (90, 1), (85, 3)]
+
+
+class TestPackedStep:
+    """The packed step against the per-item oracle on ragged batches."""
+
+    world = make_world(state_dim=3, action_dim=2, d_z=3, target_L_s=0.8,
+                       target_L_z=0.9, target_L_B=1.0, sigma_pi=0.2, seed=31)
+    # compression 8: many drawn lengths are shorter than it or not a multiple
+    cfg = BottleneckConfig(d_z=3, d_m=4, d_e=5, width=6, levels=3, d_text=4,
+                           beta=0.05, lambda_tok=0.3, lambda_frm=0.3)
+
+    def _batch(self, lengths, tokens, seed):
+        rng = np.random.default_rng(seed)
+        model = BottleneckModel(self.cfg, seed=seed % 1000)
+        batch = [BatchItem(latents=rng.normal(size=(t_len, 3)),
+                           states=rng.normal(size=(t_len + 1, 3)),
+                           text_emb=unit_rows(rng, k_len, 4))
+                 for t_len, k_len in zip(lengths, tokens)]
+        return model, batch, make_noises(model, batch, rng)
+
+    @given(st.lists(st.tuples(st.integers(1, 90), st.integers(1, 5)),
+                    min_size=2, max_size=12),
+           st.integers(0, 2 ** 32 - 1))
+    @example(SEVERAL_CHUNKS, 7)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_item_oracle(self, shapes, seed):
+        lengths, tokens = zip(*shapes)
+        model, batch, noises = self._batch(lengths, tokens, seed)
+        model.zero_grad()
+        want = per_item_vbb(model, self.world, batch, noises, grad=True)
+        oracle = {k: p.grad.copy() for k, p in model.params().items()}
+        model.zero_grad()
+        got, _ = vbb_grad(model, self.world, batch, noises)
+        loss, _ = vbb_loss(model, self.world, batch, noises)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        assert loss == got
+        for name, p in model.params().items():
+            err = relative_grad_error({name: p.grad}, {name: oracle[name]})
+            assert err <= 1e-12, f"{name}: relative error {err:.2e}"
+
+    def test_example_batch_spans_several_chunks(self):
+        padded = [-(-t_len // 8) * 8 for t_len, _ in SEVERAL_CHUNKS]
+        assert len(_chunks(padded)) == 3
+        assert _chunks([1000, 8, 8]) == [(0, 1), (1, 3)]
+
+    def test_encode_packed_matches_encode(self):
+        model, batch, _ = self._batch((13, 8, 1, 40, 90, 90, 90, 90), (1,) * 8, 5)
+        post, starts = encode_packed(model, [item.latents for item in batch])
+        ends = list(starts[1:]) + [post.T_m]
+        for item, lo, hi in zip(batch, starts, ends):
+            single = encode(model, item.latents)
+            np.testing.assert_allclose(post.mu[lo:hi], single.mu, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(post.log_var[lo:hi], single.log_var,
+                                       rtol=1e-13, atol=1e-15)
+
+    def test_empty_prompt_rejected(self):
+        model, batch, noises = self._batch((9, 4), (2, 1), 3)
+        batch[1] = BatchItem(latents=batch[1].latents, states=batch[1].states,
+                             text_emb=np.zeros((0, 4)))
+        with pytest.raises(ShapeMismatch):
+            vbb_loss(model, self.world, batch, noises)
 
 
 class TestEmbeddings:

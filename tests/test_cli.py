@@ -232,6 +232,40 @@ class TestExitCodes:
                    "--prompt", "walk", "--out", str(tmp_path / "x.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["train-vbb", "train-flow", "eval",
+                                         "sweep-compression"])
+    def test_malformed_dataset_exits_2(self, workdir, tmp_path, capsys, command):
+        artifacts = {"train-flow": ["--vbb", workdir["vbb"]],
+                     "eval": ["--vbb", workdir["vbb"], "--flow", workdir["flow"]]}
+        for path in (("spec",), ("spec", "world"), ("samples",), ("seed",)):
+            doc = read_json(workdir["data"])
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            del parent[path[-1]]
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            rc = main([command, "--config", workdir["cfg"], "--data", str(bad),
+                       *artifacts.get(command, []), "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert rc == 2, (path, err)
+            assert len(err.splitlines()) == 1 and path[-1] in err, err
+
+    def test_malformed_dataset_values_exit_2(self, workdir, tmp_path, capsys):
+        for where, value in (("states", [[0.0, 1.0], [2.0]]), ("seed", "eleven")):
+            doc = read_json(workdir["data"])
+            if where == "seed":
+                doc["seed"] = value
+            else:
+                doc["samples"][0]["states"] = value
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            rc = main(["train-vbb", "--config", workdir["cfg"], "--data", str(bad),
+                       "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert rc == 2, (where, err)
+            assert len(err.splitlines()) == 1, err
+
     def test_divergence_exits_3(self, workdir, tmp_path):
         cfg = dict(TINY_CONFIG)
         cfg["flow_train"] = {"steps": 40, "batch_size": 8, "lr": 1e9,

@@ -7,6 +7,8 @@ differences with step 1e-5.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from behavegen.errors import ShapeMismatch
 from behavegen.nn import (
@@ -17,6 +19,7 @@ from behavegen.nn import (
     Param,
     ReLU,
     ResBlock,
+    Segments,
     Upsample2,
     finite_difference_grads,
     relative_grad_error,
@@ -88,6 +91,65 @@ class TestConv1d:
         conv = Conv1d(rng, 3, 4)
         with pytest.raises(ShapeMismatch):
             conv.forward(np.zeros((5, 2)))
+
+
+class TestPackedConv1d:
+    """One call on packed segments against one call per segment."""
+
+    @given(st.sampled_from([1, 2]), st.sampled_from([3, 5]),
+           st.lists(st.integers(1, 9), min_size=1, max_size=6), st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_segment_calls(self, stride, kernel, lengths, seed):
+        # every segment but the last must be a multiple of the stride
+        lengths = [stride * n for n in lengths[:-1]] + lengths[-1:]
+        rng = np.random.default_rng(seed)
+        conv = Conv1d(rng, 3, 4, kernel=kernel, stride=stride)
+        xs = [rng.normal(size=(n, 3)) for n in lengths]
+        y, cache = conv.forward(np.concatenate(xs), Segments(lengths))
+        assert conv.out_segments(Segments(lengths)).total == y.shape[0]
+        dy = rng.normal(size=y.shape)
+        conv.zero_grad()
+        dx = conv.backward(dy, cache)
+        packed = {"W": conv.W.grad.copy(), "b": conv.b.grad.copy()}
+
+        conv.zero_grad()
+        ys, dxs, row = [], [], 0
+        for x in xs:
+            y_seg, c_seg = conv.forward(x)
+            ys.append(y_seg)
+            dxs.append(conv.backward(dy[row:row + y_seg.shape[0]], c_seg))
+            row += y_seg.shape[0]
+        np.testing.assert_allclose(y, np.concatenate(ys), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(dx, np.concatenate(dxs), rtol=1e-12, atol=1e-14)
+        for name in packed:
+            assert relative_grad_error({name: packed[name]},
+                                       {name: conv.params()[name].grad}) <= 1e-12
+
+    def test_segments_must_cover_input_and_align(self):
+        rng = np.random.default_rng(15)
+        conv = Conv1d(rng, 2, 2, stride=2)
+        with pytest.raises(ShapeMismatch):
+            conv.forward(np.zeros((6, 2)), Segments([2, 2]))
+        with pytest.raises(ShapeMismatch):
+            conv.forward(np.zeros((6, 2)), Segments([3, 3]))
+
+    def test_resblock_packed_gradients(self):
+        rng = np.random.default_rng(16)
+        block = ResBlock(rng, 3)
+        seg = Segments([4, 1, 5])
+
+        class Packed(Module):
+            def __init__(self):
+                super().__init__()
+                self.add_child("res", block)
+
+            def forward(self, x):
+                return block.forward(x, seg)
+
+            def backward(self, dy, cache):
+                return block.backward(dy, cache)
+
+        check_layer(Packed(), rng.normal(size=(10, 3)))
 
 
 class TestOtherLayers:
