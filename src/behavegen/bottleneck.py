@@ -65,26 +65,6 @@ class BottleneckConfig:
     def compression(self) -> int:
         return 2 ** self.levels
 
-    def to_dict(self) -> dict:
-        return {
-            "d_z": self.d_z, "d_m": self.d_m, "d_e": self.d_e,
-            "width": self.width, "levels": self.levels, "d_text": self.d_text,
-            "beta": self.beta, "lambda_pi": self.lambda_pi,
-            "lambda_sem": self.lambda_sem, "lambda_tok": self.lambda_tok,
-            "lambda_frm": self.lambda_frm, "logit_scale_init": self.logit_scale_init,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "BottleneckConfig":
-        return BottleneckConfig(
-            d_z=int(d["d_z"]), d_m=int(d["d_m"]), d_e=int(d["d_e"]),
-            width=int(d["width"]), levels=int(d["levels"]), d_text=int(d["d_text"]),
-            beta=float(d["beta"]), lambda_pi=float(d["lambda_pi"]),
-            lambda_sem=float(d["lambda_sem"]), lambda_tok=float(d["lambda_tok"]),
-            lambda_frm=float(d["lambda_frm"]),
-            logit_scale_init=float(d["logit_scale_init"]),
-        )
-
 
 @dataclass(frozen=True)
 class Posterior:
@@ -677,11 +657,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0 or self.steps < 1 or self.batch_size < 2:
             raise RangeError("invalid training configuration")
-
-    def to_dict(self) -> dict:
-        return {"lr": self.lr, "weight_decay": self.weight_decay,
-                "warmup": self.warmup, "batch_size": self.batch_size,
-                "steps": self.steps}
 
 
 def train_bottleneck(model: BottleneckModel, world, vocab, samples,

@@ -25,6 +25,7 @@ import numpy as np
 from .bottleneck import (
     BottleneckConfig,
     BottleneckModel,
+    TrainConfig,
     decode,
     embed_text,
     encode,
@@ -52,26 +53,28 @@ from .errors import (
     TooFewSamples,
     UnknownToken,
 )
-from .flow import FlowConfig, FlowModel, euler_sample, train_flow
-from .metrics import EvalReport, diversity, prototype_match_rate
+from .flow import FlowConfig, FlowModel, FlowTrainConfig, euler_sample, train_flow
+from .metrics import EvalReport, diversity, prototype_match_rate, retrieval_accuracy
 from .serialization import (
     append_jsonl,
+    from_doc,
     load_checkpoint,
     read_json,
     save_checkpoint,
+    to_doc,
     write_json,
 )
 from .theory import run_suites, sweep_compression_grid
 from .world import (
     DatasetSpec,
     ExtractionConfig,
+    WorldConfig,
     action_kl,
     dataset_from_dict,
     dataset_to_dict,
     generate_dataset,
     make_vocabulary,
     make_world,
-    world_from_config,
 )
 
 _CONFIG_ERRORS = (
@@ -99,10 +102,14 @@ def _write_csv(path: str, rows, columns) -> None:
 
 
 def _read_dataset(path: str):
-    return dataset_from_dict(read_json(path))
+    try:
+        return dataset_from_dict(read_json(path))
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"dataset {path}: {exc}") from exc
 
 
 def _build_world_and_vocab(cfg):
+    """World and vocabulary of a run config or a bottleneck's hyperparams."""
     world = make_world(**dataclasses.asdict(cfg.world))
     spec = cfg.dataset
     vocab = make_vocabulary(spec.behaviors, spec.separator, spec.d_text,
@@ -110,32 +117,52 @@ def _build_world_and_vocab(cfg):
     return world, spec, vocab
 
 
-def _load_bottleneck(prefix: str):
-    """Rebuild the bottleneck plus its self-describing data context."""
+@dataclasses.dataclass(frozen=True)
+class BottleneckHyperparams:
+    """A bottleneck checkpoint's ``hyperparams``: the model and the data
+    context that generate, compose and eval rebuild from it."""
+
+    config: BottleneckConfig
+    world: WorldConfig
+    dataset: DatasetSpec
+    extraction: ExtractionConfig
+    train: TrainConfig
+    seed: int
+    kind: str = "bottleneck"
+
+
+@dataclasses.dataclass(frozen=True)
+class FlowHyperparams:
+    config: FlowConfig
+    train: FlowTrainConfig
+    seed: int
+    kind: str = "flow"
+
+
+def _read_checkpoint(prefix: str, cls):
+    """Hyperparams (a ``cls``) and parameters of a ``cls.kind`` checkpoint."""
     manifest, params = load_checkpoint(prefix)
     hyper = manifest["hyperparams"]
-    if hyper.get("kind") != "bottleneck":
-        raise MissingArtifact(f"{prefix} is not a bottleneck checkpoint")
-    bcfg = BottleneckConfig.from_dict(hyper["config"])
-    model = BottleneckModel(bcfg, seed=0)
+    if not isinstance(hyper, dict) or hyper.get("kind") != cls.kind:
+        raise MissingArtifact(f"{prefix} is not a {cls.kind} checkpoint")
+    try:
+        return from_doc(cls, hyper, "hyperparams"), params
+    except InvalidSpec as exc:
+        raise MissingArtifact(f"{prefix}.json: {exc}") from exc
+
+
+def _load_bottleneck(prefix: str):
+    """Rebuild the bottleneck plus its self-describing data context."""
+    hyper, params = _read_checkpoint(prefix, BottleneckHyperparams)
+    model = BottleneckModel(hyper.config, seed=0)
     model.load_values(params)
-    world = world_from_config(hyper["world"])
-    spec = DatasetSpec.from_dict(hyper["dataset"])
-    extraction = ExtractionConfig(
-        lookahead=int(hyper["extraction"]["lookahead"]),
-        norm_floor=float(hyper["extraction"]["norm_floor"]),
-    )
-    vocab = make_vocabulary(spec.behaviors, spec.separator, spec.d_text,
-                            spec.embed_seed)
-    return model, world, spec, extraction, vocab
+    world, spec, vocab = _build_world_and_vocab(hyper)
+    return model, world, spec, hyper.extraction, vocab
 
 
 def _load_flow(prefix: str) -> FlowModel:
-    manifest, params = load_checkpoint(prefix)
-    hyper = manifest["hyperparams"]
-    if hyper.get("kind") != "flow":
-        raise MissingArtifact(f"{prefix} is not a flow checkpoint")
-    model = FlowModel(FlowConfig.from_dict(hyper["config"]), seed=0)
+    hyper, params = _read_checkpoint(prefix, FlowHyperparams)
+    model = FlowModel(hyper.config, seed=0)
     model.load_values(params)
     return model
 
@@ -147,8 +174,7 @@ def _load_flow(prefix: str) -> FlowModel:
 def cmd_gen_data(args) -> int:
     cfg = load_run_config(args.config)
     world, spec, vocab = _build_world_and_vocab(cfg)
-    samples = generate_dataset(world, cfg.extraction, spec, vocab,
-                               seed=cfg.seed, workers=args.threads)
+    samples = generate_dataset(world, cfg.extraction, spec, vocab, seed=cfg.seed)
     write_json(args.out, dataset_to_dict(world, cfg.extraction, spec,
                                          cfg.seed, samples))
     print(f"wrote {len(samples)} samples to {args.out}")
@@ -171,15 +197,9 @@ def cmd_train_vbb(args) -> int:
     hook = (lambda rec: append_jsonl(args.history, rec)) if args.history else None
     history = train_bottleneck(model, world, vocab, train_samples,
                                cfg.vbb_train, seed=cfg.seed, history_hook=hook)
-    save_checkpoint(args.out, model.export_values(), {
-        "kind": "bottleneck",
-        "config": bcfg.to_dict(),
-        "world": world.to_config(),
-        "dataset": spec.to_dict(),
-        "extraction": extraction.to_dict(),
-        "train": dataclasses.asdict(cfg.vbb_train),
-        "seed": cfg.seed,
-    })
+    save_checkpoint(args.out, model.export_values(), to_doc(BottleneckHyperparams(
+        config=bcfg, world=world.config, dataset=spec, extraction=extraction,
+        train=cfg.vbb_train, seed=cfg.seed)))
     print(f"trained bottleneck for {len(history)} steps; "
           f"final loss {history[-1]['total']:.6f}; saved to {args.out}")
     return 0
@@ -195,27 +215,15 @@ def cmd_train_flow(args) -> int:
     hook = (lambda rec: append_jsonl(args.history, rec)) if args.history else None
     history = train_flow(model, bottleneck, vocab, train_samples,
                          cfg.flow_train, seed=cfg.seed, history_hook=hook)
-    save_checkpoint(args.out, model.export_values(), {
-        "kind": "flow",
-        "config": fcfg.to_dict(),
-        "train": dataclasses.asdict(cfg.flow_train),
-        "seed": cfg.seed,
-    })
+    save_checkpoint(args.out, model.export_values(), to_doc(FlowHyperparams(
+        config=fcfg, train=cfg.flow_train, seed=cfg.seed)))
     print(f"trained flow for {len(history)} steps; "
           f"final loss {history[-1]['total']:.6f}; saved to {args.out}")
     return 0
 
 
-def _rollout_to_dict(prompt: str, mode: str, seed: int, out) -> dict:
-    return {
-        "prompt": prompt,
-        "mode": mode,
-        "seed": seed,
-        "boundaries": list(out.boundaries),
-        "stage_lengths": list(out.stage_lengths),
-        "latents": out.latents,
-        "states": out.states,
-    }
+def _rollout_doc(prompt: str, mode: str, seed: int, out) -> dict:
+    return {"prompt": prompt, "mode": mode, "seed": seed, **to_doc(out)}
 
 
 def cmd_generate(args) -> int:
@@ -230,7 +238,7 @@ def cmd_generate(args) -> int:
         flow, bottleneck, vocab, world, ids, t_m=gen.t_m * n_clauses,
         sampler=cfg.sampler, seed=seed, init_state_scale=gen.init_state_scale,
     )
-    write_json(args.out, _rollout_to_dict(args.prompt, "single-shot", seed, out))
+    write_json(args.out, _rollout_doc(args.prompt, "single-shot", seed, out))
     print(f"generated {out.latents.shape[0]} latent frames "
           f"({n_clauses} clauses, single shot) -> {args.out}")
     return 0
@@ -248,7 +256,7 @@ def cmd_compose(args) -> int:
         sampler=cfg.sampler, seed=seed, overlap=gen.overlap,
         in_place=gen.in_place, init_state_scale=gen.init_state_scale,
     )
-    write_json(args.out, _rollout_to_dict(args.prompt, "composed", seed, out))
+    write_json(args.out, _rollout_doc(args.prompt, "composed", seed, out))
     print(f"composed {len(out.stage_lengths)} stages into "
           f"{out.latents.shape[0]} latent frames -> {args.out}")
     return 0
@@ -353,16 +361,12 @@ def generation_study(flow, bottleneck, vocab, world, spec, sampler, t_m: int,
     return match, div
 
 
-def _ranked_hits(sims: np.ndarray, k: int) -> float:
-    order = np.argsort(-sims, axis=1, kind="stable")
-    hits = sum(int(i in order[i, :k]) for i in range(sims.shape[0]))
-    return hits / sims.shape[0]
-
-
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config)
-    _, _, _, _, _, samples = _read_dataset(args.data)
+    _, _, _, data_vocab, _, samples = _read_dataset(args.data)
     bottleneck, world, spec, extraction, vocab = _load_bottleneck(args.vbb)
+    if data_vocab.words != vocab.words:
+        raise InvalidSpec(f"{args.data} and {args.vbb} use different vocabularies")
     flow = _load_flow(args.flow)
 
     if args.n_eval < 1 or args.n_eval > len(samples):
@@ -374,8 +378,8 @@ def cmd_eval(args) -> int:
 
     retrieval_set = distinct_prompt_subset(samples, args.retrieval_batch)
     sims = retrieval_scores(bottleneck, vocab, retrieval_set)
-    top1 = _ranked_hits(sims, 1)
-    top5 = _ranked_hits(sims, min(5, len(retrieval_set)))
+    top1 = retrieval_accuracy(sims, 1)
+    top5 = retrieval_accuracy(sims, min(5, len(retrieval_set)))
 
     protos = training_prototypes(_train_split(samples, args.holdout),
                                  len(spec.behaviors), world.d_z)
@@ -392,7 +396,7 @@ def cmd_eval(args) -> int:
         prototype_match=match,
         diversity=div,
     )
-    write_json(args.out, report.to_dict())
+    write_json(args.out, to_doc(report))
     if args.emit_plot_data:
         rows = []
         for i, s in enumerate(eval_samples):
@@ -437,9 +441,8 @@ def compression_sweep(cfg, world, spec, vocab, train_samples, eval_samples,
         levels = int(np.log2(c))
         if 2 ** levels != c or levels < 1:
             raise ConfigInvalid(f"compression {c} is not a power of two >= 2")
-        base = cfg.bottleneck_config(d_z=world.d_z, d_text=spec.d_text).to_dict()
-        base["levels"] = levels
-        bcfg = BottleneckConfig.from_dict(base)
+        bcfg = dataclasses.replace(
+            cfg.bottleneck_config(d_z=world.d_z, d_text=spec.d_text), levels=levels)
         model = BottleneckModel(bcfg, seed=cfg.seed)
         history = train_bottleneck(model, world, vocab, train_samples,
                                    cfg.vbb_train, seed=cfg.seed)
@@ -497,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="draw the synthetic corpus")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train-vbb", help="train the variational bottleneck")

@@ -15,21 +15,10 @@ import os
 from .bottleneck import BottleneckConfig, TrainConfig
 from .errors import BehavegenError, ConfigInvalid
 from .flow import FlowConfig, FlowTrainConfig, SamplerConfig
-from .world import DatasetSpec, ExtractionConfig
+from .serialization import from_doc, to_doc
+from .world import DatasetSpec, ExtractionConfig, WorldConfig
 
 SCHEMA_VERSION = 1
-
-
-@dataclasses.dataclass(frozen=True)
-class WorldConfig:
-    state_dim: int = 6
-    action_dim: int = 4
-    d_z: int = 4
-    target_L_s: float = 0.9
-    target_L_z: float = 1.0
-    target_L_B: float = 1.0
-    sigma_pi: float = 0.1
-    seed: int = 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -40,41 +29,37 @@ class GenerationConfig:
     init_state_scale: float = 0.5
 
 
-def _build_section(cls, name: str, data: dict, exclude=()):
-    """Construct a config dataclass from a raw dict, rejecting unknown keys.
-
-    ``exclude`` names fields supplied elsewhere (derived dimensions); they may
-    not appear in the document.
-    """
-    if not isinstance(data, dict):
-        raise ConfigInvalid(f"section '{name}' must be an object")
-    allowed = {f.name for f in dataclasses.fields(cls)} - set(exclude)
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigInvalid(
-            f"section '{name}' has unknown keys: {sorted(unknown)}"
-        )
-    return dict(data)
+def _section(cls, *derived):
+    """``cls`` without the fields other sections fix, and without its
+    checks, which run once those dimensions are filled in."""
+    return dataclasses.make_dataclass(
+        cls.__name__ + "Section",
+        [(f.name, f.type, dataclasses.field(default=f.default))
+         for f in dataclasses.fields(cls) if f.name not in derived],
+        frozen=True)
 
 
-def _construct(cls, name: str, kwargs: dict):
+BottleneckSection = _section(BottleneckConfig, "d_z", "d_text")
+FlowSection = _section(FlowConfig, "d_m", "d_e")
+
+
+def _materialize(cls, name: str, section, **dims):
     try:
-        return cls(**kwargs)
-    except ConfigInvalid:
-        raise
-    except (TypeError, ValueError, BehavegenError) as exc:
-        raise ConfigInvalid(f"section '{name}': {exc}") from exc
+        return from_doc(cls, {**to_doc(section), **dims}, name)
+    except BehavegenError as exc:
+        raise ConfigInvalid(str(exc)) from exc
 
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
+    schema_version: int = SCHEMA_VERSION
     seed: int = 0
     world: WorldConfig = WorldConfig()
     extraction: ExtractionConfig = ExtractionConfig()
     dataset: DatasetSpec = DatasetSpec()
-    bottleneck: tuple = ()       # sorted (key, value) pairs, minus d_z/d_text
+    bottleneck: BottleneckSection = BottleneckSection()
     vbb_train: TrainConfig = TrainConfig()
-    flow: tuple = ()             # sorted (key, value) pairs, minus d_m/d_e
+    flow: FlowSection = FlowSection()
     flow_train: FlowTrainConfig = FlowTrainConfig()
     sampler: SamplerConfig = SamplerConfig()
     generation: GenerationConfig = GenerationConfig()
@@ -82,89 +67,42 @@ class RunConfig:
     def bottleneck_config(self, d_z=None, d_text=None) -> BottleneckConfig:
         """Materialize the bottleneck; dims default to the world and dataset
         sections but a self-describing dataset file may override them."""
-        return _construct(BottleneckConfig, "bottleneck", {
-            "d_z": self.world.d_z if d_z is None else int(d_z),
-            "d_text": self.dataset.d_text if d_text is None else int(d_text),
-            **dict(self.bottleneck),
-        })
+        return _materialize(
+            BottleneckConfig, "bottleneck", self.bottleneck,
+            d_z=self.world.d_z if d_z is None else d_z,
+            d_text=self.dataset.d_text if d_text is None else d_text)
 
     def flow_config(self, d_z=None, d_text=None) -> FlowConfig:
         b = self.bottleneck_config(d_z=d_z, d_text=d_text)
-        return _construct(FlowConfig, "flow", {
-            "d_m": b.d_m, "d_e": b.d_e, **dict(self.flow),
-        })
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "seed": self.seed,
-            "world": dataclasses.asdict(self.world),
-            "extraction": self.extraction.to_dict(),
-            "dataset": self.dataset.to_dict(),
-            "bottleneck": dict(self.bottleneck),
-            "vbb_train": dataclasses.asdict(self.vbb_train),
-            "flow": dict(self.flow),
-            "flow_train": dataclasses.asdict(self.flow_train),
-            "sampler": dataclasses.asdict(self.sampler),
-            "generation": dataclasses.asdict(self.generation),
-        }
+        return _materialize(FlowConfig, "flow", self.flow, d_m=b.d_m, d_e=b.d_e)
 
 
-_SECTIONS = {
-    "world": (WorldConfig, ()),
-    "extraction": (ExtractionConfig, ()),
-    "dataset": (DatasetSpec, ()),
-    "bottleneck": (BottleneckConfig, ("d_z", "d_text")),
-    "vbb_train": (TrainConfig, ()),
-    "flow": (FlowConfig, ("d_m", "d_e")),
-    "flow_train": (FlowTrainConfig, ()),
-    "sampler": (SamplerConfig, ()),
-    "generation": (GenerationConfig, ()),
-}
+def _with_defaults(default, doc):
+    """``doc`` with every key it omits taken from ``default``, recursively."""
+    if not (isinstance(default, dict) and isinstance(doc, dict)):
+        return doc
+    return {**default, **{k: _with_defaults(default.get(k), v) for k, v in doc.items()}}
 
 
 def run_config_from_dict(doc: dict, env=None) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigInvalid("run configuration must be a JSON object")
-    allowed = set(_SECTIONS) | {"schema_version", "seed"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigInvalid(f"unknown top-level keys: {sorted(unknown)}")
-    if "schema_version" not in doc:
-        raise ConfigInvalid("missing required key 'schema_version'")
-    version = doc["schema_version"]
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
-        raise ConfigInvalid(
-            f"schema_version {version} unsupported (want {SCHEMA_VERSION})"
-        )
-
-    kwargs = {}
-    for name, (cls, exclude) in _SECTIONS.items():
-        raw = _build_section(cls, name, doc.get(name, {}), exclude)
-        if exclude:
-            # deferred sections stay as pairs; dims arrive at materialization
-            kwargs[name] = tuple(sorted(raw.items()))
-        else:
-            # lists arriving from JSON stand in for tuple-typed fields
-            coerced = {
-                k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()
-            }
-            kwargs[name] = _construct(cls, name, coerced)
-
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigInvalid(f"seed must be an integer, got {seed!r}")
+        raise ConfigInvalid(f"run configuration must be a JSON object with "
+                            f"schema_version {SCHEMA_VERSION}, got {version!r}")
+    try:
+        cfg = from_doc(RunConfig, _with_defaults(to_doc(RunConfig()), doc), "")
+    except BehavegenError as exc:
+        raise ConfigInvalid(str(exc)) from exc
 
     env = os.environ if env is None else env
     if "BEHAVE_SEED" in env:
         try:
-            seed = int(env["BEHAVE_SEED"])
+            cfg = dataclasses.replace(cfg, seed=int(env["BEHAVE_SEED"]))
         except ValueError as exc:
             raise ConfigInvalid(
                 f"BEHAVE_SEED must be an integer, got {env['BEHAVE_SEED']!r}"
             ) from exc
-
-    return RunConfig(seed=seed, **kwargs)
+    return cfg
 
 
 def load_run_config(path: str, env=None) -> RunConfig:

@@ -41,18 +41,6 @@ class FlowConfig:
         if not (0.0 <= self.cond_dropout < 1.0):
             raise RangeError("cond_dropout must lie in [0, 1)")
 
-    def to_dict(self) -> dict:
-        return {"d_m": self.d_m, "d_e": self.d_e, "width": self.width,
-                "blocks": self.blocks, "r_dim": self.r_dim,
-                "cond_dropout": self.cond_dropout}
-
-    @staticmethod
-    def from_dict(d: dict) -> "FlowConfig":
-        return FlowConfig(d_m=int(d["d_m"]), d_e=int(d["d_e"]),
-                          width=int(d["width"]), blocks=int(d["blocks"]),
-                          r_dim=int(d["r_dim"]),
-                          cond_dropout=float(d["cond_dropout"]))
-
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -62,9 +50,6 @@ class SamplerConfig:
     def __post_init__(self):
         if int(self.steps) < 1:
             raise RangeError("sampler needs at least one step")
-
-    def to_dict(self) -> dict:
-        return {"steps": self.steps, "guidance": self.guidance}
 
 
 def time_embedding(r: float, dim: int) -> np.ndarray:
@@ -220,11 +205,6 @@ class FlowTrainConfig:
     def __post_init__(self):
         if self.lr <= 0 or self.steps < 1 or self.batch_size < 1:
             raise RangeError("invalid flow training configuration")
-
-    def to_dict(self) -> dict:
-        return {"lr": self.lr, "weight_decay": self.weight_decay,
-                "warmup": self.warmup, "batch_size": self.batch_size,
-                "steps": self.steps}
 
 
 def prepare_flow_targets(bottleneck, samples, rng):

@@ -2,8 +2,8 @@
 
 Everything here is deterministic given its inputs: segment order accuracy
 against the prompt, junction smoothness of rollouts, prompt-to-program
-retrieval, sample diversity, two-moment distribution distance, and an exact
-paired sign test used to compare generation strategies.
+retrieval, sample diversity, and an exact paired sign test used to compare
+generation strategies.
 """
 
 from dataclasses import dataclass
@@ -96,28 +96,24 @@ def transition_score(states, boundaries) -> float:
     return total / len(bounds)
 
 
-def retrieval_accuracy(program_embs, text_embs, k: int = 1) -> float:
+def retrieval_accuracy(sims, k: int = 1) -> float:
     """Fraction of programs whose paired prompt ranks in the top k.
 
-    Rows are paired by index.  Ranking sorts by similarity with ties broken
-    toward the lower text index, so degenerate all-equal similarities score
-    1/B at k=1 rather than rewarding the tie.
+    ``sims[i, j]`` scores program i against prompt j, and pairs share an
+    index.  Ranking sorts by similarity with ties broken toward the lower
+    prompt index, so degenerate all-equal similarities score 1/B at k=1
+    rather than rewarding the tie.
     """
-    p = np.asarray(program_embs, dtype=float)
-    t = np.asarray(text_embs, dtype=float)
-    if p.shape != t.shape or p.ndim != 2:
-        raise ShapeMismatch(f"embeddings {p.shape} vs {t.shape}")
-    if p.shape[0] < 1:
+    s = np.asarray(sims, dtype=float)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise ShapeMismatch(f"similarities {s.shape} are not a square matrix")
+    if s.shape[0] < 1:
         raise TooFewSamples("retrieval needs at least one pair")
-    if not (1 <= k <= p.shape[0]):
-        raise RangeError(f"k = {k} outside [1, {p.shape[0]}]")
-    sims = p @ t.T
-    hits = 0
-    for i in range(sims.shape[0]):
-        order = np.argsort(-sims[i], kind="stable")  # ties keep index order
-        if i in order[:k]:
-            hits += 1
-    return hits / sims.shape[0]
+    if not (1 <= k <= s.shape[0]):
+        raise RangeError(f"k = {k} outside [1, {s.shape[0]}]")
+    order = np.argsort(-s, axis=1, kind="stable")  # ties keep index order
+    hits = int((order[:, :k] == np.arange(s.shape[0])[:, None]).sum())
+    return hits / s.shape[0]
 
 
 def diversity(embs) -> float:
@@ -130,20 +126,6 @@ def diversity(embs) -> float:
     for i in range(n):
         total += float(np.linalg.norm(x[i + 1:] - x[i], axis=1).sum())
     return total / (n * (n - 1) / 2)
-
-
-def moment_distance(a, b) -> float:
-    """First-plus-second-moment distance: |Δmean| + |Δcov|_F."""
-    xa = np.asarray(a, dtype=float)
-    xb = np.asarray(b, dtype=float)
-    if xa.ndim != 2 or xb.ndim != 2 or xa.shape[1] != xb.shape[1]:
-        raise ShapeMismatch(f"sample sets {xa.shape} vs {xb.shape}")
-    if xa.shape[0] < 2 or xb.shape[0] < 2:
-        raise TooFewSamples("covariance needs at least two rows per set")
-    dmean = np.linalg.norm(xa.mean(axis=0) - xb.mean(axis=0))
-    dcov = np.linalg.norm(np.cov(xa, rowvar=False) - np.cov(xb, rowvar=False),
-                          ord="fro")
-    return float(dmean + dcov)
 
 
 def prototype_match_rate(mean_latents, expected_ids, prototypes) -> float:
@@ -210,14 +192,3 @@ class EvalReport:
     retrieval_top5: float
     prototype_match: float
     diversity: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "recon_mse": self.recon_mse,
-            "baseline_mse": self.baseline_mse,
-            "retrieval_top1": self.retrieval_top1,
-            "retrieval_top5": self.retrieval_top5,
-            "prototype_match": self.prototype_match,
-            "diversity": self.diversity,
-        }

@@ -4,17 +4,23 @@ Two rules make artifacts byte-identical across runs with the same seed:
 keys are emitted in sorted order, and every float is written with 17
 significant digits so the decimal text round-trips to the exact same bits.
 
+Config dataclasses map to JSON documents through one codec, ``to_doc`` and
+``from_doc``, so every reader checks a document the same way.
+
 Checkpoints are a JSON manifest next to a flat binary blob.  The blob holds
 every parameter tensor as little-endian float64 in sorted-name order, the
-manifest records shapes, hyperparameters and the RNG state.
+manifest records shapes and hyperparameters.
 """
 
+import dataclasses
 import json
 import os
+import sys
+import typing
 
 import numpy as np
 
-from .errors import MissingArtifact, NonFiniteInput
+from .errors import BehavegenError, InvalidSpec, MissingArtifact, NonFiniteInput
 
 SCHEMA_VERSION = 1
 
@@ -111,10 +117,90 @@ def append_jsonl(path: str, obj) -> None:
 
 
 # ---------------------------------------------------------------------------
+# dataclass codec
+# ---------------------------------------------------------------------------
+
+def to_doc(obj):
+    """The JSON document of a dataclass: one key per field (the field name,
+    or ``metadata["key"]``), nested dataclasses as objects, tuples as lists;
+    arrays and scalars pass through."""
+    if dataclasses.is_dataclass(obj):
+        return {_key(f): to_doc(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple):
+        return [to_doc(v) for v in obj]
+    return obj
+
+
+def from_doc(cls, doc, where: str):
+    """Build dataclass ``cls`` from ``doc``, the inverse of ``to_doc``.
+
+    Every field must be present with a value of its annotated type: ``int``
+    (not bool), ``float`` (int accepted), ``bool``, ``str``, ``np.ndarray``
+    (a finite float array), ``tuple[T, ...]`` or a nested dataclass.
+    ``where`` is the dotted path of ``doc``; the first fault raises
+    InvalidSpec with a one-line message naming the path, e.g.
+    ``spec.world.d_z must be int, got str``.
+    """
+    if not isinstance(doc, dict):
+        raise InvalidSpec(f"{where or 'document'} must be a JSON object, got {_kind(doc)}")
+    keys = {_key(f): f for f in dataclasses.fields(cls)}
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise InvalidSpec(f"unknown {where or 'top-level'} keys: {sorted(unknown)}")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise InvalidSpec(f"{where or 'document'} lacks {', '.join(missing)}")
+    prefix = where + "." if where else ""
+    kwargs = {f.name: _value(f.type, doc[k], prefix + k) for k, f in keys.items()}
+    try:
+        return cls(**kwargs)
+    except (BehavegenError, TypeError, ValueError) as exc:
+        raise InvalidSpec(f"{where or 'document'}: {exc}") from exc
+
+
+# accepted Python and NumPy types per scalar annotation
+_SCALARS = {int: (int, np.integer), float: (int, float, np.integer, np.floating),
+            bool: (bool, np.bool_), str: (str,)}
+
+
+def _key(f) -> str:
+    # a field may name its document key, where the two differ
+    return f.metadata.get("key", f.name)
+
+
+def _kind(v) -> str:
+    names = {dict: "object", list: "list", tuple: "list", type(None): "null"}
+    return names.get(type(v), type(v).__name__)
+
+
+def _value(tp, v, where: str):
+    if tp in _SCALARS:
+        if not isinstance(v, _SCALARS[tp]) or (tp is not bool and isinstance(v, (bool, np.bool_))):
+            raise InvalidSpec(f"{where} must be {tp.__name__}, got {_kind(v)}")
+        if tp is float and not abs(v) <= sys.float_info.max:  # NaN fails too
+            raise InvalidSpec(f"{where} must be finite, got {v}")
+        return tp(v)
+    if tp is np.ndarray:
+        try:
+            arr = np.asarray(v, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidSpec(f"{where} is not a numeric array: {exc}") from exc
+        if not np.isfinite(arr).all():
+            raise InvalidSpec(f"{where} holds a non-finite value")
+        return arr
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(v, (list, tuple)):
+            raise InvalidSpec(f"{where} must be a list, got {_kind(v)}")
+        elem = typing.get_args(tp)[0]
+        return tuple(_value(elem, x, f"{where}[{i}]") for i, x in enumerate(v))
+    return from_doc(tp, v, where)
+
+
+# ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(prefix: str, params: dict, hyperparams: dict, rng_state=None) -> None:
+def save_checkpoint(prefix: str, params: dict, hyperparams: dict) -> None:
     """Write <prefix>.json and <prefix>.bin.
 
     The blob stores parameters as little-endian float64 in sorted-name order,
@@ -126,7 +212,6 @@ def save_checkpoint(prefix: str, params: dict, hyperparams: dict, rng_state=None
         "schema_version": SCHEMA_VERSION,
         "shapes": shapes,
         "hyperparams": hyperparams,
-        "rng_state": _encode_rng(rng_state),
     }
     write_json(prefix + ".json", manifest)
     with open(prefix + ".bin", "wb") as fh:
@@ -136,53 +221,34 @@ def save_checkpoint(prefix: str, params: dict, hyperparams: dict, rng_state=None
 
 
 def load_checkpoint(prefix: str):
-    """Read a manifest/blob pair; returns (manifest, {name: float64 array})."""
+    """Read a manifest/blob pair; returns (manifest, {name: float64 array}).
+
+    The manifest must be a schema-current object whose ``shapes`` map names
+    to lists of sizes and which holds ``hyperparams``; the blob must hold
+    exactly the values those shapes declare, all finite.  Anything else is
+    MissingArtifact.
+    """
     manifest = read_json(prefix + ".json")
-    if manifest.get("schema_version") != SCHEMA_VERSION:
-        raise MissingArtifact(
-            f"checkpoint schema {manifest.get('schema_version')} != {SCHEMA_VERSION}"
-        )
+    if not isinstance(manifest, dict) or manifest.get("schema_version") != SCHEMA_VERSION:
+        raise MissingArtifact(f"{prefix}.json is not a schema {SCHEMA_VERSION} checkpoint manifest")
+    if "hyperparams" not in manifest:
+        raise MissingArtifact(f"{prefix}.json lacks hyperparams")
+    shapes = manifest.get("shapes")
+    if not isinstance(shapes, dict) or not all(
+            isinstance(s, list) and all(type(n) is int and n >= 0 for n in s)
+            for s in shapes.values()):
+        raise MissingArtifact(f"{prefix}.json: shapes must map names to lists of sizes")
     blob_path = prefix + ".bin"
     if not os.path.exists(blob_path):
         raise MissingArtifact(f"missing parameter blob: {blob_path}")
+    names = sorted(shapes)
+    sizes = [int(np.prod(shapes[name])) for name in names]
+    if os.path.getsize(blob_path) != 8 * sum(sizes):
+        raise MissingArtifact(f"parameter blob {blob_path} holds {os.path.getsize(blob_path)} "
+                              f"bytes, the manifest declares {8 * sum(sizes)}")
     raw = np.fromfile(blob_path, dtype="<f8")
-    params = {}
-    offset = 0
-    for name in sorted(manifest["shapes"].keys()):
-        shape = tuple(manifest["shapes"][name])
-        size = int(np.prod(shape)) if shape else 1
-        if offset + size > raw.size:
-            raise MissingArtifact("parameter blob shorter than manifest declares")
-        params[name] = raw[offset:offset + size].reshape(shape).copy()
-        offset += size
-    if offset != raw.size:
-        raise MissingArtifact("parameter blob longer than manifest declares")
+    if not np.all(np.isfinite(raw)):
+        raise MissingArtifact(f"parameter blob {blob_path} holds a non-finite value")
+    chunks = np.split(raw, np.cumsum(sizes)[:-1])
+    params = {name: chunk.reshape(shapes[name]) for name, chunk in zip(names, chunks)}
     return manifest, params
-
-
-def _encode_rng(rng_state):
-    if rng_state is None:
-        return None
-    # PCG64 state dicts contain 128-bit integers; store them as decimal strings
-    def enc(v):
-        if isinstance(v, dict):
-            return {k: enc(x) for k, x in v.items()}
-        if isinstance(v, int):
-            return str(v)
-        return v
-
-    return enc(rng_state)
-
-
-def decode_rng(encoded):
-    if encoded is None:
-        return None
-
-    def dec(v):
-        if isinstance(v, dict):
-            return {k: dec(x) for k, x in v.items()}
-        if isinstance(v, str) and (v.isdigit() or (v.startswith("-") and v[1:].isdigit())):
-            return int(v)
-        return v
-
-    return dec(encoded)

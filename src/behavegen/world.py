@@ -11,7 +11,7 @@ sqrt(d_z) sphere, so nearby timesteps receive similar commands and a
 trajectory's commands vary smoothly in time.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
     UnstableWorld,
 )
 from .geometry import project_rows
+from .serialization import from_doc, to_doc
 
 OPNORM_REL_TOL = 1e-10
 OPNORM_MAX_ITER = 1000
@@ -64,12 +65,41 @@ def operator_norm(mat, rel_tol: float = OPNORM_REL_TOL, max_iter: int = OPNORM_M
 
 
 @dataclass(frozen=True)
+class WorldConfig:
+    """Recipe of a synthetic world: sizes, target operator norms, policy
+    noise and the seed of the random draw.  ``make_world`` turns it into
+    matrices, and the same recipe always gives the same bits."""
+
+    state_dim: int = 6
+    action_dim: int = 4
+    d_z: int = 4
+    target_L_s: float = 0.9
+    target_L_z: float = 1.0
+    target_L_B: float = 1.0
+    sigma_pi: float = 0.1
+    seed: int = 0
+
+    def __post_init__(self):
+        if min(self.state_dim, self.action_dim, self.d_z) < 1:
+            raise RangeError("world dimensions must be >= 1")
+        if not (0.0 < self.target_L_s < 1.0):
+            raise RangeError(f"target_L_s must lie in (0, 1), got {self.target_L_s}")
+        if self.target_L_z <= 0 or self.target_L_B <= 0:
+            raise RangeError("target_L_z and target_L_B must be positive")
+        if self.sigma_pi <= 0:
+            raise RangeError(f"sigma_pi must be positive, got {self.sigma_pi}")
+        if self.seed < 0:
+            raise RangeError(f"seed must be >= 0, got {self.seed}")
+
+
+@dataclass(frozen=True)
 class SyntheticWorld:
     """Linear dynamics s' = A_s s + A_a a with policy mean W_s s + W_z z.
 
     ``B_mat`` maps states to the latent feature space used by extraction.
-    The Lipschitz properties are recomputed from the matrices on access so
-    they can never go stale.
+    ``config`` is the recipe the matrices were drawn from.  The Lipschitz
+    properties are recomputed from the matrices on access so they can never
+    go stale.
     """
 
     A_s: np.ndarray
@@ -77,8 +107,7 @@ class SyntheticWorld:
     W_s: np.ndarray
     W_z: np.ndarray
     B_mat: np.ndarray
-    sigma_pi: float = 0.1
-    seed: int = 0
+    config: WorldConfig
 
     def __post_init__(self):
         n, a, d = self.state_dim, self.action_dim, self.d_z
@@ -92,20 +121,22 @@ class SyntheticWorld:
         for got, want, name in checks:
             if got != want:
                 raise ShapeMismatch(f"{name}: expected {want}, got {got}")
-        if self.sigma_pi <= 0:
-            raise RangeError(f"sigma_pi must be positive, got {self.sigma_pi}")
 
     @property
     def state_dim(self) -> int:
-        return self.A_s.shape[0]
+        return self.config.state_dim
 
     @property
     def action_dim(self) -> int:
-        return self.A_a.shape[1]
+        return self.config.action_dim
 
     @property
     def d_z(self) -> int:
-        return self.B_mat.shape[0]
+        return self.config.d_z
+
+    @property
+    def sigma_pi(self) -> float:
+        return self.config.sigma_pi
 
     @property
     def closed_loop_state(self) -> np.ndarray:
@@ -130,39 +161,22 @@ class SyntheticWorld:
         return operator_norm(self.B_mat)
 
     def to_config(self) -> dict:
-        return {
-            "state_dim": self.state_dim,
-            "action_dim": self.action_dim,
-            "d_z": self.d_z,
-            "target_L_s": self.L_s,
-            "target_L_z": self.L_z,
-            "target_L_B": self.L_B,
-            "sigma_pi": self.sigma_pi,
-            "seed": self.seed,
-        }
+        """The recipe as a JSON document; ``world_from_config`` rebuilds
+        this world from it bit for bit."""
+        return to_doc(self.config)
 
 
-def make_world(
-    state_dim: int,
-    action_dim: int,
-    d_z: int,
-    target_L_s: float = 0.9,
-    target_L_z: float = 1.0,
-    target_L_B: float = 1.0,
-    sigma_pi: float = 0.1,
-    seed: int = 0,
-) -> SyntheticWorld:
+def make_world(**recipe) -> SyntheticWorld:
     """Draw random matrices and rescale them to hit the requested norms.
 
-    The closed-loop state map is scaled to ``target_L_s`` (must be < 1 so the
+    The keywords are the ``WorldConfig`` fields, with its defaults.  The
+    closed-loop state map is scaled to ``target_L_s`` (must be < 1 so the
     mean dynamics contract), the latent gain to ``target_L_z`` and the feature
     map to ``target_L_B``.
     """
-    if not (0.0 < target_L_s < 1.0):
-        raise RangeError(f"target_L_s must lie in (0, 1), got {target_L_s}")
-    if target_L_z <= 0 or target_L_B <= 0:
-        raise RangeError("target_L_z and target_L_B must be positive")
-    rng = np.random.default_rng(seed)
+    cfg = WorldConfig(**recipe)
+    state_dim, action_dim, d_z = cfg.state_dim, cfg.action_dim, cfg.d_z
+    rng = np.random.default_rng(cfg.seed)
     A_s = rng.normal(size=(state_dim, state_dim)) / np.sqrt(state_dim)
     A_a = rng.normal(size=(state_dim, action_dim)) / np.sqrt(action_dim)
     W_s = rng.normal(size=(action_dim, state_dim)) / np.sqrt(state_dim)
@@ -173,7 +187,7 @@ def make_world(
     norm_closed = operator_norm(closed)
     if norm_closed < 1e-12:
         raise UnstableWorld("degenerate random draw: closed-loop norm ~ 0")
-    scale = target_L_s / norm_closed
+    scale = cfg.target_L_s / norm_closed
     A_s = A_s * scale
     W_s = W_s * scale
 
@@ -181,35 +195,24 @@ def make_world(
     norm_gain = operator_norm(gain)
     if norm_gain < 1e-12:
         raise UnstableWorld("degenerate random draw: latent gain norm ~ 0")
-    W_z = W_z * (target_L_z / norm_gain)
+    W_z = W_z * (cfg.target_L_z / norm_gain)
 
     norm_b = operator_norm(B_mat)
     if norm_b < 1e-12:
         raise UnstableWorld("degenerate random draw: feature map norm ~ 0")
-    B_mat = B_mat * (target_L_B / norm_b)
+    B_mat = B_mat * (cfg.target_L_B / norm_b)
 
-    world = SyntheticWorld(
-        A_s=A_s, A_a=A_a, W_s=W_s, W_z=W_z, B_mat=B_mat,
-        sigma_pi=sigma_pi, seed=seed,
-    )
-    if abs(world.L_s - target_L_s) > 1e-6:
+    world = SyntheticWorld(A_s=A_s, A_a=A_a, W_s=W_s, W_z=W_z, B_mat=B_mat, config=cfg)
+    if abs(world.L_s - cfg.target_L_s) > 1e-6:
         raise UnstableWorld(
-            f"rescaling missed target L_s: {world.L_s} vs {target_L_s}"
+            f"rescaling missed target L_s: {world.L_s} vs {cfg.target_L_s}"
         )
     return world
 
 
-def world_from_config(cfg: dict) -> SyntheticWorld:
-    return make_world(
-        state_dim=int(cfg["state_dim"]),
-        action_dim=int(cfg["action_dim"]),
-        d_z=int(cfg["d_z"]),
-        target_L_s=float(cfg["target_L_s"]),
-        target_L_z=float(cfg["target_L_z"]),
-        target_L_B=float(cfg["target_L_B"]),
-        sigma_pi=float(cfg["sigma_pi"]),
-        seed=int(cfg["seed"]),
-    )
+def world_from_config(doc: dict) -> SyntheticWorld:
+    """Rebuild a world from its complete recipe document."""
+    return make_world(**asdict(from_doc(WorldConfig, doc, "world")))
 
 
 def policy_mean(world: SyntheticWorld, s, z) -> np.ndarray:
@@ -259,12 +262,8 @@ class ExtractionConfig:
     norm_floor: float = 1e-8
 
     def __post_init__(self):
-        if int(self.lookahead) != self.lookahead or self.lookahead < 1:
-            raise RangeError(f"lookahead must be an integer >= 1, got {self.lookahead}")
-        object.__setattr__(self, "lookahead", int(self.lookahead))
-
-    def to_dict(self) -> dict:
-        return {"lookahead": self.lookahead, "norm_floor": self.norm_floor}
+        if self.lookahead < 1:
+            raise RangeError(f"lookahead must be >= 1, got {self.lookahead}")
 
 
 def lookahead_averages(world: SyntheticWorld, cfg: ExtractionConfig, states) -> np.ndarray:
@@ -385,28 +384,6 @@ def make_vocabulary(behaviors, separator: str = "then", d_text: int = 32,
     return Vocabulary(words=words, embeddings=table, separator_id=len(words) - 1)
 
 
-@dataclass(frozen=True)
-class TextPrompt:
-    """Token ids plus their embedding rows."""
-
-    token_ids: tuple
-    embeddings: np.ndarray
-
-    def __post_init__(self):
-        if len(self.token_ids) != self.embeddings.shape[0]:
-            raise CountMismatch("token count and embedding rows disagree")
-        if len(self.token_ids) == 0:
-            raise InvalidSpec("prompt must contain at least one token")
-
-
-def prompt_from_ids(vocab: Vocabulary, token_ids) -> TextPrompt:
-    ids = tuple(int(i) for i in token_ids)
-    for i in ids:
-        if not (0 <= i < vocab.size):
-            raise UnknownToken(f"token id {i} outside vocabulary of size {vocab.size}")
-    return TextPrompt(token_ids=ids, embeddings=vocab.embeddings[list(ids)].copy())
-
-
 # ---------------------------------------------------------------------------
 # dataset generation
 # ---------------------------------------------------------------------------
@@ -416,7 +393,7 @@ class DatasetSpec:
     """Recipe for the synthetic behavior corpus."""
 
     n_samples: int = 500
-    behaviors: tuple = (
+    behaviors: tuple[str, ...] = (
         "walk", "run", "turn", "sit", "jump", "wave", "kick", "spin",
     )
     separator: str = "then"
@@ -424,7 +401,7 @@ class DatasetSpec:
     embed_seed: int = 1234
     dur_min: int = 12
     dur_max: int = 28
-    stage_probs: tuple = (0.5, 0.25, 0.25)
+    stage_probs: tuple[float, ...] = (0.5, 0.25, 0.25)
     script_noise: float = 0.25
     init_state_scale: float = 0.5
 
@@ -437,6 +414,8 @@ class DatasetSpec:
             raise InvalidSpec("behavior names must be unique")
         if self.separator in self.behaviors:
             raise InvalidSpec("separator collides with a behavior name")
+        if self.d_text < 1 or self.embed_seed < 0:
+            raise InvalidSpec("need d_text >= 1 and embed_seed >= 0")
         if not (2 <= self.dur_min <= self.dur_max):
             raise InvalidSpec("need 2 <= dur_min <= dur_max")
         probs = np.asarray(self.stage_probs, dtype=float)
@@ -445,45 +424,19 @@ class DatasetSpec:
         if self.script_noise < 0:
             raise InvalidSpec("script_noise must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "behaviors": list(self.behaviors),
-            "separator": self.separator,
-            "d_text": self.d_text,
-            "embed_seed": self.embed_seed,
-            "dur_min": self.dur_min,
-            "dur_max": self.dur_max,
-            "stage_probs": list(self.stage_probs),
-            "script_noise": self.script_noise,
-            "init_state_scale": self.init_state_scale,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "DatasetSpec":
-        return DatasetSpec(
-            n_samples=int(d["n_samples"]),
-            behaviors=tuple(d["behaviors"]),
-            separator=str(d["separator"]),
-            d_text=int(d["d_text"]),
-            embed_seed=int(d["embed_seed"]),
-            dur_min=int(d["dur_min"]),
-            dur_max=int(d["dur_max"]),
-            stage_probs=tuple(float(p) for p in d["stage_probs"]),
-            script_noise=float(d["script_noise"]),
-            init_state_scale=float(d["init_state_scale"]),
-        )
-
 
 @dataclass(frozen=True)
 class Sample:
     """One corpus entry: prompt token ids, rolled states, extracted latents."""
 
-    token_ids: tuple
+    token_ids: tuple[int, ...] = field(metadata={"key": "prompt_tokens"})
     states: np.ndarray
     latents: np.ndarray
 
     def __post_init__(self):
+        if self.states.ndim != 2 or self.latents.ndim != 2:
+            raise ShapeMismatch(f"states {self.states.shape} and latents "
+                                f"{self.latents.shape} must be matrices")
         if self.states.shape[0] != self.latents.shape[0] + 1:
             raise CountMismatch(
                 f"{self.states.shape[0]} states vs {self.latents.shape[0]} latents"
@@ -547,97 +500,61 @@ def generate_sample(world: SyntheticWorld, extraction: ExtractionConfig,
 
 
 def generate_dataset(world: SyntheticWorld, extraction: ExtractionConfig,
-                     spec: DatasetSpec, vocab: Vocabulary, seed: int,
-                     workers: int = 1):
-    """Deterministic corpus: per-sample RNGs are spawned from the master seed,
-    so the result is identical regardless of ``workers``."""
+                     spec: DatasetSpec, vocab: Vocabulary, seed: int):
+    """Deterministic corpus: per-sample RNGs are spawned from the master seed."""
     protos = prototype_directions(len(spec.behaviors), world.d_z, spec.embed_seed)
-    seqs = sample_seeds(seed, spec.n_samples)
-    if workers <= 1:
-        return [
-            generate_sample(world, extraction, spec, vocab, protos, sq)
-            for sq in seqs
-        ]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(
-            lambda sq: generate_sample(world, extraction, spec, vocab, protos, sq),
-            seqs,
-        ))
+    return [generate_sample(world, extraction, spec, vocab, protos, sq)
+            for sq in sample_seeds(seed, spec.n_samples)]
 
 
 # ---------------------------------------------------------------------------
 # dataset serialization
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class CorpusRecipe:
+    """The ``spec`` of a dataset document: what the corpus was drawn from."""
+
+    world: WorldConfig
+    extraction: ExtractionConfig
+    dataset: DatasetSpec
+
+
+@dataclass(frozen=True)
+class DatasetDocument:
+    spec: CorpusRecipe
+    seed: int
+    samples: tuple[Sample, ...]
+
+
 def dataset_to_dict(world: SyntheticWorld, extraction: ExtractionConfig,
                     spec: DatasetSpec, seed: int, samples) -> dict:
-    return {
-        "spec": {
-            "world": world.to_config(),
-            "extraction": extraction.to_dict(),
-            "dataset": spec.to_dict(),
-        },
-        "seed": seed,
-        "samples": [
-            {
-                "prompt_tokens": list(s.token_ids),
-                "states": s.states,
-                "latents": s.latents,
-            }
-            for s in samples
-        ],
-    }
-
-
-_WORLD_KEYS = ("state_dim", "action_dim", "d_z", "target_L_s", "target_L_z",
-               "target_L_B", "sigma_pi", "seed")
-
-
-def _require(doc, keys, where: str) -> dict:
-    """``doc`` if it is a JSON object holding every key, else InvalidSpec."""
-    if not isinstance(doc, dict):
-        raise InvalidSpec(f"dataset {where} is not a JSON object")
-    missing = [k for k in keys if k not in doc]
-    if missing:
-        raise InvalidSpec(f"dataset {where} lacks {', '.join(missing)}")
-    return doc
+    recipe = CorpusRecipe(world=world.config, extraction=extraction, dataset=spec)
+    return to_doc(DatasetDocument(spec=recipe, seed=seed, samples=tuple(samples)))
 
 
 def dataset_from_dict(doc: dict):
     """Rebuild (world, extraction, spec, vocab, seed, samples) from a dataset doc.
 
-    A document that lacks a key the rebuild needs, or holds a value of the
-    wrong type or shape, is rejected with InvalidSpec.
+    The document must be complete.  A missing or unknown key, a value of the
+    wrong type, or a sample that does not fit the world and vocabulary is
+    rejected with InvalidSpec.
     """
-    _require(doc, ("spec", "seed", "samples"), "document")
-    spec_doc = _require(doc["spec"], ("world", "extraction", "dataset"), "spec")
-    world_doc = _require(spec_doc["world"], _WORLD_KEYS, "spec.world")
-    ext_doc = _require(spec_doc["extraction"], ("lookahead", "norm_floor"), "spec.extraction")
-    spec_keys = [f.name for f in fields(DatasetSpec)]
-    spec = DatasetSpec.from_dict(_require(spec_doc["dataset"], spec_keys, "spec.dataset"))
-    if not isinstance(doc["samples"], list):
-        raise InvalidSpec("dataset samples is not a list")
-    sample_docs = [_require(s, ("prompt_tokens", "states", "latents"), f"samples[{i}]")
-                   for i, s in enumerate(doc["samples"])]
-
-    try:
-        world = world_from_config(world_doc)
-        extraction = ExtractionConfig(
-            lookahead=int(ext_doc["lookahead"]),
-            norm_floor=float(ext_doc["norm_floor"]),
-        )
-        samples = [
-            Sample(
-                token_ids=tuple(int(t) for t in s["prompt_tokens"]),
-                states=np.asarray(s["states"], dtype=float),
-                latents=np.asarray(s["latents"], dtype=float),
-            )
-            for s in sample_docs
-        ]
-        seed = int(doc["seed"])
-    except (TypeError, ValueError) as exc:
-        raise InvalidSpec(f"dataset holds a malformed value: {exc}") from exc
+    data = from_doc(DatasetDocument, doc, "")
+    spec = data.spec.dataset
+    world = make_world(**asdict(data.spec.world))
     vocab = make_vocabulary(spec.behaviors, spec.separator, spec.d_text, spec.embed_seed)
-    return world, extraction, spec, vocab, seed, samples
+    sep = vocab.separator_id
+    for i, s in enumerate(data.samples):
+        if s.latents.shape[0] < 1 or s.latents.shape[1] != world.d_z \
+                or s.states.shape[1] != world.state_dim:
+            raise InvalidSpec(
+                f"samples[{i}] holds states {s.states.shape} and latents "
+                f"{s.latents.shape}, want [T+1, {world.state_dim}] and [T, {world.d_z}]")
+        # behavior ids at even positions, the separator between them
+        if len(s.token_ids) % 2 == 0 or any(
+                not 0 <= t <= sep or (t == sep) != (k % 2 == 1)
+                for k, t in enumerate(s.token_ids)):
+            raise InvalidSpec(f"samples[{i}].prompt_tokens {list(s.token_ids)} "
+                              f"is not a prompt over this vocabulary")
+    return world, data.spec.extraction, spec, vocab, data.seed, list(data.samples)

@@ -6,9 +6,12 @@ contract is tested exactly as a shell would see it.
 """
 
 import json
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import behavegen.cli as cli
 from behavegen.cli import main
@@ -279,6 +282,161 @@ class TestExitCodes:
         assert rc == 3
 
 
+def _drop(*path):
+    def edit(doc):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        return doc
+    return edit
+
+
+MANIFEST_FAULTS = {
+    "hyperparams": _drop("hyperparams"),
+    "hyperparams.config": _drop("hyperparams", "config"),
+    "hyperparams.world": _drop("hyperparams", "world"),
+    "hyperparams.config.d_m": _drop("hyperparams", "config", "d_m"),
+    "list manifest": lambda doc: [doc],
+}
+BLOB_FAULTS = {
+    "nan blob": lambda raw: np.full(len(raw) // 8, np.nan).tobytes(),
+    "truncated blob": lambda raw: raw[:-3],
+}
+
+
+def _command(name, workdir, vbb, flow, out):
+    """argv of a command that loads the given checkpoints."""
+    models = ["--config", workdir["cfg"], "--vbb", vbb]
+    return {
+        "generate": ["generate", *models, "--flow", flow, "--prompt", "walk then turn"],
+        "compose": ["compose", *models, "--flow", flow, "--prompt", "walk then turn"],
+        "eval": ["eval", *models, "--flow", flow, "--data", workdir["data"],
+                 "--n-eval", "8", "--retrieval-batch", "3"],
+        "train-flow": ["train-flow", *models, "--data", workdir["data"]],
+    }[name] + ["--out", out]
+
+
+def _corrupt_copy(prefix, dst, manifest_fault=None, blob_fault=None):
+    """Copy a checkpoint to ``dst`` with one fault applied."""
+    manifest = read_json(prefix + ".json")
+    if manifest_fault is not None:
+        manifest = manifest_fault(manifest)
+    with open(dst + ".json", "w") as fh:
+        json.dump(manifest, fh)
+    raw = open(prefix + ".bin", "rb").read()
+    with open(dst + ".bin", "wb") as fh:
+        fh.write(raw if blob_fault is None else blob_fault(raw))
+    return dst
+
+
+class TestCorruptCheckpoints:
+    @pytest.mark.parametrize("command", ["generate", "compose", "eval", "train-flow"])
+    def test_corrupt_bottleneck_exits_2(self, workdir, tmp_path, capsys, command):
+        cases = [(name, fault, None) for name, fault in MANIFEST_FAULTS.items()]
+        cases += [(name, None, fault) for name, fault in BLOB_FAULTS.items()]
+        for name, manifest_fault, blob_fault in cases:
+            vbb = _corrupt_copy(workdir["vbb"], str(tmp_path / "vbb"),
+                                manifest_fault, blob_fault)
+            rc = main(_command(command, workdir, vbb, workdir["flow"],
+                               str(tmp_path / "out")))
+            err = capsys.readouterr().err
+            assert rc == 2, (name, err)
+            assert len(err.splitlines()) == 1, (name, err)
+
+    @pytest.mark.parametrize("command", ["generate", "compose", "eval"])
+    def test_corrupt_flow_exits_2(self, workdir, tmp_path, capsys, command):
+        faults = [(MANIFEST_FAULTS[n], None) for n in
+                  ("hyperparams", "hyperparams.config", "list manifest")]
+        faults += [(None, fault) for fault in BLOB_FAULTS.values()]
+        for manifest_fault, blob_fault in faults:
+            flow = _corrupt_copy(workdir["flow"], str(tmp_path / "flow"),
+                                 manifest_fault, blob_fault)
+            rc = main(_command(command, workdir, workdir["vbb"], flow,
+                               str(tmp_path / "out")))
+            err = capsys.readouterr().err
+            assert rc == 2 and len(err.splitlines()) == 1, err
+
+
+# ---------------------------------------------------------------------------
+# fuzzed artifacts: any exit code of the contract, never a traceback
+# ---------------------------------------------------------------------------
+
+OTHER_VALUES = (None, True, 7, 2.5, "x", [], {})
+
+
+def _json_type(v):
+    return type(v).__name__
+
+
+def _paths(doc, prefix=()):
+    """Key paths of a JSON document; lists contribute their first two items."""
+    yield prefix
+    if isinstance(doc, dict):
+        items = list(doc.items())
+    elif isinstance(doc, list):
+        items = list(enumerate(doc))[:2]
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one key dropped, one value of another JSON type put in
+    place of another, or one unknown key added to an object."""
+    doc = json.loads(json.dumps(doc))
+    path = draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    how = draw(st.sampled_from(["drop", "retype", "unknown"]))
+    if how == "drop":
+        del parent[path[-1]]
+    elif how == "retype":
+        old = parent[path[-1]]
+        parent[path[-1]] = draw(st.sampled_from(
+            [v for v in OTHER_VALUES if _json_type(v) != _json_type(old)]))
+    elif isinstance(parent[path[-1]], dict):
+        parent[path[-1]]["bogus"] = 1
+    else:
+        parent[path[-1]] = {"bogus": 1}
+    return doc
+
+
+FUZZ = settings(max_examples=30, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+CONTRACT_CODES = (0, 2, 3, 4)
+
+
+class TestFuzzedArtifacts:
+    @FUZZ
+    @given(data=st.data())
+    def test_fuzzed_dataset(self, workdir, tmp_path, data):
+        bad = tmp_path / "data.json"
+        bad.write_text(json.dumps(data.draw(mutated(read_json(workdir["data"])))))
+        out = str(tmp_path / "out")
+        with np.errstate(all="ignore"):
+            assert main(["train-vbb", "--config", workdir["cfg"], "--data", str(bad),
+                         "--out", out]) in CONTRACT_CODES
+            assert main(_command("eval", {**workdir, "data": str(bad)}, workdir["vbb"],
+                                 workdir["flow"], out)) in CONTRACT_CODES
+
+    @FUZZ
+    @given(data=st.data())
+    def test_fuzzed_manifest(self, workdir, tmp_path, data):
+        vbb = str(tmp_path / "vbb")
+        shutil.copyfile(workdir["vbb"] + ".bin", vbb + ".bin")
+        with open(vbb + ".json", "w") as fh:
+            json.dump(data.draw(mutated(read_json(workdir["vbb"] + ".json"))), fh)
+        out = str(tmp_path / "out")
+        with np.errstate(all="ignore"):
+            for command in ("generate", "eval"):
+                assert main(_command(command, workdir, vbb, workdir["flow"],
+                                     out)) in CONTRACT_CODES
+
+
 class TestDeterminism:
     def test_gen_data_byte_identical(self, workdir, tmp_path):
         a = tmp_path / "a.json"
@@ -288,12 +446,6 @@ class TestDeterminism:
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() == open(workdir["data"], "rb").read()
-
-    def test_threads_do_not_change_output(self, workdir, tmp_path):
-        out = tmp_path / "threaded.json"
-        assert main(["gen-data", "--config", workdir["cfg"],
-                     "--out", str(out), "--threads", "4"]) == 0
-        assert out.read_bytes() == open(workdir["data"], "rb").read()
 
     def test_generate_byte_identical(self, workdir, tmp_path):
         a = tmp_path / "a.json"

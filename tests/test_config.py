@@ -18,6 +18,7 @@ from behavegen.config import (
     run_config_from_dict,
 )
 from behavegen.errors import ConfigInvalid
+from behavegen.serialization import to_doc
 
 
 def minimal_doc(**overrides) -> dict:
@@ -128,12 +129,12 @@ class TestCoercionAndRoundTrip:
             generation={"t_m": 3, "overlap": 2, "in_place": True},
         )
         cfg = run_config_from_dict(doc)
-        again = run_config_from_dict(cfg.to_dict())
+        again = run_config_from_dict(to_doc(cfg))
         assert again == cfg
 
     def test_to_dict_is_json_serializable(self):
         cfg = run_config_from_dict(minimal_doc(bottleneck={"d_m": 6}))
-        text = json.dumps(cfg.to_dict())
+        text = json.dumps(to_doc(cfg))
         assert run_config_from_dict(json.loads(text)) == cfg
 
 

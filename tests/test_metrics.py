@@ -19,7 +19,6 @@ from behavegen.metrics import (
     classify_segments,
     diversity,
     embed_latent_segment,
-    moment_distance,
     order_accuracy,
     paired_sign_test,
     prototype_match_rate,
@@ -28,6 +27,7 @@ from behavegen.metrics import (
     transition_score,
 )
 from behavegen.geometry import project_rows
+from behavegen.serialization import to_doc
 from behavegen.world import make_vocabulary
 
 
@@ -168,8 +168,8 @@ class TestTransitionScore:
 class TestRetrieval:
     def test_perfect_alignment(self):
         embs = np.eye(5)
-        assert retrieval_accuracy(embs, embs, k=1) == 1.0
-        assert retrieval_accuracy(embs, embs, k=3) == 1.0
+        assert retrieval_accuracy(embs @ embs.T, k=1) == 1.0
+        assert retrieval_accuracy(embs @ embs.T, k=3) == 1.0
 
     def test_hand_ranking(self):
         progs = np.eye(3)
@@ -178,34 +178,34 @@ class TestRetrieval:
             [1.0, 0.0, 0.0],   # text 1 matches program 0
             [0.0, 0.0, 1.0],   # text 2 matches program 2
         ])
-        assert retrieval_accuracy(progs, texts, k=1) == pytest.approx(1 / 3)
-        assert retrieval_accuracy(progs, texts, k=2) == 1.0
+        assert retrieval_accuracy(progs @ texts.T, k=1) == pytest.approx(1 / 3)
+        assert retrieval_accuracy(progs @ texts.T, k=2) == 1.0
 
     def test_all_ties_break_to_lower_index(self):
         embs = np.ones((4, 2)) / np.sqrt(2)
-        assert retrieval_accuracy(embs, embs, k=1) == pytest.approx(1 / 4)
-        assert retrieval_accuracy(embs, embs, k=2) == pytest.approx(2 / 4)
-        assert retrieval_accuracy(embs, embs, k=4) == 1.0
+        assert retrieval_accuracy(embs @ embs.T, k=1) == pytest.approx(1 / 4)
+        assert retrieval_accuracy(embs @ embs.T, k=2) == pytest.approx(2 / 4)
+        assert retrieval_accuracy(embs @ embs.T, k=4) == 1.0
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(11)
         p = rng.normal(size=(12, 4))
         t = rng.normal(size=(12, 4))
-        accs = [retrieval_accuracy(p, t, k=k) for k in range(1, 13)]
+        accs = [retrieval_accuracy(p @ t.T, k=k) for k in range(1, 13)]
         assert all(a <= b for a, b in zip(accs, accs[1:]))
         assert accs[-1] == 1.0
 
     def test_validation(self):
         with pytest.raises(ShapeMismatch):
-            retrieval_accuracy(np.zeros((3, 2)), np.zeros((4, 2)))
+            retrieval_accuracy(np.zeros((3, 2)) @ np.zeros((4, 2)).T)
         with pytest.raises(RangeError):
-            retrieval_accuracy(np.eye(3), np.eye(3), k=4)
+            retrieval_accuracy(np.eye(3) @ np.eye(3).T, k=4)
         with pytest.raises(TooFewSamples):
-            retrieval_accuracy(np.zeros((0, 2)), np.zeros((0, 2)))
+            retrieval_accuracy(np.zeros((0, 2)) @ np.zeros((0, 2)).T)
 
 
 # ---------------------------------------------------------------------------
-# diversity and moments
+# diversity
 # ---------------------------------------------------------------------------
 
 class TestDiversity:
@@ -220,52 +220,6 @@ class TestDiversity:
     def test_needs_two(self):
         with pytest.raises(TooFewSamples):
             diversity(np.ones((1, 3)))
-
-
-def moment_oracle(a, b):
-    """Plain-loop mean and unbiased covariance distance."""
-    def stats(x):
-        n, d = x.shape
-        mean = np.zeros(d)
-        for row in x:
-            mean += row
-        mean /= n
-        cov = np.zeros((d, d))
-        for row in x:
-            c = row - mean
-            cov += np.outer(c, c)
-        cov /= n - 1
-        return mean, cov
-
-    ma, ca = stats(np.asarray(a, float))
-    mb, cb = stats(np.asarray(b, float))
-    return float(np.linalg.norm(ma - mb) + np.linalg.norm(ca - cb, ord="fro"))
-
-
-class TestMomentDistance:
-    def test_identical_sets(self):
-        x = np.random.default_rng(12).normal(size=(20, 3))
-        assert moment_distance(x, x) == 0.0
-
-    def test_pure_shift(self):
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=(50, 2))
-        shift = np.array([3.0, -4.0])
-        assert moment_distance(x, x + shift) == pytest.approx(5.0)
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(14)
-        for _ in range(10):
-            a = rng.normal(size=(rng.integers(2, 20), 3))
-            b = rng.normal(size=(rng.integers(2, 20), 3))
-            np.testing.assert_allclose(moment_distance(a, b),
-                                       moment_oracle(a, b), rtol=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(TooFewSamples):
-            moment_distance(np.zeros((1, 2)), np.zeros((5, 2)))
-        with pytest.raises(ShapeMismatch):
-            moment_distance(np.zeros((5, 2)), np.zeros((5, 3)))
 
 
 class TestPrototypeMatch:
@@ -333,7 +287,7 @@ class TestEvalReport:
         rep = EvalReport(n_samples=4, recon_mse=0.5, baseline_mse=2.0,
                          retrieval_top1=0.75, retrieval_top5=1.0,
                          prototype_match=1.0, diversity=0.3)
-        d = rep.to_dict()
+        d = to_doc(rep)
         assert d["recon_mse"] == 0.5
         assert set(d) == {"n_samples", "recon_mse", "baseline_mse",
                           "retrieval_top1", "retrieval_top5",

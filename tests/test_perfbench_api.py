@@ -1,0 +1,58 @@
+"""The package names the benchmark relies on still exist and still fit.
+
+``perfbench/`` is not a package: ``perfbench/run.py`` imports ``tracer`` and
+``workloads`` from its own directory.  These tests load both files by path,
+so a refactor that moves or renames a name the benchmark needs fails here
+rather than in a benchmark run.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from behavegen.serialization import canon_dumps
+from behavegen.world import (
+    DatasetSpec,
+    ExtractionConfig,
+    dataset_to_dict,
+    generate_dataset,
+    make_vocabulary,
+    make_world,
+)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_resolves_every_target():
+    tracer_module = load("tracer")
+    tracer = tracer_module.Tracer()  # resolves every target, patches nothing
+    assert not tracer.installed
+    assert [name for name, _, _ in tracer._resolved] == list(tracer_module.TARGETS)
+    assert all(owners for _, owners, _ in tracer._resolved)
+
+
+def test_workloads_find_their_cli_names():
+    workloads = load("workloads")
+    for name in ("load_run_config", "_build_world_and_vocab", "_load_bottleneck",
+                 "_load_flow", "write_json", "main"):
+        assert callable(getattr(workloads.cli, name)), name
+
+
+def test_dataset_check_accepts_written_and_read_documents():
+    # corpus_eval compares the dict gen-data wrote with the file read back
+    world = make_world(state_dim=3, action_dim=2, d_z=2, seed=5)
+    spec = DatasetSpec(n_samples=6, behaviors=("walk", "turn"), d_text=4,
+                       dur_min=4, dur_max=6)
+    extraction = ExtractionConfig(lookahead=2)
+    vocab = make_vocabulary(spec.behaviors, spec.separator, spec.d_text, spec.embed_seed)
+    samples = generate_dataset(world, extraction, spec, vocab, seed=3)
+    written = dataset_to_dict(world, extraction, spec, 3, samples)
+    read = json.loads(canon_dumps(written))
+    assert load("workloads")._same_dataset(written, read)

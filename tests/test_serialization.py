@@ -1,19 +1,37 @@
 """Round-trip and determinism tests for artifact serialization."""
 
+import dataclasses
 import json
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from behavegen.errors import MissingArtifact, NonFiniteInput
+from behavegen.bottleneck import BottleneckConfig, TrainConfig
+from behavegen.cli import BottleneckHyperparams, FlowHyperparams
+from behavegen.config import (
+    BottleneckSection,
+    FlowSection,
+    GenerationConfig,
+    RunConfig,
+    run_config_from_dict,
+)
+from behavegen.errors import InvalidSpec, MissingArtifact, NonFiniteInput
+from behavegen.flow import FlowConfig, FlowTrainConfig, SamplerConfig
+from behavegen.metrics import EvalReport
 from behavegen.serialization import (
     append_jsonl,
     canon_dumps,
+    from_doc,
     load_checkpoint,
     read_json,
     save_checkpoint,
+    to_doc,
     write_json,
 )
+from behavegen.world import CorpusRecipe, DatasetSpec, ExtractionConfig, WorldConfig
 
 
 class TestCanonJson:
@@ -68,8 +86,7 @@ class TestCheckpoints:
             "alpha": np.array(2.5),
         }
         prefix = str(tmp_path / "ckpt")
-        state = np.random.default_rng(11).bit_generator.state
-        save_checkpoint(prefix, params, {"lr": 1e-3}, state)
+        save_checkpoint(prefix, params, {"lr": 1e-3})
         manifest, loaded = load_checkpoint(prefix)
         assert manifest["hyperparams"] == {"lr": 1e-3}
         assert set(loaded) == set(params)
@@ -77,29 +94,147 @@ class TestCheckpoints:
             np.testing.assert_array_equal(loaded[name], params[name])
             assert loaded[name].shape == params[name].shape
 
-    def test_rng_state_round_trip(self, tmp_path):
-        from behavegen.serialization import decode_rng
-        gen = np.random.default_rng(123)
-        gen.normal(size=10)
-        state = gen.bit_generator.state
-        prefix = str(tmp_path / "ckpt")
-        save_checkpoint(prefix, {"p": np.zeros(2)}, {}, state)
-        manifest, _ = load_checkpoint(prefix)
-        restored = decode_rng(manifest["rng_state"])
-        gen2 = np.random.default_rng(0)
-        gen2.bit_generator.state = restored
-        np.testing.assert_array_equal(gen.normal(size=5), gen2.normal(size=5))
-
     def test_blob_length_mismatch_detected(self, tmp_path):
         prefix = str(tmp_path / "ckpt")
-        save_checkpoint(prefix, {"p": np.zeros(4)}, {}, None)
+        save_checkpoint(prefix, {"p": np.zeros(4)}, {})
         with open(prefix + ".bin", "ab") as fh:
             fh.write(b"\x00" * 8)
         with pytest.raises(MissingArtifact):
             load_checkpoint(prefix)
+
+    def test_non_finite_blob_rejected(self, tmp_path):
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(prefix, {"p": np.zeros(4)}, {})
+        np.array([0.0, np.nan, 0.0, np.inf]).astype("<f8").tofile(prefix + ".bin")
+        with pytest.raises(MissingArtifact, match="non-finite"):
+            load_checkpoint(prefix)
+
+    def test_partial_value_in_blob_rejected(self, tmp_path):
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(prefix, {"p": np.zeros(4)}, {})
+        with open(prefix + ".bin", "ab") as fh:
+            fh.write(b"\x00" * 3)
+        with pytest.raises(MissingArtifact):
+            load_checkpoint(prefix)
+
+    def test_malformed_manifest_rejected(self, tmp_path):
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(prefix, {"p": np.zeros(4)}, {})
+        manifest = read_json(prefix + ".json")
+        for bad in ([manifest], {**manifest, "shapes": {"p": [-4]}},
+                    {**manifest, "shapes": {"p": [4.0]}},
+                    {k: v for k, v in manifest.items() if k != "hyperparams"}):
+            with open(prefix + ".json", "w") as fh:
+                json.dump(bad, fh)
+            with pytest.raises(MissingArtifact):
+                load_checkpoint(prefix)
 
     def test_missing_files(self, tmp_path):
         with pytest.raises(MissingArtifact):
             read_json(str(tmp_path / "absent.json"))
         with pytest.raises(MissingArtifact):
             load_checkpoint(str(tmp_path / "absent"))
+
+
+# ---------------------------------------------------------------------------
+# dataclass codec
+# ---------------------------------------------------------------------------
+
+WORDS = ("walk", "run", "turn", "sit", "jump")
+
+# field strategies where a class's checks need more than a type
+OVERRIDES = {
+    DatasetSpec: {
+        "behaviors": st.lists(st.sampled_from(WORDS), min_size=1, max_size=4,
+                              unique=True).map(tuple),
+        "separator": st.just("then"),
+        "dur_min": st.integers(2, 9),
+        "dur_max": st.integers(9, 30),
+        "stage_probs": st.lists(st.integers(1, 9), min_size=1, max_size=4).map(
+            lambda w: tuple(x / sum(w) for x in w)),
+    },
+    TrainConfig: {"batch_size": st.integers(2, 64)},
+    FlowConfig: {"r_dim": st.integers(1, 8).map(lambda n: 2 * n)},
+}
+
+
+def field_values(tp):
+    if dataclasses.is_dataclass(tp):
+        return instances(tp)
+    if typing.get_origin(tp) is tuple:
+        return st.lists(field_values(typing.get_args(tp)[0]), min_size=1,
+                        max_size=4).map(tuple)
+    return {int: st.integers(1, 40), float: st.floats(0.001, 0.999),
+            bool: st.booleans(), str: st.sampled_from(WORDS)}[tp]
+
+
+def instances(cls):
+    over = OVERRIDES.get(cls, {})
+    return st.builds(cls, **{f.name: over.get(f.name, field_values(f.type))
+                             for f in dataclasses.fields(cls)})
+
+
+CONFIG_CLASSES = (
+    WorldConfig, ExtractionConfig, DatasetSpec, CorpusRecipe, BottleneckConfig,
+    TrainConfig, FlowConfig, FlowTrainConfig, SamplerConfig, GenerationConfig,
+    BottleneckSection, FlowSection, RunConfig, EvalReport,
+    BottleneckHyperparams, FlowHyperparams,
+)
+
+
+class TestCodec:
+    @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda c: c.__name__)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_round_trip(self, cls, data):
+        x = data.draw(instances(cls))
+        assert from_doc(cls, to_doc(x), "") == x
+        assert from_doc(cls, json.loads(canon_dumps(to_doc(x))), "") == x
+
+    @settings(max_examples=30, deadline=None)
+    @given(cfg=instances(RunConfig))
+    def test_run_config_round_trip(self, cfg):
+        cfg = dataclasses.replace(cfg, schema_version=1)
+        assert run_config_from_dict(to_doc(cfg), env={}) == cfg
+
+    def test_scalar_types(self):
+        doc = to_doc(WorldConfig())
+        doc["target_L_z"] = 2
+        got = from_doc(WorldConfig, doc, "world").target_L_z
+        assert got == 2.0 and type(got) is float
+        for key, value, message in (
+            ("d_z", True, "world.d_z must be int, got bool"),
+            ("d_z", 4.0, "world.d_z must be int, got float"),
+            ("d_z", "4", "world.d_z must be int, got str"),
+            ("sigma_pi", False, "world.sigma_pi must be float, got bool"),
+            ("sigma_pi", None, "world.sigma_pi must be float, got null"),
+            ("sigma_pi", float("nan"), "world.sigma_pi must be finite"),
+        ):
+            with pytest.raises(InvalidSpec, match=message):
+                from_doc(WorldConfig, {**doc, key: value}, "world")
+
+    def test_structure_faults_name_the_path(self):
+        doc = to_doc(CorpusRecipe(WorldConfig(), ExtractionConfig(), DatasetSpec()))
+        cases = []
+        bad = json.loads(json.dumps(doc))
+        del bad["world"]["d_z"]
+        cases.append((bad, "world lacks d_z"))
+        bad = json.loads(json.dumps(doc))
+        bad["extraction"]["bogus"] = 1
+        cases.append((bad, r"unknown extraction keys: \['bogus'\]"))
+        bad = json.loads(json.dumps(doc))
+        bad["dataset"]["behaviors"] = ["walk", 3]
+        cases.append((bad, r"dataset.behaviors\[1\] must be str, got int"))
+        bad = json.loads(json.dumps(doc))
+        bad["dataset"]["stage_probs"] = 0.5
+        cases.append((bad, "dataset.stage_probs must be a list, got float"))
+        bad = json.loads(json.dumps(doc))
+        bad["world"] = [1, 2]
+        cases.append((bad, "world must be a JSON object, got list"))
+        bad = json.loads(json.dumps(doc))
+        bad["dataset"]["dur_min"] = 40
+        cases.append((bad, "dataset: need 2 <= dur_min <= dur_max"))
+        for bad, message in cases:
+            with pytest.raises(InvalidSpec, match=message) as info:
+                from_doc(CorpusRecipe, bad, "")
+            assert "\n" not in str(info.value)

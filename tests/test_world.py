@@ -5,6 +5,7 @@ plain-loop reimplementation, and the action divergence against a Monte-Carlo
 estimate of the Gaussian KL.
 """
 
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,8 @@ from behavegen.errors import (
     UnknownToken,
 )
 from behavegen.geometry import project_to_sphere
+from behavegen.serialization import canon_dumps
+from behavegen.theory import random_world
 from behavegen.world import (
     DatasetSpec,
     ExtractionConfig,
@@ -33,10 +36,10 @@ from behavegen.world import (
     make_world,
     operator_norm,
     policy_mean,
-    prompt_from_ids,
     prototype_directions,
     rollout,
     step,
+    world_from_config,
 )
 
 
@@ -113,6 +116,16 @@ class TestOperatorNorm:
             small_world(target_L_s=1.1)
         with pytest.raises(RangeError):
             small_world(target_L_s=0.0)
+
+    def test_recipe_round_trip_is_bit_exact(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(300):
+            w = random_world(rng)
+            for doc in (w.to_config(), json.loads(canon_dumps(w.to_config()))):
+                again = world_from_config(doc)
+                assert again.config == w.config
+                for name in ("A_s", "A_a", "W_s", "W_z", "B_mat"):
+                    assert getattr(again, name).tobytes() == getattr(w, name).tobytes()
 
     def test_properties_are_recomputed(self):
         w = small_world(seed=3)
@@ -331,14 +344,6 @@ class TestVocabulary:
         np.testing.assert_array_equal(a.embeddings, b.embeddings)
         np.testing.assert_allclose(np.linalg.norm(a.embeddings, axis=1), 1.0, rtol=1e-12)
 
-    def test_prompt_from_ids(self):
-        v = make_vocabulary(("walk", "run"), d_text=8)
-        p = prompt_from_ids(v, (1, 2, 0))
-        assert p.token_ids == (1, 2, 0)
-        np.testing.assert_array_equal(p.embeddings[0], v.embeddings[1])
-        with pytest.raises(UnknownToken):
-            prompt_from_ids(v, (7,))
-
 
 class TestDataset:
     def setup_method(self):
@@ -421,6 +426,26 @@ class TestDataset:
         for sa, sb in zip(samples, samples2):
             assert sa.token_ids == sb.token_ids
             np.testing.assert_array_equal(sa.states, sb.states)
+
+    def test_samples_must_fit_world_and_vocabulary(self):
+        samples = generate_dataset(self.world, self.extraction, self.spec, self.vocab, seed=12)
+        good = json.loads(canon_dumps(
+            dataset_to_dict(self.world, self.extraction, self.spec, 12, samples)))
+        sep = self.vocab.separator_id
+        edits = {
+            "narrow states": lambda s: s.update(states=[r[:-1] for r in s["states"]]),
+            "no frames": lambda s: s.update(states=s["states"][:1], latents=[]),
+            "token out of range": lambda s: s.update(prompt_tokens=[sep + 1]),
+            "separator alone": lambda s: s.update(prompt_tokens=[sep]),
+            "negative token": lambda s: s.update(prompt_tokens=[-1]),
+            "non-finite latent": lambda s: s["latents"][0].__setitem__(0, float("nan")),
+        }
+        for name, edit in edits.items():
+            doc = json.loads(json.dumps(good))
+            edit(doc["samples"][3])
+            with pytest.raises(InvalidSpec, match=r"samples\[3\]"):
+                dataset_from_dict(doc)
+        dataset_from_dict(good)
 
     def test_spec_validation(self):
         with pytest.raises(InvalidSpec):
