@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    MAX_LEVELS,
     CountMismatch,
     DegenerateBatch,
     DimensionMismatch,
@@ -31,6 +32,7 @@ from .errors import (
     RangeError,
     ShapeMismatch,
     ZeroNormInput,
+    check_sizes,
 )
 from .nn import Adam, Conv1d, Linear, Module, ReLU, ResBlock, Segments, Upsample2
 
@@ -53,9 +55,8 @@ class BottleneckConfig:
     logit_scale_init: float = math.log(1.0 / 0.07)
 
     def __post_init__(self):
-        for name in ("d_z", "d_m", "d_e", "width", "levels", "d_text"):
-            if int(getattr(self, name)) < 1:
-                raise RangeError(f"{name} must be >= 1")
+        check_sizes(self, "d_z", "d_m", "d_e", "width", "d_text")
+        check_sizes(self, "levels", limit=MAX_LEVELS)
         if self.beta < 0 or self.lambda_pi < 0 or self.lambda_sem < 0:
             raise RangeError("loss weights must be >= 0")
         if self.lambda_tok <= 0 or self.lambda_frm <= 0:
@@ -278,15 +279,10 @@ def encode_packed(model: BottleneckModel, latents):
 def encode(model: BottleneckModel, z, pad: bool = True) -> Posterior:
     """Posterior over compact program frames; T_m = ceil(T_z / compression)."""
     arr = _check_latents(model, z)
-    c = model.compression
-    if arr.shape[0] % c != 0:
-        if not pad:
-            raise LengthNotCompressible(
-                f"length {arr.shape[0]} not divisible by {c} and padding is off"
-            )
-        arr, _ = pad_to_multiple(arr, c)
-    mu, log_var, _ = model.encoder.forward(arr)
-    return Posterior(mu=mu, log_var=log_var)
+    if not pad and arr.shape[0] % model.compression != 0:
+        raise LengthNotCompressible(f"length {arr.shape[0]} not divisible by "
+                                    f"{model.compression} and padding is off")
+    return encode_packed(model, [arr])[0]
 
 
 def sample_posterior(post: Posterior, noise: np.ndarray) -> np.ndarray:
@@ -297,13 +293,25 @@ def sample_posterior(post: Posterior, noise: np.ndarray) -> np.ndarray:
     return post.mu + np.exp(0.5 * post.log_var) * noise
 
 
+def decode_packed(model: BottleneckModel, programs) -> list:
+    """Latent frames of many compact programs, decoded in packed chunks;
+    one [T_m * compression, d_z] array per program."""
+    ms = [np.asarray(m, dtype=float) for m in programs]
+    bad = [m.shape for m in ms if m.ndim != 2 or len(m) < 1 or m.shape[1] != model.cfg.d_m]
+    if bad or not ms:
+        raise DimensionMismatch(f"need programs of shape [T_m >= 1, {model.cfg.d_m}], "
+                                f"got {bad or 'none'}")
+    t_m = np.array([m.shape[0] for m in ms])
+    out = []
+    for lo, hi in _chunks(t_m * model.compression):
+        z_hat, _ = model.decoder.forward(np.concatenate(ms[lo:hi]), Segments(t_m[lo:hi]))
+        out += np.split(z_hat, np.cumsum(t_m[lo:hi] * model.compression)[:-1])
+    return out
+
+
 def decode(model: BottleneckModel, m) -> np.ndarray:
     """Decode a compact program to latent frames ([T_m * compression, d_z])."""
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != model.cfg.d_m:
-        raise DimensionMismatch(f"program has shape {arr.shape}, want [T_m, {model.cfg.d_m}]")
-    z_hat, _ = model.decoder.forward(arr)
-    return z_hat
+    return decode_packed(model, [m])[0]
 
 
 # ---------------------------------------------------------------------------

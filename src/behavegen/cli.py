@@ -26,9 +26,9 @@ from .bottleneck import (
     BottleneckConfig,
     BottleneckModel,
     TrainConfig,
-    decode,
+    decode_packed,
     embed_text,
-    encode,
+    encode_packed,
     project_program_frames,
     project_text_tokens,
     similarity_matrix,
@@ -222,41 +222,37 @@ def cmd_train_flow(args) -> int:
     return 0
 
 
-def _rollout_doc(prompt: str, mode: str, seed: int, out) -> dict:
-    return {"prompt": prompt, "mode": mode, "seed": seed, **to_doc(out)}
-
-
-def cmd_generate(args) -> int:
+def _sample_prompt(args, mode: str):
+    """Load both checkpoints, sample the prompt and write the rollout document."""
     cfg = load_run_config(args.config)
     bottleneck, world, _, _, vocab = _load_bottleneck(args.vbb)
     flow = _load_flow(args.flow)
     ids = vocab.encode(args.prompt)
-    n_clauses = len(split_prompt(ids, vocab.separator_id))
     seed = cfg.seed if args.seed is None else args.seed
     gen = cfg.generation
-    out = generate_single_shot(
-        flow, bottleneck, vocab, world, ids, t_m=gen.t_m * n_clauses,
-        sampler=cfg.sampler, seed=seed, init_state_scale=gen.init_state_scale,
-    )
-    write_json(args.out, _rollout_doc(args.prompt, "single-shot", seed, out))
+    if mode == "composed":
+        out = generate_composed(
+            flow, bottleneck, vocab, world, ids, t_m=gen.t_m,
+            sampler=cfg.sampler, seed=seed, overlap=gen.overlap,
+            in_place=gen.in_place, init_state_scale=gen.init_state_scale)
+    else:
+        n_clauses = len(split_prompt(ids, vocab.separator_id))
+        out = generate_single_shot(
+            flow, bottleneck, vocab, world, ids, t_m=gen.t_m * n_clauses,
+            sampler=cfg.sampler, seed=seed, init_state_scale=gen.init_state_scale)
+    write_json(args.out, {"prompt": args.prompt, "mode": mode, "seed": seed, **to_doc(out)})
+    return out
+
+
+def cmd_generate(args) -> int:
+    out = _sample_prompt(args, "single-shot")
     print(f"generated {out.latents.shape[0]} latent frames "
-          f"({n_clauses} clauses, single shot) -> {args.out}")
+          f"({len(out.stage_lengths)} clauses, single shot) -> {args.out}")
     return 0
 
 
 def cmd_compose(args) -> int:
-    cfg = load_run_config(args.config)
-    bottleneck, world, _, _, vocab = _load_bottleneck(args.vbb)
-    flow = _load_flow(args.flow)
-    ids = vocab.encode(args.prompt)
-    seed = cfg.seed if args.seed is None else args.seed
-    gen = cfg.generation
-    out = generate_composed(
-        flow, bottleneck, vocab, world, ids, t_m=gen.t_m,
-        sampler=cfg.sampler, seed=seed, overlap=gen.overlap,
-        in_place=gen.in_place, init_state_scale=gen.init_state_scale,
-    )
-    write_json(args.out, _rollout_doc(args.prompt, "composed", seed, out))
+    out = _sample_prompt(args, "composed")
     print(f"composed {len(out.stage_lengths)} stages into "
           f"{out.latents.shape[0]} latent frames -> {args.out}")
     return 0
@@ -266,17 +262,17 @@ def cmd_compose(args) -> int:
 # evaluation
 # ---------------------------------------------------------------------------
 
+def _reconstructions(model: BottleneckModel, samples) -> list:
+    """Each sample decoded from its posterior mean, trimmed to its frames."""
+    post, starts = encode_packed(model, [s.latents for s in samples])
+    decoded = decode_packed(model, np.split(post.mu, starts[1:]))
+    return [z[:s.latents.shape[0]] for z, s in zip(decoded, samples)]
+
+
 def reconstruction_mse(model: BottleneckModel, samples) -> float:
     """Mean squared latent reconstruction error through the posterior mean."""
-    total = 0.0
-    count = 0
-    for s in samples:
-        post = encode(model, s.latents)
-        z_hat = decode(model, post.mu)[:s.latents.shape[0]]
-        diff = z_hat - s.latents
-        total += float((diff * diff).sum())
-        count += diff.size
-    return total / count
+    diffs = [z - s.latents for z, s in zip(_reconstructions(model, samples), samples)]
+    return sum(float((d * d).sum()) for d in diffs) / sum(d.size for d in diffs)
 
 
 def distinct_prompt_subset(samples, limit: int):
@@ -308,12 +304,11 @@ def retrieval_scores(model: BottleneckModel, vocab, samples) -> np.ndarray:
     Uses the same token-soft-max / frame-soft-max pooled similarity the
     alignment objective trains, with posterior means as the program side.
     """
-    progs = []
-    texts = []
-    for s in samples:
-        post = encode(model, s.latents)
-        progs.append(project_program_frames(model, post.mu))
-        texts.append(project_text_tokens(model, vocab.embeddings[list(s.token_ids)]))
+    post, starts = encode_packed(model, [s.latents for s in samples])
+    progs = np.split(project_program_frames(model, post.mu), starts[1:])
+    tokens = vocab.embeddings[[t for s in samples for t in s.token_ids]]
+    texts = np.split(project_text_tokens(model, tokens),
+                     np.cumsum([len(s.token_ids) for s in samples])[:-1])
     return similarity_matrix(progs, texts, model.cfg.lambda_tok,
                              model.cfg.lambda_frm)
 
@@ -342,22 +337,20 @@ def generation_study(flow, bottleneck, vocab, world, spec, sampler, t_m: int,
     """Generate each single-behavior prompt repeatedly and score how often the
     decoded latents' nearest training prototype is the prompted one, plus the
     spread of the generations in the joint embedding space."""
-    mean_latents = []
-    expected = []
-    embeddings = []
+    contexts, noises, expected = [], [], []
     rng = np.random.default_rng(seed)
     for b, word in enumerate(spec.behaviors):
         y_vec = embed_text(bottleneck, vocab.embeddings[list(vocab.encode(word))])
         for _ in range(per_behavior):
-            noise = rng.standard_normal((t_m, bottleneck.cfg.d_m))
-            m = euler_sample(flow, noise, sampler, y_vec=y_vec)
-            z = decode(bottleneck, m)
-            mean_latents.append(z.mean(axis=0))
+            contexts.append(y_vec)
+            noises.append(rng.standard_normal((t_m, bottleneck.cfg.d_m)))
             expected.append(b)
-            frames = project_program_frames(bottleneck, m)
-            embeddings.append(frames.mean(axis=0))
+    programs = euler_sample(flow, noises, sampler, contexts)
+    mean_latents = [z.mean(axis=0) for z in decode_packed(bottleneck, programs)]
+    frames = project_program_frames(bottleneck, np.concatenate(programs))
+    embeddings = frames.reshape(len(programs), t_m, -1).mean(axis=1)
     match = prototype_match_rate(np.stack(mean_latents), expected, protos)
-    div = diversity(np.stack(embeddings))
+    div = diversity(embeddings)
     return match, div
 
 
@@ -398,15 +391,10 @@ def cmd_eval(args) -> int:
     )
     write_json(args.out, to_doc(report))
     if args.emit_plot_data:
-        rows = []
-        for i, s in enumerate(eval_samples):
-            post = encode(bottleneck, s.latents)
-            z_hat = decode(bottleneck, post.mu)[:s.latents.shape[0]]
-            rows.append({
-                "index": i,
-                "frames": s.latents.shape[0],
-                "recon_mse": float(((z_hat - s.latents) ** 2).mean()),
-            })
+        recons = _reconstructions(bottleneck, eval_samples)
+        rows = [{"index": i, "frames": s.latents.shape[0],
+                 "recon_mse": float(((z_hat - s.latents) ** 2).mean())}
+                for i, (s, z_hat) in enumerate(zip(eval_samples, recons))]
         _write_csv(args.emit_plot_data, rows, ("index", "frames", "recon_mse"))
     print(f"recon {recon:.5f} (baseline {baseline:.5f}), "
           f"top-1 {top1:.3f}, top-5 {top5:.3f}, "
@@ -446,11 +434,8 @@ def compression_sweep(cfg, world, spec, vocab, train_samples, eval_samples,
         model = BottleneckModel(bcfg, seed=cfg.seed)
         history = train_bottleneck(model, world, vocab, train_samples,
                                    cfg.vbb_train, seed=cfg.seed)
-        kls = []
-        for s in eval_samples:
-            post = encode(model, s.latents)
-            z_hat = decode(model, post.mu)[:s.latents.shape[0]]
-            kls.append(action_kl(world, s.states, s.latents, z_hat))
+        kls = [action_kl(world, s.states, s.latents, z_hat)
+               for s, z_hat in zip(eval_samples, _reconstructions(model, eval_samples))]
         rows.append({
             "compression": c,
             "levels": levels,

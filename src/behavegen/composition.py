@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bottleneck import decode, embed_text
+from .bottleneck import decode_packed, embed_text
 from .errors import (
     CountMismatch,
     EmptyClause,
@@ -157,6 +157,22 @@ class ComposedRollout:
             raise CountMismatch("states must have one more row than latents")
 
 
+def _sample_stages(flow_model, bottleneck, vocab, world, prompts, t_m: int,
+                   sampler: SamplerConfig, seed: int, init_state_scale: float):
+    """Decoded latent stages of ``t_m`` program frames, one per token prompt,
+    and the rollout's initial state.  Prompt k draws its noise from child
+    seed k of ``seed``; all prompts share each Euler step."""
+    if t_m < 1:
+        raise RangeError(f"program length {t_m} must be >= 1")
+    seeds = np.random.SeedSequence(seed).spawn(len(prompts) + 1)
+    contexts = [embed_text(bottleneck, vocab.embeddings[list(p)]) for p in prompts]
+    noises = [np.random.default_rng(s).standard_normal((t_m, bottleneck.cfg.d_m))
+              for s in seeds[:-1]]
+    programs = euler_sample(flow_model, noises, sampler, contexts)
+    s1 = init_state_scale * np.random.default_rng(seeds[-1]).standard_normal(world.state_dim)
+    return decode_packed(bottleneck, programs), s1
+
+
 def generate_composed(flow_model, bottleneck, vocab, world, token_ids,
                       t_m: int, sampler: SamplerConfig, seed: int,
                       overlap: int = DEFAULT_OVERLAP, in_place: bool = False,
@@ -166,22 +182,11 @@ def generate_composed(flow_model, bottleneck, vocab, world, token_ids,
     Each clause gets an independent child seed, a program of ``t_m`` frames,
     and a decoded latent stage; stages are stitched and rolled out once.
     """
-    if t_m < 1:
-        raise RangeError(f"program length {t_m} must be >= 1")
     clauses = split_prompt(token_ids, vocab.separator_id)
-    seeds = np.random.SeedSequence(seed).spawn(len(clauses) + 1)
-    segments = []
-    for clause, child in zip(clauses, seeds[:-1]):
-        rng = np.random.default_rng(child)
-        y_vec = embed_text(bottleneck, vocab.embeddings[list(clause)])
-        noise = rng.standard_normal((t_m, bottleneck.cfg.d_m))
-        program = euler_sample(flow_model, noise, sampler, y_vec)
-        segments.append(decode(bottleneck, program))
+    segments, s1 = _sample_stages(flow_model, bottleneck, vocab, world, clauses,
+                                  t_m, sampler, seed, init_state_scale)
     latents, boundaries = compose_latents(segments, overlap, in_place=in_place)
-    init_rng = np.random.default_rng(seeds[-1])
-    s1 = init_state_scale * init_rng.standard_normal(world.state_dim)
-    states = rollout(world, s1, latents)
-    return ComposedRollout(latents=latents, states=states,
+    return ComposedRollout(latents=latents, states=rollout(world, s1, latents),
                            boundaries=boundaries,
                            stage_lengths=tuple(s.shape[0] for s in segments))
 
@@ -197,26 +202,13 @@ def generate_single_shot(flow_model, bottleneck, vocab, world, token_ids,
     (defaults to an even split per clause) only annotates where stages are
     expected, for segment-level evaluation.
     """
-    if t_m < 1:
-        raise RangeError(f"program length {t_m} must be >= 1")
     clauses = split_prompt(token_ids, vocab.separator_id)
-    seeds = np.random.SeedSequence(seed).spawn(2)
-    rng = np.random.default_rng(seeds[0])
-    y_vec = embed_text(bottleneck, vocab.embeddings[list(token_ids)])
-    noise = rng.standard_normal((t_m, bottleneck.cfg.d_m))
-    program = euler_sample(flow_model, noise, sampler, y_vec)
-    latents = decode(bottleneck, program)
-    total = latents.shape[0]
-    n = len(clauses)
+    (latents,), s1 = _sample_stages(flow_model, bottleneck, vocab, world, [token_ids],
+                                    t_m, sampler, seed, init_state_scale)
+    total, n = latents.shape[0], len(clauses)
     if boundaries is None:
         boundaries = tuple(total * k // n for k in range(1, n))
-    else:
-        boundaries = tuple(int(b) for b in boundaries)
-    stage_slices(total, boundaries)  # validate
-    init_rng = np.random.default_rng(seeds[1])
-    s1 = init_state_scale * init_rng.standard_normal(world.state_dim)
-    states = rollout(world, s1, latents)
-    edges = (0,) + boundaries + (total,)
-    lengths = tuple(edges[i + 1] - edges[i] for i in range(len(edges) - 1))
-    return ComposedRollout(latents=latents, states=states,
+    boundaries = tuple(int(b) for b in boundaries)
+    lengths = tuple(s.stop - s.start for s in stage_slices(total, boundaries))
+    return ComposedRollout(latents=latents, states=rollout(world, s1, latents),
                            boundaries=boundaries, stage_lengths=lengths)

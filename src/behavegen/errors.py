@@ -57,6 +57,19 @@ class RangeError(BehavegenError):
     """A scalar argument lies outside its admissible interval."""
 
 
+# Upper limits of config sizes: a larger one would only fail later, deep in NumPy.
+MAX_DIM = 1024        # feature dimensions, widths and layer counts
+MAX_LEVELS = 10       # compression levels: 2^10 = MAX_DIM
+MAX_COUNT = 100_000   # sample counts and stage durations
+
+
+def check_sizes(obj, *names, limit: int = MAX_DIM) -> None:
+    """RangeError naming the first of the fields ``names`` of ``obj`` outside [1, limit]."""
+    for name in names:
+        if not 1 <= getattr(obj, name) <= limit:
+            raise RangeError(f"{name} = {getattr(obj, name)} outside [1, {limit}]")
+
+
 class DivergenceDetected(BehavegenError):
     """Training or sampling produced non-finite numbers."""
 

@@ -20,6 +20,7 @@ from .errors import (
     DivergenceDetected,
     RangeError,
     ShapeMismatch,
+    check_sizes,
 )
 from .nn import Adam, Linear, Module, ReLU
 
@@ -34,8 +35,7 @@ class FlowConfig:
     cond_dropout: float = 0.2
 
     def __post_init__(self):
-        if min(self.d_m, self.d_e, self.width, self.blocks) < 1:
-            raise RangeError("flow dimensions must be >= 1")
+        check_sizes(self, "d_m", "d_e", "width", "blocks", "r_dim")
         if self.r_dim < 2 or self.r_dim % 2 != 0:
             raise RangeError("r_dim must be an even integer >= 2")
         if not (0.0 <= self.cond_dropout < 1.0):
@@ -52,11 +52,11 @@ class SamplerConfig:
             raise RangeError("sampler needs at least one step")
 
 
-def time_embedding(r: float, dim: int) -> np.ndarray:
-    """Sinusoidal features of the path position r at geometric frequencies."""
-    half = dim // 2
-    freqs = np.pi * (2.0 ** np.arange(half))
-    return np.concatenate([np.sin(freqs * r), np.cos(freqs * r)])
+def time_embedding(r, dim: int) -> np.ndarray:
+    """Sinusoidal features of the path position r at geometric frequencies;
+    an array of positions gives one row each."""
+    angles = np.multiply.outer(r, np.pi * (2.0 ** np.arange(dim // 2)))
+    return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
 class FlowModel(Module):
@@ -79,28 +79,40 @@ class FlowModel(Module):
         self.out_proj = self.add_child("out", Linear(rng, w, cfg.d_m))
         self.null_ctx = self.add_param("null_ctx", 0.1 * rng.normal(size=cfg.d_e))
 
-    def field(self, m: np.ndarray, r: float, y_vec=None):
-        v, _ = self._field_forward(m, r, y_vec)
+    def field(self, m: np.ndarray, r, y_vec=None, lengths=None):
+        """Velocity at every row of ``m``, which holds programs of ``lengths``
+        rows back to back (default: one program).  ``r`` and ``y_vec`` (None
+        for the null context) are shared, or are lists of one per program."""
+        v, _ = self._field_forward(m, r, y_vec, lengths)
         return v
 
-    def _field_forward(self, m: np.ndarray, r: float, y_vec):
+    def _field_forward(self, m: np.ndarray, r, y_vec, lengths):
         m = np.asarray(m, dtype=float)
         if m.ndim != 2 or m.shape[1] != self.cfg.d_m:
             raise ShapeMismatch(f"program shape {m.shape}, want [T, {self.cfg.d_m}]")
-        if not (0.0 <= r <= 1.0):
-            raise RangeError(f"path position r = {r} outside [0, 1]")
-        used_null = y_vec is None
-        ctx = self.null_ctx.value if used_null else np.asarray(y_vec, dtype=float)
-        if ctx.shape != (self.cfg.d_e,):
-            raise ShapeMismatch(f"context shape {ctx.shape}, want ({self.cfg.d_e},)")
+        lengths = np.array([m.shape[0]] if lengths is None else lengths, dtype=int)
+        if lengths.size < 1 or lengths.min() < 1 or lengths.sum() != m.shape[0]:
+            raise ShapeMismatch(f"lengths {lengths.tolist()} do not split {m.shape[0]} rows")
+        n = lengths.size
+        r = np.array(r if isinstance(r, list) else [r] * n, dtype=float)
+        ctxs = y_vec if isinstance(y_vec, list) else [y_vec] * n
+        if r.shape != (n,) or len(ctxs) != n:
+            raise CountMismatch(f"{n} programs, {r.size} path positions, {len(ctxs)} contexts")
+        if not np.all((r >= 0.0) & (r <= 1.0)):
+            raise RangeError(f"path positions {r.tolist()} outside [0, 1]")
+        bad = [np.shape(c) for c in ctxs if c is not None and np.shape(c) != (self.cfg.d_e,)]
+        if bad:
+            raise ShapeMismatch(f"context shape {bad[0]}, want ({self.cfg.d_e},)")
+        null = np.array([c is None for c in ctxs])
+        ctx = np.array([self.null_ctx.value if c is None else c for c in ctxs], dtype=float)
 
-        remb = time_embedding(r, self.cfg.r_dim)
+        # one conditioning row per program: its mean frame, r and context
+        starts = np.cumsum(lengths) - lengths
         h0, c_in = self.in_proj.forward(m)
-        pooled = m.mean(axis=0)
-        hp, c_pool = self.pool_proj.forward(pooled)
-        hr, c_r = self.r_proj.forward(remb)
+        hp, c_pool = self.pool_proj.forward(np.add.reduceat(m, starts) / lengths[:, None])
+        hr, c_r = self.r_proj.forward(time_embedding(r, self.cfg.r_dim))
         hy, c_y = self.y_proj.forward(ctx)
-        x = h0 + (hp + hr + hy)[None, :]
+        x = h0 + np.repeat(hp + hr + hy, lengths, axis=0)
         block_caches = []
         for b1, relu, b2 in self.blocks:
             a, c1 = b1.forward(x)
@@ -109,85 +121,103 @@ class FlowModel(Module):
             x = x + a
             block_caches.append((c1, cr, c2))
         v, c_out = self.out_proj.forward(x)
-        cache = (m.shape[0], used_null, c_in, c_pool, c_r, c_y, block_caches, c_out)
-        return v, cache
+        return v, (starts, null, c_in, c_pool, c_r, c_y, block_caches, c_out)
 
     def _field_backward(self, dv: np.ndarray, cache):
-        t_len, used_null, c_in, c_pool, c_r, c_y, block_caches, c_out = cache
+        """Accumulate the parameter gradients of the rows' velocities."""
+        starts, null, c_in, c_pool, c_r, c_y, block_caches, c_out = cache
         dx = self.out_proj.backward(dv, c_out)
         for (b1, relu, b2), (c1, cr, c2) in zip(reversed(self.blocks),
                                                 reversed(block_caches)):
             da = b2.backward(dx, c2)
             da = relu.backward(da, cr)
             dx = dx + b1.backward(da, c1)
-        dcond = dx.sum(axis=0)
-        dm = self.in_proj.backward(dx, c_in)
-        dpool = self.pool_proj.backward(dcond, c_pool)
-        dm = dm + dpool[None, :] / t_len
+        dcond = np.add.reduceat(dx, starts)
+        self.in_proj.backward(dx, c_in)
+        self.pool_proj.backward(dcond, c_pool)
         self.r_proj.backward(dcond, c_r)
         dctx = self.y_proj.backward(dcond, c_y)
-        if used_null:
-            self.null_ctx.grad += dctx
-        return dm
+        self.null_ctx.grad += dctx[null].sum(axis=0)
 
 
-def interpolate(noise: np.ndarray, program: np.ndarray, r: float) -> np.ndarray:
-    """Straight-line path point (1 - r) noise + r program."""
+def interpolate(noise: np.ndarray, program: np.ndarray, r) -> np.ndarray:
+    """Straight-line path point (1 - r) noise + r program; ``r`` may hold
+    one position per row."""
     noise = np.asarray(noise, dtype=float)
     program = np.asarray(program, dtype=float)
     if noise.shape != program.shape:
         raise ShapeMismatch(f"endpoint shapes {noise.shape} vs {program.shape}")
-    if not (0.0 <= r <= 1.0):
+    if not np.all((0.0 <= r) & (r <= 1.0)):
         raise RangeError(f"path position r = {r} outside [0, 1]")
     return (1.0 - r) * noise + r * program
 
 
-def fm_loss(model: FlowModel, program: np.ndarray, noise: np.ndarray, r: float,
-            y_vec=None) -> float:
-    """Squared error between the field and the path velocity (program - noise)."""
-    point = interpolate(noise, program, r)
-    v = model.field(point, r, y_vec)
-    resid = v - (np.asarray(program, dtype=float) - np.asarray(noise, dtype=float))
-    return float((resid * resid).mean())
+def fm_loss(model: FlowModel, program, noise, r, y_vec=None) -> float:
+    """Squared error between the field and the path velocity (program - noise).
+    ``program`` may be a list of programs with lists of noises, path positions
+    and contexts: all share one call of the field, and the loss is the mean of
+    the per-program losses."""
+    return _fm_step(model, program, noise, r, y_vec, None)
 
 
-def fm_grad(model: FlowModel, program: np.ndarray, noise: np.ndarray, r: float,
-            y_vec=None, scale: float = 1.0) -> float:
+def fm_grad(model: FlowModel, program, noise, r, y_vec=None,
+            scale: float = 1.0) -> float:
     """fm_loss plus hand-derived parameter gradients (times ``scale``)."""
-    point = interpolate(noise, program, r)
-    v, cache = model._field_forward(point, r, y_vec)
-    target = np.asarray(program, dtype=float) - np.asarray(noise, dtype=float)
-    resid = v - target
-    loss = float((resid * resid).mean())
-    dv = scale * 2.0 * resid / resid.size
-    model._field_backward(dv, cache)
+    return _fm_step(model, program, noise, r, y_vec, scale)
+
+
+def _fm_step(model: FlowModel, program, noise, r, y_vec, scale):
+    if isinstance(program, np.ndarray):
+        program, noise, r, y_vec = [program], [noise], [r], [y_vec]
+    if not len(program) == len(noise) == len(r) == len(y_vec) >= 1:
+        raise CountMismatch("need one noise, path position and context per program")
+    if any(np.shape(p) != np.shape(e) for p, e in zip(program, noise)):
+        raise ShapeMismatch("every program needs a noise of its own shape")
+    lengths = [len(p) for p in program]
+    target, eps = np.concatenate(program), np.concatenate(noise)
+    point = interpolate(eps, target, np.repeat(np.asarray(r, dtype=float), lengths)[:, None])
+    v, cache = model._field_forward(point, list(r), list(y_vec), lengths)
+    resid = v - (target - eps)
+    # every program weighs the same, whatever its length
+    weight = np.repeat(1.0 / (len(lengths) * np.array(lengths) * resid.shape[1]), lengths)
+    loss = float(((resid * resid).sum(axis=1) * weight).sum())
+    if scale is not None:
+        model._field_backward(scale * 2.0 * resid * weight[:, None], cache)
     return loss
 
 
-def euler_sample(model: FlowModel, noise: np.ndarray, cfg: SamplerConfig,
-                 y_vec=None) -> np.ndarray:
+def euler_sample(model: FlowModel, noise, cfg: SamplerConfig, y_vec=None):
     """Integrate the field from r = 0 to 1 with fixed Euler steps.
 
-    With guidance g != 1 the velocity is v_null + g (v_cond - v_null), which
-    reduces to the unconditional field at g = 0 and the conditional one at
-    g = 1 (where the null branch is skipped).
+    ``noise`` is one [T, d_m] start with its context ``y_vec`` (None for the
+    null context), or a list of starts with a list of contexts, returned as a
+    list.  With guidance g != 1 a conditioned program moves with
+    v_null + g (v_cond - v_null); at g = 1 the null branch is skipped.  All
+    programs and null branches of a step share one call of the field.
     """
-    m = np.array(noise, dtype=float)
-    if m.ndim != 2 or m.shape[1] != model.cfg.d_m:
-        raise ShapeMismatch(f"noise shape {m.shape}, want [T, {model.cfg.d_m}]")
+    single = isinstance(noise, np.ndarray)
+    noises, ctxs = ([noise], [y_vec]) if single else (list(noise), list(y_vec))
+    if len(ctxs) != len(noises) or not noises:
+        raise CountMismatch(f"{len(noises)} noises vs {len(ctxs)} contexts")
+    if any(np.ndim(e) != 2 or np.shape(e)[1] != model.cfg.d_m for e in noises):
+        raise ShapeMismatch(f"noises must be [T, {model.cfg.d_m}] arrays")
+    lengths = [len(e) for e in noises]
+    guided = [c is not None and cfg.guidance != 1.0 for c in ctxs]
+    rows = np.repeat(guided, lengths)  # frames that also get a null branch
+    branch_lengths = lengths + [n for n, g in zip(lengths, guided) if g]
+    branch_ctxs = ctxs + [None] * sum(guided)
+    m = np.concatenate(noises, dtype=float)
     dt = 1.0 / cfg.steps
     for k in range(cfg.steps):
-        r = k / cfg.steps
-        if y_vec is None or cfg.guidance == 1.0:
-            v = model.field(m, r, y_vec)
-        else:
-            v_null = model.field(m, r, None)
-            v_cond = model.field(m, r, y_vec)
-            v = v_null + cfg.guidance * (v_cond - v_null)
+        v = model.field(np.concatenate([m, m[rows]]), k / cfg.steps, branch_ctxs,
+                        branch_lengths)
+        v, v_null = v[:m.shape[0]], v[m.shape[0]:]
+        v[rows] = v_null + cfg.guidance * (v[rows] - v_null)
         m = m + dt * v
     if not np.all(np.isfinite(m)):
         raise DivergenceDetected("Euler integration produced non-finite values")
-    return m
+    out = np.split(m, np.cumsum(lengths)[:-1])
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -218,24 +248,15 @@ def prepare_flow_targets(bottleneck, samples, rng):
     return np.split(draws, starts[1:])
 
 
-def prepare_text_contexts(bottleneck, vocab, samples):
-    """Frozen pooled text embedding per sample."""
-    return [
-        embed_text(bottleneck, vocab.embeddings[list(s.token_ids)])
-        for s in samples
-    ]
-
-
 def train_flow(model: FlowModel, bottleneck, vocab, samples,
                train_cfg: FlowTrainConfig, seed: int, history_hook=None):
     """Train the field against a frozen bottleneck; deterministic per seed."""
-    if len(samples) < 1:
-        raise DegenerateBatch("flow training needs at least one sample")
     if len(samples) < train_cfg.batch_size:
         raise DegenerateBatch(
             f"{len(samples)} samples cannot fill batches of {train_cfg.batch_size}"
         )
-    contexts = prepare_text_contexts(bottleneck, vocab, samples)
+    # frozen pooled text embedding per sample
+    contexts = [embed_text(bottleneck, vocab.embeddings[list(s.token_ids)]) for s in samples]
     rng = np.random.default_rng(seed)
     opt = Adam(model.params(), lr=train_cfg.lr, weight_decay=train_cfg.weight_decay,
                warmup=train_cfg.warmup)
@@ -247,16 +268,13 @@ def train_flow(model: FlowModel, bottleneck, vocab, samples,
         if step_idx % steps_per_epoch == 0:
             targets = prepare_flow_targets(bottleneck, samples, rng)
         idx = rng.choice(n, size=train_cfg.batch_size, replace=False)
+        rs, noises, ctxs = [], [], []
+        for i in idx:  # per-item draws, in the order of one item at a time
+            rs.append(float(rng.uniform()))
+            noises.append(rng.standard_normal(targets[i].shape))
+            ctxs.append(None if rng.uniform() < model.cfg.cond_dropout else contexts[i])
         opt.zero_grad()
-        loss_sum = 0.0
-        for i in idx:
-            r = float(rng.uniform())
-            eps = rng.standard_normal(targets[i].shape)
-            drop = rng.uniform() < model.cfg.cond_dropout
-            y_vec = None if drop else contexts[i]
-            loss_sum += fm_grad(model, targets[i], eps, r, y_vec,
-                                scale=1.0 / len(idx))
-        total = loss_sum / len(idx)
+        total = fm_grad(model, [targets[i] for i in idx], noises, rs, ctxs)
         if not np.isfinite(total):
             raise DivergenceDetected(f"flow loss diverged at step {step_idx}")
         opt.step()
@@ -266,15 +284,3 @@ def train_flow(model: FlowModel, bottleneck, vocab, samples,
             history_hook(record)
     return history
 
-
-def generate_program(model: FlowModel, bottleneck, vocab, token_ids, t_m: int,
-                     sampler: SamplerConfig, rng) -> np.ndarray:
-    """Sample one program for a prompt: pooled text context, Euler integration."""
-    if t_m < 1:
-        raise RangeError(f"program length {t_m} must be >= 1")
-    ids = list(token_ids)
-    if len(ids) == 0:
-        raise CountMismatch("prompt has no tokens")
-    y_vec = embed_text(bottleneck, vocab.embeddings[ids])
-    noise = rng.standard_normal((t_m, model.cfg.d_m))
-    return euler_sample(model, noise, sampler, y_vec)

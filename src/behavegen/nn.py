@@ -236,7 +236,7 @@ class Conv1d(Module):
 
 
 class Linear(Module):
-    """Per-frame affine map; works on [T, c_in] or a bare [c_in] vector."""
+    """Per-frame affine map on [T, c_in] rows."""
 
     def __init__(self, rng, c_in: int, c_out: int, gain: float = 1.0):
         super().__init__()
@@ -246,20 +246,16 @@ class Linear(Module):
 
     def forward(self, x: np.ndarray):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        x2 = x[None, :] if single else x
-        if x2.shape[1] != self.c_in:
-            raise ShapeMismatch(f"linear input {x.shape}, want [.., {self.c_in}]")
-        y = x2 @ self.W.value + self.b.value
-        return (y[0] if single else y), (x2, single)
+        if x.ndim != 2 or x.shape[1] != self.c_in:
+            raise ShapeMismatch(f"linear input {x.shape}, want [T, {self.c_in}]")
+        return x @ self.W.value + self.b.value, x
 
-    def backward(self, dy: np.ndarray, cache):
-        x2, single = cache
-        dy2 = dy[None, :] if single else dy
-        self.W.grad += x2.T @ dy2
-        self.b.grad += dy2.sum(axis=0)
-        dx = dy2 @ self.W.value.T
-        return dx[0] if single else dx
+    def backward(self, dy: np.ndarray, x):
+        self.W.grad += x.T @ dy
+        self.b.grad += dy.sum(axis=0)
+        # OpenBLAS splits a product with a transposed operand across threads at
+        # half the size it splits a plain one; at these sizes the split only adds waits
+        return dy @ np.ascontiguousarray(self.W.value.T)
 
 
 class ReLU(Module):

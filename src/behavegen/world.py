@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import (
+    MAX_COUNT,
     CountMismatch,
     DimensionMismatch,
     InvalidSpec,
@@ -24,6 +25,7 @@ from .errors import (
     ShapeMismatch,
     UnknownToken,
     UnstableWorld,
+    check_sizes,
 )
 from .geometry import project_rows
 from .serialization import from_doc, to_doc
@@ -80,8 +82,7 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.state_dim, self.action_dim, self.d_z) < 1:
-            raise RangeError("world dimensions must be >= 1")
+        check_sizes(self, "state_dim", "action_dim", "d_z")
         if not (0.0 < self.target_L_s < 1.0):
             raise RangeError(f"target_L_s must lie in (0, 1), got {self.target_L_s}")
         if self.target_L_z <= 0 or self.target_L_B <= 0:
@@ -312,14 +313,8 @@ def action_kl(world: SyntheticWorld, states, z_ref, z_hat) -> float:
         raise CountMismatch(
             f"need at least {n_steps} states, got {s_arr.shape}"
         )
-    total = 0.0
-    var = world.sigma_pi ** 2
-    for t in range(n_steps):
-        mu_ref = policy_mean(world, s_arr[t], z_a[t])
-        mu_hat = policy_mean(world, s_arr[t], z_b[t])
-        diff = mu_hat - mu_ref
-        total += float(diff @ diff) / (2.0 * var)
-    return total / n_steps
+    gap = (z_b - z_a) @ world.W_z.T  # the shared W_s s term cancels
+    return float((gap * gap).sum()) / (2.0 * world.sigma_pi ** 2) / n_steps
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +413,8 @@ class DatasetSpec:
             raise InvalidSpec("need d_text >= 1 and embed_seed >= 0")
         if not (2 <= self.dur_min <= self.dur_max):
             raise InvalidSpec("need 2 <= dur_min <= dur_max")
+        check_sizes(self, "n_samples", "dur_max", limit=MAX_COUNT)
+        check_sizes(self, "d_text")
         probs = np.asarray(self.stage_probs, dtype=float)
         if probs.ndim != 1 or probs.size < 1 or np.any(probs < 0) or not np.isclose(probs.sum(), 1.0):
             raise InvalidSpec("stage_probs must be a probability vector")

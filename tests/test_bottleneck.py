@@ -23,6 +23,7 @@ from behavegen.bottleneck import (
     _chunks,
     contrastive_loss,
     decode,
+    decode_packed,
     embed_program,
     embed_text,
     encode,
@@ -542,6 +543,18 @@ class TestPackedStep:
             np.testing.assert_allclose(post.mu[lo:hi], single.mu, rtol=1e-13, atol=1e-15)
             np.testing.assert_allclose(post.log_var[lo:hi], single.log_var,
                                        rtol=1e-13, atol=1e-15)
+
+    @given(st.lists(st.integers(1, 50), min_size=1, max_size=10),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_decode_packed_matches_decode(self, lengths, seed):
+        model = BottleneckModel(self.cfg, seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        programs = [rng.normal(size=(n, self.cfg.d_m)) for n in lengths]
+        got = decode_packed(model, programs)
+        assert len(got) == len(programs)
+        for m, z_hat in zip(programs, got):
+            np.testing.assert_allclose(z_hat, decode(model, m), rtol=1e-13, atol=1e-15)
 
     def test_empty_prompt_rejected(self):
         model, batch, noises = self._batch((9, 4), (2, 1), 3)

@@ -7,6 +7,7 @@ contract is tested exactly as a shell would see it.
 
 import json
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -268,6 +269,30 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert rc == 2, (where, err)
             assert len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("section, key, command", [
+        ("world", "state_dim", "gen-data"),
+        ("dataset", "n_samples", "gen-data"),
+        ("bottleneck", "width", "train-vbb"),
+        ("bottleneck", "levels", "train-vbb"),
+        ("flow", "width", "train-flow"),
+    ])
+    def test_huge_size_exits_2(self, workdir, tmp_path, capsys, section, key, command):
+        # a size far above its fixed limit is refused at once, not when an
+        # array of that size is allocated
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg[section][key] = 10 ** 10
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        inputs = {"gen-data": [], "train-vbb": ["--data", workdir["data"]],
+                  "train-flow": ["--data", workdir["data"], "--vbb", workdir["vbb"]]}
+        t0 = time.perf_counter()
+        rc = main([command, "--config", str(path), *inputs[command],
+                   "--out", str(tmp_path / "out")])
+        elapsed = time.perf_counter() - t0
+        err = capsys.readouterr().err
+        assert rc == 2 and len(err.splitlines()) == 1 and key in err, err
+        assert elapsed < 1.0, f"{command} took {elapsed:.2f} s to refuse {key}"
 
     def test_divergence_exits_3(self, workdir, tmp_path):
         cfg = dict(TINY_CONFIG)

@@ -4,7 +4,7 @@ splitting, and the staged-generation plumbing."""
 import numpy as np
 import pytest
 
-from behavegen.bottleneck import BottleneckConfig, BottleneckModel
+from behavegen.bottleneck import BottleneckConfig, BottleneckModel, decode, embed_text
 from behavegen.composition import (
     ComposedRollout,
     compose_latents,
@@ -20,7 +20,7 @@ from behavegen.errors import (
     RangeError,
     ShapeMismatch,
 )
-from behavegen.flow import FlowConfig, FlowModel, SamplerConfig
+from behavegen.flow import FlowConfig, FlowModel, SamplerConfig, euler_sample
 from behavegen.world import make_world, make_vocabulary
 
 
@@ -224,6 +224,38 @@ class TestGenerateComposed:
         first_b = b.latents[:b.stage_lengths[0]]
         assert first_a.tobytes() == first_b.tobytes()
         assert a.latents.tobytes() != b.latents.tobytes()
+
+    def test_one_field_call_per_step(self):
+        # clauses and their null branches share every Euler step
+        flow, bottleneck, vocab, world = pipeline()
+        calls = []
+        orig = flow.field
+
+        def counting_field(*args):
+            calls.append(args)
+            return orig(*args)
+
+        flow.field = counting_field
+        for prompt in ("walk", "walk then turn then sit"):
+            calls.clear()
+            generate_composed(flow, bottleneck, vocab, world, vocab.encode(prompt),
+                              t_m=4, sampler=SamplerConfig(steps=5), seed=1,
+                              overlap=1)
+            assert len(calls) == 5
+
+    def test_stages_match_clauses_sampled_alone(self):
+        flow, bottleneck, vocab, world = pipeline()
+        ids = vocab.encode("walk then turn then sit")
+        sampler = SamplerConfig(steps=4, guidance=1.5)
+        out = generate_composed(flow, bottleneck, vocab, world, ids, t_m=4,
+                                sampler=sampler, seed=9, overlap=0)
+        seeds = np.random.SeedSequence(9).spawn(4)
+        spans = stage_slices(out.latents.shape[0], out.boundaries)
+        for clause, child, span in zip(split_prompt(ids, vocab.separator_id), seeds, spans):
+            y = embed_text(bottleneck, vocab.embeddings[list(clause)])
+            noise = np.random.default_rng(child).standard_normal((4, 3))
+            want = decode(bottleneck, euler_sample(flow, noise, sampler, y))
+            np.testing.assert_allclose(out.latents[span], want, rtol=1e-12, atol=1e-12)
 
     def test_single_clause(self):
         flow, bottleneck, vocab, world = pipeline()

@@ -3,9 +3,13 @@ against finite differences, sampler identities, and Euler convergence order."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from behavegen.bottleneck import BottleneckConfig, BottleneckModel, embed_text
+import behavegen.flow as flow_module
+from behavegen.bottleneck import BottleneckConfig, BottleneckModel
 from behavegen.errors import (
+    CountMismatch,
     DegenerateBatch,
     RangeError,
     ShapeMismatch,
@@ -18,7 +22,6 @@ from behavegen.flow import (
     euler_sample,
     fm_grad,
     fm_loss,
-    generate_program,
     interpolate,
     time_embedding,
     train_flow,
@@ -77,6 +80,57 @@ def euler_oracle(model, noise, steps, guidance, y_vec):
             v = v_n + guidance * (v_c - v_n)
         m = m + dt * v
     return m
+
+
+def per_item_fm(model, programs, noises, rs, ctxs):
+    """The flow-matching loss and its gradients one program at a time.
+
+    Reference for the packed step: each program runs through the field's
+    layers on its own, its conditioning a one-row batch.  Returns the mean
+    of the per-program losses and accumulates the gradients of that mean.
+    """
+    cfg = model.cfg
+    b = len(programs)
+    total = 0.0
+    for program, noise, r, y in zip(programs, noises, rs, ctxs):
+        point = (1 - r) * noise + r * program
+        ctx = model.null_ctx.value if y is None else np.asarray(y, dtype=float)
+        h0, c_in = model.in_proj.forward(point)
+        hp, c_pool = model.pool_proj.forward(point.mean(axis=0)[None, :])
+        hr, c_r = model.r_proj.forward(time_embedding(r, cfg.r_dim)[None, :])
+        hy, c_y = model.y_proj.forward(ctx[None, :])
+        x = h0 + (hp + hr + hy)
+        caches = []
+        for b1, relu, b2 in model.blocks:
+            a, c1 = b1.forward(x)
+            a, cr = relu.forward(a)
+            a, c2 = b2.forward(a)
+            x = x + a
+            caches.append((c1, cr, c2))
+        v, c_out = model.out_proj.forward(x)
+        resid = v - (program - noise)
+        total += float((resid * resid).mean()) / b
+        dx = model.out_proj.backward(2.0 * resid / (resid.size * b), c_out)
+        for (b1, relu, b2), (c1, cr, c2) in zip(reversed(model.blocks), reversed(caches)):
+            dx = dx + b1.backward(relu.backward(b2.backward(dx, c2), cr), c1)
+        dcond = dx.sum(axis=0, keepdims=True)
+        model.in_proj.backward(dx, c_in)
+        model.pool_proj.backward(dcond, c_pool)
+        model.r_proj.backward(dcond, c_r)
+        dctx = model.y_proj.backward(dcond, c_y)
+        if y is None:
+            model.null_ctx.grad += dctx[0]
+    return total
+
+
+def ragged_batch(lengths, null, seed, d_m=3, d_e=3):
+    """Programs, noises, path positions and contexts (None where ``null``)."""
+    rng = np.random.default_rng(seed)
+    programs = [rng.normal(size=(n, d_m)) for n in lengths]
+    noises = [rng.normal(size=(n, d_m)) for n in lengths]
+    rs = [float(r) for r in rng.uniform(size=len(lengths))]
+    ctxs = [None if drop else rng.normal(size=d_e) for drop in null]
+    return programs, noises, rs, ctxs
 
 
 def toy_flow(seed=0):
@@ -289,19 +343,30 @@ class TestSampler:
         np.testing.assert_allclose(guided, uncond, rtol=1e-12, atol=1e-12)
 
     def test_unit_guidance_skips_null_branch(self):
+        # null programs per field call: none at g = 1, and at g != 1 one null
+        # branch per conditioned program, in the same call
         model = toy_flow(seed=33)
-        calls = []
+        nulls = []
         orig = model.field
 
-        def counting_field(m, r, y_vec=None):
-            calls.append(y_vec is None)
-            return orig(m, r, y_vec)
+        def counting_field(m, r, y_vec=None, lengths=None):
+            ctxs = y_vec if isinstance(y_vec, list) else [y_vec]
+            nulls.append(sum(c is None for c in ctxs))
+            return orig(m, r, y_vec, lengths)
 
         model.field = counting_field
         noise = np.random.default_rng(15).normal(size=(4, 3))
-        euler_sample(model, noise, SamplerConfig(steps=5, guidance=1.0),
-                     np.ones(3) / np.sqrt(3))
-        assert len(calls) == 5 and not any(calls)
+        y = np.ones(3) / np.sqrt(3)
+        euler_sample(model, noise, SamplerConfig(steps=5, guidance=1.0), y)
+        assert nulls == [0] * 5
+        nulls.clear()
+        euler_sample(model, [noise, noise, noise], SamplerConfig(steps=5, guidance=1.0),
+                     [y, None, y])
+        assert nulls == [1] * 5
+        nulls.clear()
+        euler_sample(model, [noise, noise, noise], SamplerConfig(steps=5, guidance=1.5),
+                     [y, None, y])
+        assert nulls == [3] * 5
 
     def test_deterministic_and_input_unchanged(self):
         model = toy_flow(seed=34)
@@ -355,6 +420,99 @@ class TestSampler:
 
 
 # ---------------------------------------------------------------------------
+# packed programs: many programs in one call of the field
+# ---------------------------------------------------------------------------
+
+def packing_flow(seed):
+    return FlowModel(FlowConfig(d_m=3, d_e=3, width=6, blocks=2, r_dim=4), seed=seed)
+
+
+class TestPacked:
+    @given(st.lists(st.tuples(st.integers(1, 12), st.booleans()), min_size=1,
+                    max_size=12),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_item_oracle(self, items, seed):
+        lengths, null = zip(*items)
+        model = packing_flow(seed % 1000)
+        batch = ragged_batch(lengths, null, seed)
+        model.zero_grad()
+        want = per_item_fm(model, *batch)
+        oracle = {k: p.grad.copy() for k, p in model.params().items()}
+        model.zero_grad()
+        got = fm_grad(model, *batch)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        assert fm_loss(model, *batch) == got
+        for name, p in model.params().items():
+            err = relative_grad_error({name: p.grad}, {name: oracle[name]})
+            assert err <= 1e-12, f"{name}: relative error {err:.2e}"
+
+    def test_packed_gradients_match_finite_differences(self):
+        model = toy_flow(seed=26)
+        batch = ragged_batch((2, 5, 1), (False, True, False), seed=27)
+        model.zero_grad()
+        fm_grad(model, *batch)
+        analytic = {k: p.grad.copy() for k, p in model.params().items()}
+        numeric = finite_difference_grads(lambda: fm_loss(model, *batch),
+                                          model.params())
+        assert np.any(analytic["null_ctx"] != 0.0)
+        assert relative_grad_error(analytic, numeric) < GRAD_TOL
+
+    def test_one_program_equals_lone_array(self):
+        model = packing_flow(28)
+        programs, noises, rs, ctxs = ragged_batch((5,), (False,), seed=29)
+        lone = fm_loss(model, programs[0], noises[0], rs[0], ctxs[0])
+        assert fm_loss(model, programs, noises, rs, ctxs) == lone
+
+    @given(st.lists(st.tuples(st.integers(1, 6), st.booleans()), min_size=1,
+                    max_size=5),
+           st.sampled_from([0.0, 1.0, 1.5]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_stacked_sampler_matches_oracle(self, items, guidance, seed):
+        lengths, null = zip(*items)
+        model = packing_flow(seed % 1000)
+        _, noises, _, ctxs = ragged_batch(lengths, null, seed)
+        got = euler_sample(model, noises, SamplerConfig(steps=3, guidance=guidance),
+                           ctxs)
+        assert len(got) == len(noises)
+        for out, noise, y in zip(got, noises, ctxs):
+            want = euler_oracle(model, noise, 3, guidance, y)
+            np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+
+    def test_packed_field_matches_oracle_per_program(self):
+        model = packing_flow(30)
+        rng = np.random.default_rng(31)
+        lengths = [3, 1, 4]
+        m = rng.normal(size=(8, 3))
+        rs = [0.0, 0.5, 0.9]
+        ctxs = [rng.normal(size=3), None, rng.normal(size=3)]
+        got = model.field(m, rs, ctxs, lengths)
+        for lo, n, r, y in zip((0, 3, 4), lengths, rs, ctxs):
+            np.testing.assert_allclose(got[lo:lo + n], field_oracle(model, m[lo:lo + n], r, y),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_validation(self):
+        model = toy_flow()
+        m = np.zeros((5, 3))
+        with pytest.raises(ShapeMismatch):
+            model.field(m, 0.5, None, [2, 2])
+        with pytest.raises(ShapeMismatch):
+            model.field(m, 0.5, None, [5, 0])
+        with pytest.raises(CountMismatch):
+            model.field(m, [0.5], None, [2, 3])
+        with pytest.raises(CountMismatch):
+            model.field(m, 0.5, [None], [2, 3])
+        with pytest.raises(RangeError):
+            model.field(m, [0.5, 1.5], None, [2, 3])
+        with pytest.raises(CountMismatch):
+            fm_loss(model, [m, m], [m], [0.5, 0.5], [None, None])
+        with pytest.raises(ShapeMismatch):
+            fm_loss(model, [m], [np.zeros((4, 3))], [0.5], [None])
+        with pytest.raises(CountMismatch):
+            euler_sample(model, [m, m], SamplerConfig(), [None])
+
+
+# ---------------------------------------------------------------------------
 # training against a frozen bottleneck
 # ---------------------------------------------------------------------------
 
@@ -405,6 +563,20 @@ class TestTraining:
         with pytest.raises(DegenerateBatch):
             train_flow(model, bottleneck, vocab, samples, cfg, seed=1)
 
+    def test_one_fm_grad_call_per_step(self, monkeypatch):
+        bottleneck, vocab, samples = tiny_corpus()
+        calls = []
+
+        def counting_fm_grad(model, program, *args, **kwargs):
+            calls.append(len(program))
+            return fm_grad(model, program, *args, **kwargs)
+
+        monkeypatch.setattr(flow_module, "fm_grad", counting_fm_grad)
+        cfg = FlowTrainConfig(lr=1e-3, warmup=2, batch_size=5, steps=3)
+        model = FlowModel(FlowConfig(d_m=3, d_e=3, width=4, blocks=1, r_dim=4))
+        train_flow(model, bottleneck, vocab, samples, cfg, seed=2)
+        assert calls == [5, 5, 5]
+
     def test_history_hook(self):
         bottleneck, vocab, samples = tiny_corpus()
         cfg = FlowTrainConfig(lr=1e-3, warmup=2, batch_size=4, steps=3)
@@ -414,35 +586,3 @@ class TestTraining:
                    history_hook=seen.append)
         assert [h["step"] for h in seen] == [0, 1, 2]
 
-
-class TestGenerate:
-    def test_prompt_conditioned_sample(self):
-        bottleneck, vocab, samples = tiny_corpus()
-        model = FlowModel(FlowConfig(d_m=3, d_e=3, width=4, blocks=1, r_dim=4),
-                          seed=60)
-        rng = np.random.default_rng(61)
-        out = generate_program(model, bottleneck, vocab, samples[0].token_ids,
-                               t_m=5, sampler=SamplerConfig(steps=4), rng=rng)
-        assert out.shape == (5, 3)
-        assert np.all(np.isfinite(out))
-
-    def test_matches_manual_pipeline(self):
-        bottleneck, vocab, samples = tiny_corpus()
-        model = FlowModel(FlowConfig(d_m=3, d_e=3, width=4, blocks=1, r_dim=4),
-                          seed=62)
-        ids = list(samples[0].token_ids)
-        y = embed_text(bottleneck, vocab.embeddings[ids])
-        rng = np.random.default_rng(63)
-        noise = rng.standard_normal((5, 3))
-        want = euler_sample(model, noise, SamplerConfig(steps=4), y)
-        got = generate_program(model, bottleneck, vocab, ids, t_m=5,
-                               sampler=SamplerConfig(steps=4),
-                               rng=np.random.default_rng(63))
-        np.testing.assert_allclose(got, want, rtol=0, atol=0)
-
-    def test_validation(self):
-        bottleneck, vocab, samples = tiny_corpus()
-        model = FlowModel(FlowConfig(d_m=3, d_e=3, width=4, blocks=1, r_dim=4))
-        with pytest.raises(RangeError):
-            generate_program(model, bottleneck, vocab, samples[0].token_ids, 0,
-                             SamplerConfig(), np.random.default_rng(0))

@@ -157,15 +157,6 @@ class TestOtherLayers:
         rng = np.random.default_rng(7)
         check_layer(Linear(rng, 5, 3), rng.normal(size=(6, 5)))
 
-    def test_linear_on_single_vector(self):
-        rng = np.random.default_rng(8)
-        lin = Linear(rng, 4, 2)
-        v = rng.normal(size=4)
-        y, cache = lin.forward(v)
-        assert y.shape == (2,)
-        dv = lin.backward(np.ones(2), cache)
-        assert dv.shape == (4,)
-
     def test_relu_gradients(self):
         rng = np.random.default_rng(9)
         check_layer(ReLU(), rng.normal(size=(10, 4)))

@@ -8,6 +8,8 @@ rather than in a benchmark run.
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 from behavegen.serialization import canon_dumps
@@ -20,7 +22,8 @@ from behavegen.world import (
     make_world,
 )
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def load(name: str):
@@ -56,3 +59,18 @@ def test_dataset_check_accepts_written_and_read_documents():
     written = dataset_to_dict(world, extraction, spec, 3, samples)
     read = json.loads(canon_dumps(written))
     assert load("workloads")._same_dataset(written, read)
+
+
+def test_benchmark_smoke_run():
+    # a short traced run of every workload passes all its output checks; 3 s
+    # per workload leaves the untraced flow block time for at least one step
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", "1",
+         "--seconds", "3", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    docs = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
+    record, result = docs[-2]["record"], docs[-1]
+    assert result["attempted"] > 0 and result["failed"] == 0, proc.stdout[-2000:]
+    untraced_flow_steps, _ = record["samples"]["train"]["flow_step"]
+    assert untraced_flow_steps >= 1

@@ -153,6 +153,7 @@ OVERRIDES = {
         "stage_probs": st.lists(st.integers(1, 9), min_size=1, max_size=4).map(
             lambda w: tuple(x / sum(w) for x in w)),
     },
+    BottleneckConfig: {"levels": st.integers(1, 10)},  # compression 2^levels <= 1024
     TrainConfig: {"batch_size": st.integers(2, 64)},
     FlowConfig: {"r_dim": st.integers(1, 8).map(lambda n: 2 * n)},
 }

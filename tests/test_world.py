@@ -277,6 +277,18 @@ class TestActionKL:
         states = rng.normal(size=(7, w.state_dim))
         assert action_kl(w, states, z, z) == 0.0
 
+    def test_matches_per_step_loop(self):
+        w = small_world(seed=42)
+        rng = np.random.default_rng(13)
+        states = rng.normal(size=(9, w.state_dim))
+        z_ref = rng.normal(size=(8, w.d_z))
+        z_hat = rng.normal(size=(8, w.d_z))
+        want = 0.0
+        for t in range(8):
+            gap = policy_mean(w, states[t], z_hat[t]) - policy_mean(w, states[t], z_ref[t])
+            want += float(gap @ gap) / (2 * w.sigma_pi ** 2) / 8
+        assert np.isclose(action_kl(w, states, z_ref, z_hat), want, rtol=1e-12)
+
     def test_single_step_closed_form(self):
         w = small_world(seed=43)
         rng = np.random.default_rng(11)
