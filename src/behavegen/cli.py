@@ -52,6 +52,7 @@ from .errors import (
     ShapeMismatch,
     TooFewSamples,
     UnknownToken,
+    check_seed,
 )
 from .flow import FlowConfig, FlowModel, FlowTrainConfig, euler_sample, train_flow
 from .metrics import EvalReport, diversity, prototype_match_rate, retrieval_accuracy
@@ -228,7 +229,7 @@ def _sample_prompt(args, mode: str):
     bottleneck, world, _, _, vocab = _load_bottleneck(args.vbb)
     flow = _load_flow(args.flow)
     ids = vocab.encode(args.prompt)
-    seed = cfg.seed if args.seed is None else args.seed
+    seed = check_seed(cfg.seed if args.seed is None else args.seed)
     gen = cfg.generation
     if mode == "composed":
         out = generate_composed(
@@ -364,6 +365,8 @@ def cmd_eval(args) -> int:
 
     if args.n_eval < 1 or args.n_eval > len(samples):
         raise RangeError(f"n_eval {args.n_eval} out of range")
+    if args.retrieval_batch < 2:
+        raise RangeError(f"retrieval batch {args.retrieval_batch} must be >= 2")
     eval_samples = samples[-args.n_eval:]
     recon = reconstruction_mse(bottleneck, eval_samples)
     baseline_model = BottleneckModel(bottleneck.cfg, seed=cfg.seed)

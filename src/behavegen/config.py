@@ -13,7 +13,7 @@ import json
 import os
 
 from .bottleneck import BottleneckConfig, TrainConfig
-from .errors import BehavegenError, ConfigInvalid
+from .errors import MAX_COUNT, BehavegenError, ConfigInvalid, check_seed, check_sizes
 from .flow import FlowConfig, FlowTrainConfig, SamplerConfig
 from .serialization import from_doc, to_doc
 from .world import DatasetSpec, ExtractionConfig, WorldConfig
@@ -27,6 +27,10 @@ class GenerationConfig:
     overlap: int = 4
     in_place: bool = False
     init_state_scale: float = 0.5
+
+    def __post_init__(self):
+        check_sizes(self, "t_m", limit=MAX_COUNT)
+        check_sizes(self, "overlap", limit=MAX_COUNT, low=0)
 
 
 def _section(cls, *derived):
@@ -102,6 +106,7 @@ def run_config_from_dict(doc: dict, env=None) -> RunConfig:
             raise ConfigInvalid(
                 f"BEHAVE_SEED must be an integer, got {env['BEHAVE_SEED']!r}"
             ) from exc
+    check_seed(cfg.seed)
     return cfg
 
 

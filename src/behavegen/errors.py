@@ -60,14 +60,21 @@ class RangeError(BehavegenError):
 # Upper limits of config sizes: a larger one would only fail later, deep in NumPy.
 MAX_DIM = 1024        # feature dimensions, widths and layer counts
 MAX_LEVELS = 10       # compression levels: 2^10 = MAX_DIM
-MAX_COUNT = 100_000   # sample counts and stage durations
+MAX_COUNT = 100_000   # sample counts, stage durations, program lengths, sampler steps
 
 
-def check_sizes(obj, *names, limit: int = MAX_DIM) -> None:
-    """RangeError naming the first of the fields ``names`` of ``obj`` outside [1, limit]."""
+def check_sizes(obj, *names, limit: int = MAX_DIM, low: int = 1) -> None:
+    """RangeError naming the first of the fields ``names`` of ``obj`` outside [low, limit]."""
     for name in names:
-        if not 1 <= getattr(obj, name) <= limit:
-            raise RangeError(f"{name} = {getattr(obj, name)} outside [1, {limit}]")
+        if not low <= getattr(obj, name) <= limit:
+            raise RangeError(f"{name} = {getattr(obj, name)} outside [{low}, {limit}]")
+
+
+def check_seed(seed: int) -> int:
+    """``seed``, or RangeError if it is negative: NumPy seeds only from n >= 0."""
+    if seed < 0:
+        raise RangeError(f"seed {seed} must be >= 0")
+    return seed
 
 
 class DivergenceDetected(BehavegenError):

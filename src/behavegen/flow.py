@@ -15,6 +15,7 @@ import numpy as np
 
 from .bottleneck import embed_text, encode_packed, sample_posterior
 from .errors import (
+    MAX_COUNT,
     CountMismatch,
     DegenerateBatch,
     DivergenceDetected,
@@ -48,8 +49,7 @@ class SamplerConfig:
     guidance: float = 1.5
 
     def __post_init__(self):
-        if int(self.steps) < 1:
-            raise RangeError("sampler needs at least one step")
+        check_sizes(self, "steps", limit=MAX_COUNT)
 
 
 def time_embedding(r, dim: int) -> np.ndarray:
@@ -237,13 +237,14 @@ class FlowTrainConfig:
             raise RangeError("invalid flow training configuration")
 
 
-def prepare_flow_targets(bottleneck, samples, rng):
+def prepare_flow_targets(post, starts, rng):
     """Fresh posterior draws for every sample; called once per epoch.
 
-    One noise draw covers every sample's frames back to back, which is the
-    same stream as one draw per sample in order.
+    ``post`` and ``starts`` are ``encode_packed`` of the samples, made once:
+    the bottleneck is frozen, so only the noise changes between epochs.  One
+    noise draw covers every sample's frames back to back, which is the same
+    stream as one draw per sample in order.
     """
-    post, starts = encode_packed(bottleneck, [s.latents for s in samples])
     draws = sample_posterior(post, rng.standard_normal(post.mu.shape))
     return np.split(draws, starts[1:])
 
@@ -262,11 +263,12 @@ def train_flow(model: FlowModel, bottleneck, vocab, samples,
                warmup=train_cfg.warmup)
     n = len(samples)
     steps_per_epoch = max(1, n // train_cfg.batch_size)
+    post, starts = encode_packed(bottleneck, [s.latents for s in samples])
     targets = None
     history = []
     for step_idx in range(train_cfg.steps):
         if step_idx % steps_per_epoch == 0:
-            targets = prepare_flow_targets(bottleneck, samples, rng)
+            targets = prepare_flow_targets(post, starts, rng)
         idx = rng.choice(n, size=train_cfg.batch_size, replace=False)
         rs, noises, ctxs = [], [], []
         for i in idx:  # per-item draws, in the order of one item at a time

@@ -9,9 +9,10 @@ Sequences are time-major ``[T, channels]`` float64 arrays.  Convolutions use
 replicate padding so edge frames are extended, not zero-filled.
 
 Several sequences can be packed back to back along time and described by a
-``Segments``; a convolution then pads every segment on its own, so one call
-gives what one call per sequence would.  A single sequence is the
-one-segment case.
+``Segments``.  A convolution then runs over a gapped copy of the buffer in
+which every segment carries its own replicate padding, so one call gives
+what one call per sequence would.  A single sequence is the one-segment
+case and is padded at its two ends only, with no index arrays.
 """
 
 import numpy as np
@@ -100,18 +101,18 @@ def replicate_unpad_grad(dxp: np.ndarray, pad: int, length: int) -> np.ndarray:
 class Segments:
     """Lengths of sequences packed back to back along time.
 
-    Convolutions run over the whole packed buffer, padded only at its two
-    ends, and then recompute the few output rows whose window crossed into a
-    neighbouring segment.  Those rows depend only on the lengths, the kernel
-    and the stride, so they are found once and shared by every convolution
-    at this resolution.
+    A convolution over packed segments runs on a gapped copy of the buffer,
+    in which every segment carries its own ``pad`` replicate rows on each
+    side, so every output row is computed from its own segment alone.  The
+    gapped layout depends only on the lengths, the kernel and the stride, so
+    it is built once and shared by every convolution at this resolution.
     """
 
-    __slots__ = ("lengths", "_fixes")
+    __slots__ = ("lengths", "_layouts")
 
     def __init__(self, lengths):
         self.lengths = tuple(int(n) for n in lengths)
-        self._fixes = {}
+        self._layouts = {}
 
     @staticmethod
     def of(x: np.ndarray, seg: "Segments | None") -> "Segments":
@@ -122,46 +123,31 @@ class Segments:
     def total(self) -> int:
         return sum(self.lengths)
 
-    def fixes(self, kernel: int, stride: int):
-        """``_boundary_fixes`` for this layout, or None for one segment."""
+    def gapped(self, kernel: int, stride: int):
+        """``(take, keep, runs)`` of the gapped layout, or None for one segment.
+
+        ``x[take]`` is the gapped buffer; ``keep`` lists the outputs of a
+        convolution over it whose window stays inside one segment.  ``take``
+        is sorted, and the gapped copies of input row ``r`` start at ``runs[r]``.
+        """
         key = (kernel, stride)
-        if key not in self._fixes:
-            packed = len(self.lengths) > 1
-            self._fixes[key] = _boundary_fixes(self.lengths, kernel, stride) if packed else None
-        return self._fixes[key]
-
-
-def _boundary_fixes(lengths, kernel: int, stride: int):
-    """Output rows whose window, padded as one buffer, leaves its segment.
-
-    Returns ``(rows, right, taps)``: ``right[i, n]`` is the input row that tap
-    ``i`` of output ``rows[n]`` reads under its own segment's replicate
-    padding, and ``taps`` lists ``(i, sel, wrong)`` for each tap that read
-    ``wrong`` in place of ``right[i, sel]``.  Only the first and last
-    ``ceil(pad / stride)`` outputs of a segment can reach past it.
-    """
-    n = np.asarray(lengths)
-    if np.any(n[:-1] % stride):
-        raise ShapeMismatch(f"packed segments {lengths} are not aligned to stride {stride}")
-    pad = (kernel - 1) // 2
-    t_out = (n + 2 * pad - kernel) // stride + 1
-    edge = -(-pad // stride)
-    e = np.arange(edge)[:, None]
-    # first and last `edge` outputs of each segment; a short segment's last
-    # outputs that are also among its first are taken once
-    local = np.concatenate([e + 0 * t_out, t_out - 1 - e])
-    seg = np.nonzero(np.concatenate([e < t_out, t_out - 1 - e >= edge]))
-    local, seg = local[seg], seg[1]
-    rows = (np.cumsum(t_out) - t_out)[seg] + local
-    start, last = (np.cumsum(n) - n)[seg], n[seg] - 1
-    offset = stride * local + np.arange(kernel)[:, None] - pad  # [kernel, rows]
-    right = start + np.minimum(np.maximum(offset, 0), last)
-    wrong = np.minimum(np.maximum(start + offset, 0), n.sum() - 1)
-    bad = right != wrong
-    keep = bad.any(axis=0)
-    rows, right, wrong, bad = rows[keep], right[:, keep], wrong[:, keep], bad[:, keep]
-    taps = [(i, bad[i], wrong[i, bad[i]]) for i in range(kernel) if bad[i].any()]
-    return rows, right, taps
+        if len(self.lengths) > 1 and key not in self._layouts:
+            n = np.asarray(self.lengths)
+            if np.any(n[:-1] % stride):
+                raise ShapeMismatch(f"segments {self.lengths} not aligned to stride {stride}")
+            pad = (kernel - 1) // 2
+            # a segment's block of gapped rows is a multiple of the stride
+            # long, so each block's first window starts on an output row
+            block = n + 2 * pad + (-2 * pad) % stride
+            start = np.cumsum(block) - block
+            seg = np.repeat(np.arange(n.size), block)
+            local = np.arange(block.sum()) - start[seg] - pad
+            take = (np.cumsum(n) - n)[seg] + np.clip(local, 0, n[seg] - 1)
+            t_out = (n + 2 * pad - kernel) // stride + 1
+            keep = np.repeat(start // stride - (np.cumsum(t_out) - t_out), t_out)
+            keep += np.arange(t_out.sum())
+            self._layouts[key] = take, keep, np.searchsorted(take, np.arange(n.sum()))
+        return self._layouts.get(key)
 
 
 class Conv1d(Module):
@@ -169,8 +155,9 @@ class Conv1d(Module):
 
     With kernel 3 and pad 1 the output has ceil(T / stride) frames, so a
     stride-2 level exactly halves even-length sequences.  Packed input
-    (``seg`` with several segments) needs every segment but the last to be a
-    multiple of the stride, so output segments stay back to back.
+    (``seg`` with several segments) runs over its gapped layout, which keeps
+    only the outputs whose window stays in one segment; every segment but the
+    last must be a multiple of the stride.
     """
 
     def __init__(self, rng, c_in: int, c_out: int, kernel: int = 3, stride: int = 1,
@@ -197,42 +184,31 @@ class Conv1d(Module):
         seg = Segments.of(x, seg)
         if seg.total != x.shape[0]:
             raise ShapeMismatch(f"segments cover {seg.total} frames, input has {x.shape[0]}")
-        length = x.shape[0]
-        xp = replicate_pad(x, self.pad)
-        t_out = self.out_length(length)
-        fixes = seg.fixes(self.kernel, self.stride)
+        layout = seg.gapped(self.kernel, self.stride)
+        xp = replicate_pad(x, self.pad) if layout is None else x[layout[0]]
+        t_out = (xp.shape[0] - self.kernel) // self.stride + 1
         y = np.tile(self.b.value, (t_out, 1))
         for i in range(self.kernel):
             y += xp[i:i + self.stride * t_out:self.stride] @ self.W.value[i]
-        if fixes is not None:
-            # recompute these rows from their own segment's frames
-            rows, right, _ = fixes
-            y_rows = np.tile(self.b.value, (rows.size, 1))
-            for i in range(self.kernel):
-                y_rows += x[right[i]] @ self.W.value[i]
-            y[rows] = y_rows
-        return y, (xp, length, t_out, fixes)
+        return (y if layout is None else y[layout[1]]), (xp, t_out, layout)
 
     def backward(self, dy: np.ndarray, cache):
-        xp, length, t_out, fixes = cache
+        xp, t_out, layout = cache
         self.b.grad += dy.sum(axis=0)
+        if layout is not None:
+            # the gap outputs were dropped, so they pass back no gradient
+            dy_all = np.zeros((t_out, self.c_out))
+            dy_all[layout[1]] = dy
+            dy = dy_all
         dxp = np.zeros_like(xp)
         for i in range(self.kernel):
             sl = slice(i, i + self.stride * t_out, self.stride)
             self.W.grad[i] += xp[sl].T @ dy
             dxp[sl] += dy @ self.W.value[i].T
-        dx = replicate_unpad_grad(dxp, self.pad, length)
-        if fixes is not None:
-            # move what the padded buffer credited to the wrong input rows
-            x = xp[self.pad:self.pad + length]
-            rows, right, taps = fixes
-            for i, sel, wrong in taps:
-                d_rows = dy[rows[sel]]
-                self.W.grad[i] += (x[right[i, sel]] - x[wrong]).T @ d_rows
-                d_in = d_rows @ self.W.value[i].T
-                np.add.at(dx, right[i, sel], d_in)
-                np.subtract.at(dx, wrong, d_in)
-        return dx
+        if layout is None:
+            return replicate_unpad_grad(dxp, self.pad, xp.shape[0] - 2 * self.pad)
+        # fold each gapped row's gradient into the input row it copies
+        return np.add.reduceat(dxp, layout[2], axis=0)
 
 
 class Linear(Module):

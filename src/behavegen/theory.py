@@ -29,6 +29,7 @@ from .errors import (
     RangeError,
     ShapeMismatch,
     ZeroNormInput,
+    check_seed,
 )
 from .geometry import (
     max_deviation,
@@ -326,7 +327,9 @@ def margin_instance(rng) -> dict:
 def run_suites(seed: int = 0, n_compression: int = 500, n_smoothing: int = 200,
                n_margin: int = 500) -> dict:
     """Run every family on fresh random instances; returns counts and timing."""
-    rng = np.random.default_rng(seed)
+    if min(n_compression, n_smoothing, n_margin) < 0:
+        raise RangeError(f"suite counts {n_compression}, {n_smoothing}, {n_margin} must be >= 0")
+    rng = np.random.default_rng(check_seed(seed))
     t0 = time.perf_counter()
     results = {}
     for name, gen, count in (

@@ -276,6 +276,7 @@ class TestExitCodes:
         ("bottleneck", "width", "train-vbb"),
         ("bottleneck", "levels", "train-vbb"),
         ("flow", "width", "train-flow"),
+        ("generation", "t_m", "compose"),
     ])
     def test_huge_size_exits_2(self, workdir, tmp_path, capsys, section, key, command):
         # a size far above its fixed limit is refused at once, not when an
@@ -285,7 +286,9 @@ class TestExitCodes:
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(cfg))
         inputs = {"gen-data": [], "train-vbb": ["--data", workdir["data"]],
-                  "train-flow": ["--data", workdir["data"], "--vbb", workdir["vbb"]]}
+                  "train-flow": ["--data", workdir["data"], "--vbb", workdir["vbb"]],
+                  "compose": ["--vbb", workdir["vbb"], "--flow", workdir["flow"],
+                              "--prompt", "walk"]}
         t0 = time.perf_counter()
         rc = main([command, "--config", str(path), *inputs[command],
                    "--out", str(tmp_path / "out")])
@@ -293,6 +296,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2 and len(err.splitlines()) == 1 and key in err, err
         assert elapsed < 1.0, f"{command} took {elapsed:.2f} s to refuse {key}"
+
+    @pytest.mark.parametrize("entry", ["config", "env", "generate", "verify-bounds"])
+    def test_negative_seed_exits_2(self, workdir, tmp_path, capsys, monkeypatch, entry):
+        # NumPy cannot seed from a negative integer; each way of giving a
+        # seed refuses one with a single line, not a ValueError traceback
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        if entry == "config":
+            cfg["seed"] = -1
+        if entry == "env":
+            monkeypatch.setenv("BEHAVE_SEED", "-5")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = {
+            "config": ["gen-data", "--config", str(path), "--out", str(tmp_path / "d.json")],
+            "env": ["gen-data", "--config", str(path), "--out", str(tmp_path / "d.json")],
+            "generate": ["generate", "--config", str(path), "--vbb", workdir["vbb"],
+                         "--flow", workdir["flow"], "--prompt", "walk", "--seed", "-1",
+                         "--out", str(tmp_path / "g.json")],
+            "verify-bounds": ["verify-bounds", "--seed", "-3", "--n-compression", "1",
+                              "--n-smoothing", "1", "--n-margin", "1"],
+        }[entry]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2 and len(err.splitlines()) == 1 and "seed" in err, err
+        assert not (tmp_path / "d.json").exists() and not (tmp_path / "g.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--n-compression", "--n-smoothing", "--n-margin"])
+    def test_negative_suite_count_exits_2(self, capsys, flag):
+        # a negative count is bad input, not a violated bound (exit 4)
+        argv = {"--n-compression": "1", "--n-smoothing": "1", "--n-margin": "1", flag: "-2"}
+        rc = main(["verify-bounds", *[a for kv in argv.items() for a in kv]])
+        captured = capsys.readouterr()
+        assert rc == 2 and len(captured.err.splitlines()) == 1, captured.err
+        assert "FAIL" not in captured.out
+
+    @pytest.mark.parametrize("batch", ["0", "1", "-3"])
+    def test_retrieval_batch_below_two_exits_2(self, workdir, tmp_path, capsys, batch):
+        # a batch of one scores a trivial top-1 of 1.0, and 0 scored every prompt
+        out = tmp_path / "e.json"
+        rc = main(["eval", "--config", workdir["cfg"], "--data", workdir["data"],
+                   "--vbb", workdir["vbb"], "--flow", workdir["flow"],
+                   "--out", str(out), "--n-eval", "8", "--retrieval-batch", batch])
+        err = capsys.readouterr().err
+        assert rc == 2 and len(err.splitlines()) == 1 and "retrieval batch" in err, err
+        assert not out.exists()
 
     def test_divergence_exits_3(self, workdir, tmp_path):
         cfg = dict(TINY_CONFIG)

@@ -81,6 +81,14 @@ class TestStrictness:
         with pytest.raises(ConfigInvalid):
             run_config_from_dict(minimal_doc(seed=True))
 
+    def test_generation_sizes_bounded(self):
+        # overlap 0 means no crossfade; sizes past MAX_COUNT are refused at load
+        cfg = run_config_from_dict(minimal_doc(generation={"overlap": 0}))
+        assert cfg.generation.overlap == 0
+        for bad in ({"t_m": 0}, {"t_m": 10 ** 12}, {"overlap": -1}, {"overlap": 10 ** 12}):
+            with pytest.raises(ConfigInvalid, match=next(iter(bad))):
+                run_config_from_dict(minimal_doc(generation=bad))
+
 
 class TestDerivedDims:
     def test_bottleneck_dims_follow_world_and_dataset(self):

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import behavegen.flow as flow_module
-from behavegen.bottleneck import BottleneckConfig, BottleneckModel
+from behavegen.bottleneck import (
+    BottleneckConfig,
+    BottleneckModel,
+    encode_packed,
+    sample_posterior,
+)
 from behavegen.errors import (
     CountMismatch,
     DegenerateBatch,
@@ -23,6 +28,7 @@ from behavegen.flow import (
     fm_grad,
     fm_loss,
     interpolate,
+    prepare_flow_targets,
     time_embedding,
     train_flow,
 )
@@ -412,6 +418,8 @@ class TestSampler:
     def test_step_validation(self):
         with pytest.raises(RangeError):
             SamplerConfig(steps=0)
+        with pytest.raises(RangeError):
+            SamplerConfig(steps=10 ** 12)
 
     def test_shape_validation(self):
         model = toy_flow()
@@ -576,6 +584,37 @@ class TestTraining:
         model = FlowModel(FlowConfig(d_m=3, d_e=3, width=4, blocks=1, r_dim=4))
         train_flow(model, bottleneck, vocab, samples, cfg, seed=2)
         assert calls == [5, 5, 5]
+
+    def test_corpus_encoded_once_with_unchanged_targets(self, monkeypatch):
+        # the frozen bottleneck encodes the corpus once per run, and every
+        # epoch's targets equal a fresh per-epoch encode given the same noise
+        bottleneck, vocab, samples = tiny_corpus()
+        encodes, epochs = [], []
+
+        def counting_encode(*args):
+            encodes.append(args)
+            return encode_packed(*args)
+
+        def recording_targets(post, starts, rng):
+            state = rng.bit_generator.state
+            targets = prepare_flow_targets(post, starts, rng)
+            epochs.append((state, targets))
+            return targets
+
+        monkeypatch.setattr(flow_module, "encode_packed", counting_encode)
+        monkeypatch.setattr(flow_module, "prepare_flow_targets", recording_targets)
+        cfg = FlowTrainConfig(lr=1e-3, warmup=2, batch_size=8, steps=9)
+        model = FlowModel(FlowConfig(d_m=3, d_e=3, width=4, blocks=1, r_dim=4))
+        train_flow(model, bottleneck, vocab, samples, cfg, seed=2)
+        assert len(encodes) == 1 and len(epochs) == 3
+        for state, targets in epochs:
+            rng = np.random.default_rng()
+            rng.bit_generator.state = state
+            post, starts = encode_packed(bottleneck, [s.latents for s in samples])
+            draws = sample_posterior(post, rng.standard_normal(post.mu.shape))
+            oracle = np.split(draws, starts[1:])
+            assert len(targets) == len(samples) == len(oracle)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(targets, oracle))
 
     def test_history_hook(self):
         bottleneck, vocab, samples = tiny_corpus()
