@@ -84,10 +84,6 @@ class Posterior:
     def T_m(self) -> int:
         return self.mu.shape[0]
 
-    @property
-    def d_m(self) -> int:
-        return self.mu.shape[1]
-
 
 class Encoder(Module):
     def __init__(self, rng, cfg: BottleneckConfig):
@@ -199,10 +195,13 @@ class BottleneckModel(Module):
 # encode / decode
 # ---------------------------------------------------------------------------
 
-# Padded input frames per packed chunk.  One pack per batch holds every
-# layer's activations for every item at once; chunks of about this size keep
-# peak memory at the per-item level for nearly all of the speed.
-_FRAME_BUDGET = 320
+# Bytes of padded frames per chunk (frames x width x 8; 640 frames at width 32),
+# shared by training and inference: a wider config gets fewer frames, not more
+# memory.  A batch of 32 on the base corpus fills about 1,224 padded frames.
+# Train benchmark, 2 vCPUs, medians of 3 runs of VBB step p75 and peak RSS:
+# 320 frames (4.5 chunks) 26.4 ms, 49.3 MB; 640 (2.35 chunks) 19.7 ms, 50.9 MB;
+# whole batch 20.5 ms, 53.5 MB, and 16.9 ms, 74.0 MB with whole inference packs.
+_PACK_BYTES = 640 * 32 * 8
 
 
 def pad_to_multiple(z: np.ndarray, c: int):
@@ -241,12 +240,12 @@ def _offsets(lengths) -> np.ndarray:
     return np.cumsum(lengths) - lengths
 
 
-def _chunks(padded) -> list:
-    """Runs [lo, hi) of consecutive items within the frame budget; an item
-    longer than the budget gets a run of its own."""
+def _chunks(padded, width: int) -> list:
+    """Runs [lo, hi) of consecutive items within the pack budget at this
+    width; an item longer than the budget gets a run of its own."""
     bounds, used = [0], 0
     for i, n in enumerate(padded):
-        if used and used + n > _FRAME_BUDGET:
+        if used and used + n > _PACK_BYTES // (8 * width):
             bounds.append(i)
             used = 0
         used += n
@@ -268,7 +267,7 @@ def encode_packed(model: BottleneckModel, latents):
     c = model.compression
     t_m = -(-n_real // c)
     mus, log_vars = [], []
-    for lo, hi in _chunks(t_m * c):
+    for lo, hi in _chunks(t_m * c, model.cfg.width):
         mu, log_var, _ = model.encoder.forward(_pack(zs[lo:hi], c), Segments(t_m[lo:hi] * c))
         mus.append(mu)
         log_vars.append(log_var)
@@ -303,7 +302,7 @@ def decode_packed(model: BottleneckModel, programs) -> list:
                                 f"got {bad or 'none'}")
     t_m = np.array([m.shape[0] for m in ms])
     out = []
-    for lo, hi in _chunks(t_m * model.compression):
+    for lo, hi in _chunks(t_m * model.compression, model.cfg.width):
         z_hat, _ = model.decoder.forward(np.concatenate(ms[lo:hi]), Segments(t_m[lo:hi]))
         out += np.split(z_hat, np.cumsum(t_m[lo:hi] * model.compression)[:-1])
     return out
@@ -515,12 +514,8 @@ def batch_from_samples(samples, vocab) -> list:
 def make_noises(model: BottleneckModel, batch, rng) -> list:
     """One standard-normal noise array per item, shaped like its posterior."""
     c = model.compression
-    noises = []
-    for item in batch:
-        padded, _ = pad_to_multiple(item.latents, c)
-        t_m = padded.shape[0] // c
-        noises.append(rng.standard_normal((t_m, model.cfg.d_m)))
-    return noises
+    return [rng.standard_normal((-(-len(item.latents) // c), model.cfg.d_m))
+            for item in batch]
 
 
 def vbb_loss(model: BottleneckModel, world, batch, noises):
@@ -562,7 +557,7 @@ def _vbb_step(model: BottleneckModel, world, batch, noises, grad: bool):
     pi_scale = cfg.lambda_pi / (2.0 * world.sigma_pi ** 2)
     rec_sum = kl_sum = 0.0
     programs, saved = [], []
-    for lo, hi in _chunks(t_m * c):
+    for lo, hi in _chunks(t_m * c, cfg.width):
         padded, t_chunk = t_m[lo:hi] * c, t_m[lo:hi]
         z = _pack(zs[lo:hi], c)
         mu, log_var, enc_cache = model.encoder.forward(z, Segments(padded))

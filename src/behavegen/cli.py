@@ -57,8 +57,8 @@ from .errors import (
 from .flow import FlowConfig, FlowModel, FlowTrainConfig, euler_sample, train_flow
 from .metrics import EvalReport, diversity, prototype_match_rate, retrieval_accuracy
 from .serialization import (
-    append_jsonl,
     from_doc,
+    jsonl_appender,
     load_checkpoint,
     read_json,
     save_checkpoint,
@@ -195,9 +195,9 @@ def cmd_train_vbb(args) -> int:
     train_samples = _train_split(samples, args.holdout)
     bcfg = cfg.bottleneck_config(d_z=world.d_z, d_text=spec.d_text)
     model = BottleneckModel(bcfg, seed=cfg.seed)
-    hook = (lambda rec: append_jsonl(args.history, rec)) if args.history else None
-    history = train_bottleneck(model, world, vocab, train_samples,
-                               cfg.vbb_train, seed=cfg.seed, history_hook=hook)
+    with jsonl_appender(args.history) as hook:
+        history = train_bottleneck(model, world, vocab, train_samples,
+                                   cfg.vbb_train, seed=cfg.seed, history_hook=hook)
     save_checkpoint(args.out, model.export_values(), to_doc(BottleneckHyperparams(
         config=bcfg, world=world.config, dataset=spec, extraction=extraction,
         train=cfg.vbb_train, seed=cfg.seed)))
@@ -213,9 +213,9 @@ def cmd_train_flow(args) -> int:
     bottleneck, world, _, _, _ = _load_bottleneck(args.vbb)
     fcfg = cfg.flow_config(d_z=world.d_z, d_text=spec.d_text)
     model = FlowModel(fcfg, seed=cfg.seed)
-    hook = (lambda rec: append_jsonl(args.history, rec)) if args.history else None
-    history = train_flow(model, bottleneck, vocab, train_samples,
-                         cfg.flow_train, seed=cfg.seed, history_hook=hook)
+    with jsonl_appender(args.history) as hook:
+        history = train_flow(model, bottleneck, vocab, train_samples,
+                             cfg.flow_train, seed=cfg.seed, history_hook=hook)
     save_checkpoint(args.out, model.export_values(), to_doc(FlowHyperparams(
         config=fcfg, train=cfg.flow_train, seed=cfg.seed)))
     print(f"trained flow for {len(history)} steps; "
@@ -427,13 +427,13 @@ def compression_sweep(cfg, world, spec, vocab, train_samples, eval_samples,
                       budgets):
     """Train one bottleneck per compression factor under an identical budget
     and measure the policy mismatch its reconstructions cause."""
+    bad = [c for c in budgets if c < 2 or c & (c - 1)]
+    if bad:
+        raise ConfigInvalid(f"compression {bad[0]} is not a power of two >= 2")
+    base = cfg.bottleneck_config(d_z=world.d_z, d_text=spec.d_text)
+    bcfgs = [dataclasses.replace(base, levels=c.bit_length() - 1) for c in budgets]
     rows = []
-    for c in budgets:
-        levels = int(np.log2(c))
-        if 2 ** levels != c or levels < 1:
-            raise ConfigInvalid(f"compression {c} is not a power of two >= 2")
-        bcfg = dataclasses.replace(
-            cfg.bottleneck_config(d_z=world.d_z, d_text=spec.d_text), levels=levels)
+    for c, bcfg in zip(budgets, bcfgs):
         model = BottleneckModel(bcfg, seed=cfg.seed)
         history = train_bottleneck(model, world, vocab, train_samples,
                                    cfg.vbb_train, seed=cfg.seed)
@@ -441,7 +441,7 @@ def compression_sweep(cfg, world, spec, vocab, train_samples, eval_samples,
                for s, z_hat in zip(eval_samples, _reconstructions(model, eval_samples))]
         rows.append({
             "compression": c,
-            "levels": levels,
+            "levels": bcfg.levels,
             "mean_action_kl": float(np.mean(kls)),
             "final_loss": history[-1]["total"],
             "n_eval": len(kls),

@@ -124,11 +124,13 @@ class Segments:
         return sum(self.lengths)
 
     def gapped(self, kernel: int, stride: int):
-        """``(take, keep, runs)`` of the gapped layout, or None for one segment.
+        """``(take, keep, first, folds)`` of the gapped layout, or None for one segment.
 
         ``x[take]`` is the gapped buffer; ``keep`` lists the outputs of a
         convolution over it whose window stays inside one segment.  ``take``
-        is sorted, and the gapped copies of input row ``r`` start at ``runs[r]``.
+        is sorted, so input row ``r``'s copies are the gapped rows from
+        ``first[r]`` on; ``folds`` pairs, for each further copy ``j``, the
+        input rows with more than ``j`` copies and their ``j``-th copies.
         """
         key = (kernel, stride)
         if len(self.lengths) > 1 and key not in self._layouts:
@@ -146,7 +148,11 @@ class Segments:
             t_out = (n + 2 * pad - kernel) // stride + 1
             keep = np.repeat(start // stride - (np.cumsum(t_out) - t_out), t_out)
             keep += np.arange(t_out.sum())
-            self._layouts[key] = take, keep, np.searchsorted(take, np.arange(n.sum()))
+            first = np.searchsorted(take, np.arange(n.sum()))
+            copies = np.diff(first, append=take.size)
+            more = [np.flatnonzero(copies > j) for j in range(1, copies.max())]
+            folds = [(rows, first[rows] + j) for j, rows in enumerate(more, 1)]
+            self._layouts[key] = take, keep, first, folds
         return self._layouts.get(key)
 
 
@@ -193,6 +199,8 @@ class Conv1d(Module):
         return (y if layout is None else y[layout[1]]), (xp, t_out, layout)
 
     def backward(self, dy: np.ndarray, cache):
+        """Accumulate the W and b gradients and return dL/dx.  On packed input
+        each gapped row's gradient is gathered back into the row it copies."""
         xp, t_out, layout = cache
         self.b.grad += dy.sum(axis=0)
         if layout is not None:
@@ -201,14 +209,18 @@ class Conv1d(Module):
             dy_all[layout[1]] = dy
             dy = dy_all
         dxp = np.zeros_like(xp)
+        # contiguous, as in Linear.backward, against OpenBLAS's early thread split
+        w_t = np.ascontiguousarray(self.W.value.transpose(0, 2, 1))
         for i in range(self.kernel):
             sl = slice(i, i + self.stride * t_out, self.stride)
             self.W.grad[i] += xp[sl].T @ dy
-            dxp[sl] += dy @ self.W.value[i].T
+            dxp[sl] += dy @ w_t[i]
         if layout is None:
             return replicate_unpad_grad(dxp, self.pad, xp.shape[0] - 2 * self.pad)
-        # fold each gapped row's gradient into the input row it copies
-        return np.add.reduceat(dxp, layout[2], axis=0)
+        dx = dxp[layout[2]]
+        for rows, src in layout[3]:
+            dx[rows] += dxp[src]
+        return dx
 
 
 class Linear(Module):
@@ -285,18 +297,25 @@ class ResBlock(Module):
 
 
 class Adam:
-    """Adam with decoupled L2 and linear warmup on the learning rate."""
+    """Adam with decoupled L2 and linear warmup on the learning rate.
+
+    Adam owns its parameters' storage: each ``Param``'s value and gradient
+    become views of two flat buffers, so write them in place from then on."""
 
     def __init__(self, params: dict, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, weight_decay: float = 0.0, warmup: int = 0):
-        self.params = dict(params)
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.warmup = warmup
         self.t = 0
-        self.m = {k: np.zeros_like(p.value) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.value) for k, p in self.params.items()}
+        ps = params.values()
+        self.value = np.concatenate([p.value.ravel() for p in ps])
+        self.grad = np.concatenate([p.grad.ravel() for p in ps])
+        for p, end in zip(ps, np.cumsum([p.size for p in ps])):
+            span, shape = slice(end - p.size, end), p.value.shape
+            p.value, p.grad = self.value[span].reshape(shape), self.grad[span].reshape(shape)
+        self.m, self.v = np.zeros_like(self.value), np.zeros_like(self.value)
 
     def current_lr(self) -> float:
         if self.warmup > 0 and self.t < self.warmup:
@@ -307,20 +326,23 @@ class Adam:
         lr_t = self.current_lr()
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1 ** self.t
-        bias2 = 1.0 - b2 ** self.t
-        for k, p in self.params.items():
-            g = p.grad
-            self.m[k] = b1 * self.m[k] + (1 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
-            update = (self.m[k] / bias1) / (np.sqrt(self.v[k] / bias2) + self.eps)
-            if self.weight_decay > 0.0:
-                update = update + self.weight_decay * p.value
-            p.value -= lr_t * update
+        bias1, bias2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        g, m, v = self.grad, self.m, self.v
+        s1, s2 = np.empty_like(g), np.empty_like(g)
+        # the per-parameter formula, one in-place op at a time in its own order:
+        # value -= lr_t ((m / bias1) / (sqrt(v / bias2) + eps) + decay value)
+        m *= b1
+        m += np.multiply(g, 1 - b1, out=s1)
+        v *= b2
+        v += np.multiply(np.multiply(g, 1 - b2, out=s1), g, out=s1)
+        np.divide(m, bias1, out=s1)
+        s1 /= np.add(np.sqrt(np.divide(v, bias2, out=s2), out=s2), self.eps, out=s2)
+        if self.weight_decay > 0.0:
+            s1 += np.multiply(self.value, self.weight_decay, out=s2)
+        self.value -= np.multiply(s1, lr_t, out=s1)
 
     def zero_grad(self):
-        for p in self.params.values():
-            p.grad[...] = 0.0
+        self.grad.fill(0.0)
 
 
 def finite_difference_grads(loss_fn, params: dict, h: float = 1e-5) -> dict:

@@ -12,6 +12,7 @@ every parameter tensor as little-endian float64 in sorted-name order, the
 manifest records shapes and hyperparameters.
 """
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -109,11 +110,13 @@ def read_json(path: str):
             raise MissingArtifact(f"malformed JSON in {path}: {exc}") from exc
 
 
-def append_jsonl(path: str, obj) -> None:
-    """Append one record as a single line (sorted keys, .17g floats)."""
-    line = canon_dumps(obj, indent=0).replace("\n", "").rstrip()
-    with open(path, "a") as fh:
-        fh.write(line + "\n")
+@contextlib.contextmanager
+def jsonl_appender(path: str | None):
+    """Open ``path`` once for appending and yield a function that writes one
+    record per line (sorted keys, .17g floats); yield None without a path."""
+    with open(path, "a") if path else contextlib.nullcontext() as fh:
+        yield None if fh is None else (
+            lambda obj: fh.write(canon_dumps(obj, indent=0).replace("\n", "").rstrip() + "\n"))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from behavegen.bottleneck import (
+    _PACK_BYTES,
     BatchItem,
     BottleneckConfig,
     BottleneckModel,
@@ -486,9 +487,14 @@ class TestVBBLoss:
             assert err < 1e-4, f"{name}: relative error {err:.3e}"
 
 
-# (frames, tokens) per item; the padded frames fill three packed chunks
-SEVERAL_CHUNKS = [(90, 5), (1, 1), (77, 2), (89, 3), (64, 4), (3, 1), (90, 2),
-                  (90, 1), (85, 3)]
+# frames per packed chunk at the width of TestPackedStep.cfg
+PACK_FRAMES = _PACK_BYTES // (8 * 6)
+# (frames, tokens) per item: a layout first drawn for 320-frame chunks, its
+# long items scaled to PACK_FRAMES, so the padded frames fill three chunks;
+# the items shorter than the compression stay short
+SEVERAL_CHUNKS = [(n if n < 8 else n * PACK_FRAMES // 320, k)
+                  for n, k in [(90, 5), (1, 1), (77, 2), (89, 3), (64, 4), (3, 1),
+                               (90, 2), (90, 1), (85, 3)]]
 
 
 class TestPackedStep:
@@ -530,9 +536,10 @@ class TestPackedStep:
             assert err <= 1e-12, f"{name}: relative error {err:.2e}"
 
     def test_example_batch_spans_several_chunks(self):
+        assert self.cfg.width == 6
         padded = [-(-t_len // 8) * 8 for t_len, _ in SEVERAL_CHUNKS]
-        assert len(_chunks(padded)) == 3
-        assert _chunks([1000, 8, 8]) == [(0, 1), (1, 3)]
+        assert len(_chunks(padded, 6)) == 3
+        assert _chunks([PACK_FRAMES + 8, 8, 8], 6) == [(0, 1), (1, 3)]
 
     def test_encode_packed_matches_encode(self):
         model, batch, _ = self._batch((13, 8, 1, 40, 90, 90, 90, 90), (1,) * 8, 5)

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import behavegen.cli as cli
@@ -71,6 +71,24 @@ class TestArtifacts:
         # extraction travel with the weights
         assert set(vbb["hyperparams"]) >= {"config", "world", "dataset",
                                            "extraction", "train", "seed"}
+
+    def test_history_opened_once_per_run_and_appended(self, workdir, tmp_path, monkeypatch):
+        hist = tmp_path / "hist.jsonl"
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        for _ in range(2):
+            assert main(["train-vbb", "--config", workdir["cfg"], "--data", workdir["data"],
+                         "--out", str(tmp_path / "vbb"), "--history", str(hist)]) == 0
+        assert opened.count(str(hist)) == 2
+        steps = TINY_CONFIG["vbb_train"]["steps"]
+        lines = hist.read_text().splitlines()
+        assert [json.loads(line)["step"] for line in lines] == list(range(steps)) * 2
 
     def test_history_jsonl_written(self, workdir):
         lines = (workdir["root"] / "vbb_hist.jsonl").read_text().splitlines()
@@ -212,6 +230,31 @@ class TestSweep:
     def test_malformed_budget_string(self, workdir, tmp_path):
         rc = main(["sweep-compression", "--config", workdir["cfg"],
                    "--data", workdir["data"], "--budgets", "2,abc",
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+
+    @given(st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=3),
+           st.integers(-2 ** 70, 0), st.integers(0, 3))
+    @example([], 0, 0)
+    @example([2, 4], -4, 2)
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_budget_below_one_exits_2_before_training(self, workdir, capsys,
+                                                      budgets, bad, where):
+        budgets.insert(where, bad)
+        out = workdir["root"] / "never.json"
+        rc = main(["sweep-compression", "--config", workdir["cfg"],
+                   "--data", workdir["data"], "--budgets=" + ",".join(map(str, budgets)),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_too_many_levels_exits_2_before_training(self, workdir, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "train_bottleneck", None)  # never reached
+        rc = main(["sweep-compression", "--config", workdir["cfg"],
+                   "--data", workdir["data"], "--budgets", "2,2048",
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
 

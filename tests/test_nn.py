@@ -125,6 +125,25 @@ class TestPackedConv1d:
             assert relative_grad_error({name: packed[name]},
                                        {name: conv.params()[name].grad}) <= 1e-12
 
+    @given(st.integers(1, 4), st.sampled_from([1, 3, 5, 7]),
+           st.lists(st.integers(1, 9), min_size=2, max_size=6), st.integers(0, 10 ** 6))
+    @settings(max_examples=80, deadline=None)
+    def test_gather_fold_matches_reduceat(self, stride, kernel, lengths, seed):
+        lengths = [stride * n for n in lengths[:-1]] + lengths[-1:]
+        rng = np.random.default_rng(seed)
+        conv = Conv1d(rng, 3, 4, kernel=kernel, stride=stride)
+        y, cache = conv.forward(rng.normal(size=(sum(lengths), 3)), Segments(lengths))
+        dy = rng.normal(size=y.shape)
+        # oracle: the gapped rows' gradients, summed per input row by reduceat
+        xp, t_out, (_, keep, first, _) = cache
+        dy_all = np.zeros((t_out, 4))
+        dy_all[keep] = dy
+        dxp = np.zeros_like(xp)
+        for i in range(kernel):
+            dxp[i:i + stride * t_out:stride] += dy_all @ conv.W.value[i].T
+        want = np.add.reduceat(dxp, first, axis=0)
+        np.testing.assert_allclose(conv.backward(dy, cache), want, rtol=1e-13, atol=1e-15)
+
     def test_segments_must_cover_input_and_align(self):
         rng = np.random.default_rng(15)
         conv = Conv1d(rng, 2, 2, stride=2)
@@ -209,7 +228,64 @@ class TestModulePlumbing:
             block.load_values(vals)
 
 
+class LoopAdam:
+    """The per-parameter Adam loop that the flat-buffer Adam replaced."""
+
+    def __init__(self, values, lr, weight_decay, warmup, b1=0.9, b2=0.999, eps=1e-8):
+        self.values, self.lr, self.wd, self.warmup = values, lr, weight_decay, warmup
+        self.b1, self.b2, self.eps, self.t = b1, b2, eps, 0
+        self.m = {k: np.zeros_like(v) for k, v in values.items()}
+        self.v = {k: np.zeros_like(v) for k, v in values.items()}
+
+    def step(self, grads):
+        lr_t = self.lr * (self.t + 1) / self.warmup if self.t < self.warmup else self.lr
+        self.t += 1
+        b1, b2 = self.b1, self.b2
+        bias1, bias2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for k, g in grads.items():
+            self.m[k] = b1 * self.m[k] + (1 - b1) * g
+            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
+            update = (self.m[k] / bias1) / (np.sqrt(self.v[k] / bias2) + self.eps)
+            if self.wd > 0.0:
+                update = update + self.wd * self.values[k]
+            self.values[k] = self.values[k] - lr_t * update
+
+
 class TestAdam:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.03])
+    def test_flat_buffer_matches_per_parameter_loop(self, weight_decay):
+        rng = np.random.default_rng(21)
+        shapes = {"W": (3, 4), "b": (4,), "alpha": (), "k": (2, 3, 2)}
+        params = {k: Param(rng.normal(size=s)) for k, s in shapes.items()}
+        oracle = LoopAdam({k: p.value.copy() for k, p in params.items()},
+                          lr=0.05, weight_decay=weight_decay, warmup=6)
+        opt = Adam(params, lr=0.05, weight_decay=weight_decay, warmup=6)
+        for _ in range(15):  # across the end of warmup
+            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+            opt.zero_grad()
+            for k, p in params.items():
+                p.grad += grads[k]
+            opt.step()
+            oracle.step(grads)
+            for k, p in params.items():
+                assert p.value.shape == shapes[k]
+                np.testing.assert_array_equal(p.value, oracle.values[k])
+
+    def test_loaded_values_reach_the_optimizer(self):
+        rng = np.random.default_rng(22)
+        block = ResBlock(rng, 3)
+        opt = Adam(block.params(), lr=0.1)
+        other = ResBlock(np.random.default_rng(23), 3).export_values()
+        block.load_values(other)
+        np.testing.assert_array_equal(
+            opt.value, np.concatenate([other[k].ravel() for k in block.params()]))
+        opt.step()  # zero gradient: the update moves nothing
+        for k, p in block.params().items():
+            np.testing.assert_array_equal(p.value, other[k])
+        block.params()["a.b"].grad += 1.0
+        opt.step()
+        assert np.all(block.params()["a.b"].value < other["a.b"])
+
     def test_minimises_quadratic(self):
         p = Param(np.array([5.0, -3.0]))
         opt = Adam({"p": p}, lr=0.1)

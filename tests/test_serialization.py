@@ -22,9 +22,9 @@ from behavegen.errors import InvalidSpec, MissingArtifact, NonFiniteInput
 from behavegen.flow import FlowConfig, FlowTrainConfig, SamplerConfig
 from behavegen.metrics import EvalReport
 from behavegen.serialization import (
-    append_jsonl,
     canon_dumps,
     from_doc,
+    jsonl_appender,
     load_checkpoint,
     read_json,
     save_checkpoint,
@@ -70,8 +70,10 @@ class TestCanonJson:
 
     def test_jsonl_appends_single_lines(self, tmp_path):
         path = str(tmp_path / "h.jsonl")
-        append_jsonl(path, {"step": 1, "total": 0.25})
-        append_jsonl(path, {"step": 2, "total": 0.125})
+        with jsonl_appender(path) as append:
+            append({"step": 1, "total": 0.25})
+        with jsonl_appender(path) as append:
+            append({"step": 2, "total": 0.125})
         lines = open(path).read().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0]) == {"step": 1, "total": 0.25}
