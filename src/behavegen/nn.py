@@ -105,14 +105,15 @@ class Segments:
     in which every segment carries its own ``pad`` replicate rows on each
     side, so every output row is computed from its own segment alone.  The
     gapped layout depends only on the lengths, the kernel and the stride, so
-    it is built once and shared by every convolution at this resolution.
+    it is built once and kept in ``layouts``, which the segments derived from
+    one another share: every resolution of one pack builds each layout once.
     """
 
-    __slots__ = ("lengths", "_layouts")
+    __slots__ = ("lengths", "layouts")
 
-    def __init__(self, lengths):
+    def __init__(self, lengths, layouts: dict | None = None):
         self.lengths = tuple(int(n) for n in lengths)
-        self._layouts = {}
+        self.layouts = {} if layouts is None else layouts
 
     @staticmethod
     def of(x: np.ndarray, seg: "Segments | None") -> "Segments":
@@ -132,8 +133,8 @@ class Segments:
         ``first[r]`` on; ``folds`` pairs, for each further copy ``j``, the
         input rows with more than ``j`` copies and their ``j``-th copies.
         """
-        key = (kernel, stride)
-        if len(self.lengths) > 1 and key not in self._layouts:
+        key = (self.lengths, kernel, stride)
+        if len(self.lengths) > 1 and key not in self.layouts:
             n = np.asarray(self.lengths)
             if np.any(n[:-1] % stride):
                 raise ShapeMismatch(f"segments {self.lengths} not aligned to stride {stride}")
@@ -152,8 +153,8 @@ class Segments:
             copies = np.diff(first, append=take.size)
             more = [np.flatnonzero(copies > j) for j in range(1, copies.max())]
             folds = [(rows, first[rows] + j) for j, rows in enumerate(more, 1)]
-            self._layouts[key] = take, keep, first, folds
-        return self._layouts.get(key)
+            self.layouts[key] = take, keep, first, folds
+        return self.layouts.get(key)
 
 
 class Conv1d(Module):
@@ -182,7 +183,7 @@ class Conv1d(Module):
         return (length + 2 * self.pad - self.kernel) // self.stride + 1
 
     def out_segments(self, seg: Segments) -> Segments:
-        return Segments(self.out_length(n) for n in seg.lengths)
+        return Segments((self.out_length(n) for n in seg.lengths), seg.layouts)
 
     def forward(self, x: np.ndarray, seg: Segments | None = None):
         if x.ndim != 2 or x.shape[1] != self.c_in:
@@ -263,7 +264,7 @@ class Upsample2(Module):
     """
 
     def out_segments(self, seg: Segments) -> Segments:
-        return Segments(2 * n for n in seg.lengths)
+        return Segments((2 * n for n in seg.lengths), seg.layouts)
 
     def forward(self, x: np.ndarray):
         return np.repeat(x, 2, axis=0), x.shape[0]

@@ -12,8 +12,10 @@ trajectory's commands vary smoothly in time.
 """
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     MAX_COUNT,
@@ -98,9 +100,9 @@ class SyntheticWorld:
     """Linear dynamics s' = A_s s + A_a a with policy mean W_s s + W_z z.
 
     ``B_mat`` maps states to the latent feature space used by extraction.
-    ``config`` is the recipe the matrices were drawn from.  The Lipschitz
-    properties are recomputed from the matrices on access so they can never
-    go stale.
+    ``config`` is the recipe the matrices were drawn from.  The matrices are
+    read-only, so the Lipschitz constants are computed once per world, on
+    first access, and can never go stale.
     """
 
     A_s: np.ndarray
@@ -122,6 +124,8 @@ class SyntheticWorld:
         for got, want, name in checks:
             if got != want:
                 raise ShapeMismatch(f"{name}: expected {want}, got {got}")
+        for mat in (self.A_s, self.A_a, self.W_s, self.W_z, self.B_mat):
+            mat.flags.writeable = False
 
     @property
     def state_dim(self) -> int:
@@ -139,25 +143,17 @@ class SyntheticWorld:
     def sigma_pi(self) -> float:
         return self.config.sigma_pi
 
-    @property
-    def closed_loop_state(self) -> np.ndarray:
-        """State-to-state map of the mean dynamics: A_s + A_a W_s."""
-        return self.A_s + self.A_a @ self.W_s
-
-    @property
-    def latent_gain(self) -> np.ndarray:
-        """Latent-to-state map of the mean dynamics: A_a W_z."""
-        return self.A_a @ self.W_z
-
-    @property
+    @cached_property
     def L_s(self) -> float:
-        return operator_norm(self.closed_loop_state)
+        """Norm of the state-to-state map of the mean dynamics, A_s + A_a W_s."""
+        return operator_norm(self.A_s + self.A_a @ self.W_s)
 
-    @property
+    @cached_property
     def L_z(self) -> float:
-        return operator_norm(self.latent_gain)
+        """Norm of the latent-to-state map of the mean dynamics, A_a W_z."""
+        return operator_norm(self.A_a @ self.W_z)
 
-    @property
+    @cached_property
     def L_B(self) -> float:
         return operator_norm(self.B_mat)
 
@@ -247,8 +243,8 @@ def rollout(world: SyntheticWorld, s1, z_seq, stochastic: bool = False, rng=None
         raise RangeError("stochastic rollout needs an explicit rng")
     states = np.empty((z_arr.shape[0] + 1, world.state_dim))
     states[0] = s
-    for t in range(z_arr.shape[0]):
-        act = policy_mean(world, states[t], z_arr[t])
+    for t, z in enumerate(z_arr):  # policy_mean inlined: the inputs are checked above
+        act = world.W_s @ states[t] + world.W_z @ z
         if stochastic:
             act = act + world.sigma_pi * rng.standard_normal(world.action_dim)
         states[t + 1] = world.A_s @ states[t] + world.A_a @ act
@@ -282,10 +278,10 @@ def lookahead_averages(world: SyntheticWorld, cfg: ExtractionConfig, states) -> 
         raise ShapeMismatch("need at least two states to extract a latent")
     feats = s_arr @ world.B_mat.T
     out = np.empty((n_states - 1, world.d_z))
-    span = cfg.lookahead
-    for i in range(n_states - 1):
-        h = min(span, n_states - 1 - i)
-        out[i] = feats[i + 1:i + 1 + h].mean(axis=0)
+    span = min(cfg.lookahead, n_states - 1)
+    out[:n_states - span] = sliding_window_view(feats[1:], span, axis=0).mean(axis=-1)
+    for i in range(n_states - span, n_states - 1):  # the windows cut short by the end
+        out[i] = feats[i + 1:].mean(axis=0)
     return out
 
 

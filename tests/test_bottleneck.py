@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from behavegen import bottleneck
 from behavegen.bottleneck import (
     _PACK_BYTES,
     BatchItem,
@@ -48,7 +49,7 @@ from behavegen.errors import (
     RangeError,
     ShapeMismatch,
 )
-from behavegen.nn import finite_difference_grads, relative_grad_error
+from behavegen.nn import Segments, finite_difference_grads, relative_grad_error
 from behavegen.world import (
     DatasetSpec,
     ExtractionConfig,
@@ -540,6 +541,27 @@ class TestPackedStep:
         padded = [-(-t_len // 8) * 8 for t_len, _ in SEVERAL_CHUNKS]
         assert len(_chunks(padded, 6)) == 3
         assert _chunks([PACK_FRAMES + 8, 8, 8], 6) == [(0, 1), (1, 3)]
+
+    def test_each_layout_built_once_per_chunk(self, monkeypatch):
+        # the decoder's stride-1 layouts at the encoder's resolutions are the
+        # encoder's: 2 * levels + 1 distinct layouts per chunk of several items
+        stores = []
+
+        class Recording(Segments):
+            __slots__ = ()
+
+            def __init__(self, lengths, layouts=None):
+                super().__init__(lengths, layouts)
+                if layouts is None:
+                    stores.append((self.lengths, self.layouts))
+
+        model, batch, noises = self._batch(*zip(*SEVERAL_CHUNKS), 7)
+        monkeypatch.setattr(bottleneck, "Segments", Recording)
+        vbb_grad(model, self.world, batch, noises)
+        assert len(stores) == 3
+        for lengths, layouts in stores:
+            assert len(layouts) == (2 * self.cfg.levels + 1 if len(lengths) > 1 else 0)
+        assert any(len(lengths) > 1 for lengths, _ in stores)
 
     def test_encode_packed_matches_encode(self):
         model, batch, _ = self._batch((13, 8, 1, 40, 90, 90, 90, 90), (1,) * 8, 5)

@@ -579,6 +579,18 @@ class TestDeterminism:
         original = open(workdir["vbb"] + ".bin", "rb").read()
         assert open(str(out) + ".bin", "rb").read() == original
 
+    def test_verify_bounds_byte_identical(self, tmp_path, capsys):
+        # the wall-clock time is printed but stays out of the file
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        for out in (a, b):
+            assert main(["verify-bounds", "--seed", "3", "--n-compression", "10",
+                         "--n-smoothing", "4", "--n-margin", "10",
+                         "--out", str(out)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert "elapsed_seconds" not in read_json(str(a))
+        assert capsys.readouterr().out.count("elapsed ") == 2
+
     def test_env_seed_changes_dataset(self, workdir, tmp_path, monkeypatch):
         monkeypatch.setenv("BEHAVE_SEED", "999")
         out = tmp_path / "other.json"

@@ -12,7 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from behavegen.serialization import canon_dumps
+from behavegen import cli
+from behavegen.serialization import canon_dumps, read_json
 from behavegen.world import (
     DatasetSpec,
     ExtractionConfig,
@@ -21,6 +22,7 @@ from behavegen.world import (
     make_vocabulary,
     make_world,
 )
+from test_cli import TINY_CONFIG
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -59,6 +61,19 @@ def test_dataset_check_accepts_written_and_read_documents():
     written = dataset_to_dict(world, extraction, spec, 3, samples)
     read = json.loads(canon_dumps(written))
     assert load("workloads")._same_dataset(written, read)
+
+
+def test_gen_data_write_is_captured_and_matches_the_file(tmp_path):
+    # the corpus_eval check: gen-data makes one write_json call, and the
+    # document it passed reads back from the file as the same dataset
+    config, data = tmp_path / "cfg.json", tmp_path / "data.json"
+    config.write_text(json.dumps(TINY_CONFIG))
+    workloads = load("workloads")
+    written = []
+    with workloads._capture_writes(written):
+        rc = cli.main(["gen-data", "--config", str(config), "--out", str(data)])
+    assert rc == 0 and len(written) == 1
+    assert workloads._same_dataset(written[0], read_json(str(data)))
 
 
 def test_benchmark_smoke_run():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from behavegen.bottleneck import BottleneckConfig, TrainConfig
 from behavegen.cli import BottleneckHyperparams, FlowHyperparams
@@ -34,7 +35,106 @@ from behavegen.serialization import (
 from behavegen.world import CorpusRecipe, DatasetSpec, ExtractionConfig, WorldConfig
 
 
+def reference_dumps(obj, indent: int = 2) -> str:
+    """The per-value recursive writer ``canon_dumps`` must match byte for byte."""
+    pieces = []
+    _reference_write(obj, pieces, indent, 0)
+    return "".join(pieces) + "\n"
+
+
+def _reference_write(obj, out, indent, depth):
+    pad = " " * (indent * depth)
+    pad_in = " " * (indent * (depth + 1))
+    if isinstance(obj, np.ndarray):
+        _reference_write(obj.tolist(), out, indent, depth)
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        keys = sorted(obj.keys())
+        for i, k in enumerate(keys):
+            out.append(f"{pad_in}{json.dumps(k)}: ")
+            _reference_write(obj[k], out, indent, depth + 1)
+            out.append(",\n" if i < len(keys) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            out.append("[]")
+            return
+        if all(isinstance(v, (int, float, np.integer, np.floating)) for v in seq):
+            out.append("[" + ", ".join(_reference_scalar(v) for v in seq) + "]")
+            return
+        out.append("[\n")
+        for i, v in enumerate(seq):
+            out.append(pad_in)
+            _reference_write(v, out, indent, depth + 1)
+            out.append(",\n" if i < len(seq) - 1 else "\n")
+        out.append(pad + "]")
+    else:
+        out.append(_reference_scalar(obj))
+
+
+def _reference_scalar(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        if not np.isfinite(v):
+            raise NonFiniteInput("cannot serialise non-finite float")
+        text = format(float(v), ".17g")
+        if "." not in text and "e" not in text and "E" not in text:
+            text += ".0"
+        return text
+    if v is None:
+        return "null"
+    if isinstance(v, str):
+        return json.dumps(v)
+    raise TypeError(f"unsupported JSON value type {type(v)}")
+
+
+# integral floats take the .0 rule; the rest are extremes of the format
+EDGE_FLOATS = [0.0, -0.0, 1.0, -7.0, 1e16, -1e16, 1e17, 5e-324, -5e-324, 0.1,
+               1.7976931348623157e308, -1.7976931348623157e308]
+finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                          st.floats(allow_nan=False, allow_infinity=False),
+                          st.integers(-10 ** 6, 10 ** 6).map(float))
+shapes = array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+leaves = st.one_of(
+    arrays(np.float64, shapes, elements=finite_floats),
+    arrays(np.int64, shapes, elements=st.integers(-10 ** 12, 10 ** 12)),
+    finite_floats, st.integers(-10 ** 6, 10 ** 6), st.booleans(), st.none(),
+    st.text(max_size=4),
+    st.lists(finite_floats, max_size=5),
+    st.lists(st.one_of(finite_floats, st.integers(-9, 9)), max_size=5))
+documents = st.recursive(
+    leaves, lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                    st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=10)
+
+
 class TestCanonJson:
+    @given(documents)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_writer(self, doc):
+        for indent in (0, 2):
+            assert canon_dumps(doc, indent=indent) == reference_dumps(doc, indent=indent)
+
+    @given(arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=3),
+                  elements=finite_floats),
+           st.integers(0, 2 ** 16), st.sampled_from([np.nan, np.inf, -np.inf]),
+           st.sampled_from(["array", "list", "scalar"]))
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_anywhere_rejected(self, arr, where, bad, form):
+        arr.flat[where % arr.size] = bad
+        leaf = {"array": arr, "list": arr.ravel().tolist(), "scalar": bad}[form]
+        for indent in (0, 2):
+            with pytest.raises(NonFiniteInput):
+                canon_dumps({"a": [1, {"b": leaf}]}, indent=indent)
+
+
     def test_floats_round_trip_exactly(self):
         rng = np.random.default_rng(0)
         values = list(rng.normal(size=200) * 10 ** rng.uniform(-12, 12, size=200))

@@ -10,7 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import behavegen.world as world_module
 from behavegen.errors import (
     CountMismatch,
     DimensionMismatch,
@@ -67,6 +70,28 @@ def extraction_oracle(b_mat, lookahead, states):
         norm = math.sqrt(sum(a * a for a in avg))
         out.append([math.sqrt(d_z) * a / norm for a in avg])
     return np.asarray(out)
+
+
+def loop_rollout(world, s1, z_seq, stochastic=False, rng=None):
+    """Rollout one ``policy_mean`` call per step, as ``rollout`` must match."""
+    states = [np.asarray(s1, dtype=float)]
+    for z in np.asarray(z_seq, dtype=float):
+        act = policy_mean(world, states[-1], z)
+        if stochastic:
+            act = act + world.sigma_pi * rng.standard_normal(world.action_dim)
+        states.append(world.A_s @ states[-1] + world.A_a @ act)
+    return np.array(states)
+
+
+def loop_lookahead_averages(world, cfg, states):
+    """Windowed averages of B s, one ``mean`` per row."""
+    feats = np.asarray(states, dtype=float) @ world.B_mat.T
+    n_states = feats.shape[0]
+    out = np.empty((n_states - 1, world.d_z))
+    for i in range(n_states - 1):
+        h = min(cfg.lookahead, n_states - 1 - i)
+        out[i] = feats[i + 1:i + 1 + h].mean(axis=0)
+    return out
 
 
 def mc_gaussian_kl(mu_p, mu_q, sigma, rng, n=200_000):
@@ -127,11 +152,14 @@ class TestOperatorNorm:
                 for name in ("A_s", "A_a", "W_s", "W_z", "B_mat"):
                     assert getattr(again, name).tobytes() == getattr(w, name).tobytes()
 
-    def test_properties_are_recomputed(self):
+    def test_norms_computed_once_over_read_only_matrices(self, monkeypatch):
         w = small_world(seed=3)
         first = (w.L_s, w.L_z, w.L_B)
-        second = (w.L_s, w.L_z, w.L_B)
-        assert first == second
+        monkeypatch.setattr(world_module, "operator_norm", lambda *a, **k: pytest.fail("recomputed"))
+        assert (w.L_s, w.L_z, w.L_B) == first
+        for name in ("A_s", "A_a", "W_s", "W_z", "B_mat"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(w, name)[0, 0] = 1.0
 
 
 class TestDynamics:
@@ -187,6 +215,19 @@ class TestDynamics:
         clean = rollout(w, s1, z_seq)
         assert not np.allclose(noisy, clean)
 
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 40), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_rollout_matches_policy_mean_loop(self, seed, n_steps, stochastic):
+        rng = np.random.default_rng(seed)
+        w = random_world(rng)
+        z_seq = rng.normal(size=(n_steps, w.d_z))
+        s1 = rng.normal(size=w.state_dim)
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = rollout(w, s1, z_seq, stochastic, rng_got if stochastic else None)
+        want = loop_rollout(w, s1, z_seq, stochastic, rng_want)
+        np.testing.assert_array_equal(got, want)
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
     def test_dimension_checks(self):
         w = small_world()
         with pytest.raises(DimensionMismatch):
@@ -210,6 +251,17 @@ class TestExtraction:
             want = extraction_oracle(w.B_mat.tolist(), lookahead, states.tolist())
             np.testing.assert_allclose(got, want, rtol=1e-10)
             assert got.shape == (11, w.d_z)
+
+    def test_windowed_averages_match_row_loop(self):
+        rng = np.random.default_rng(12)
+        for d_z in range(1, 13):
+            w = small_world(seed=d_z, d_z=d_z)
+            for n_states in range(2, 61):
+                states = rng.normal(size=(n_states, w.state_dim)) * 10 ** rng.uniform(-3, 3)
+                for lookahead in range(1, 17):
+                    cfg = ExtractionConfig(lookahead=lookahead)
+                    np.testing.assert_array_equal(lookahead_averages(w, cfg, states),
+                                                  loop_lookahead_averages(w, cfg, states))
 
     def test_constant_states_give_constant_latent(self):
         w = small_world(seed=19)
