@@ -314,9 +314,14 @@ def retrieval_scores(model: BottleneckModel, vocab, samples) -> np.ndarray:
                              model.cfg.lambda_frm)
 
 
-def training_prototypes(samples, n_behaviors: int, d_z: int) -> np.ndarray:
+def training_prototypes(samples, n_behaviors: int, d_z: int):
     """Per-behavior reference directions: the normalised mean latent over each
-    behavior's single-stage training samples."""
+    behavior's single-stage training samples.
+
+    Returns the ids of the behaviors that have such a sample, in order, and
+    their prototypes.  A behavior without one drops out of the match; fewer
+    than two left leaves nothing to tell apart.
+    """
     sums = np.zeros((n_behaviors, d_z))
     counts = np.zeros(n_behaviors, dtype=int)
     for s in samples:
@@ -324,28 +329,33 @@ def training_prototypes(samples, n_behaviors: int, d_z: int) -> np.ndarray:
             b = s.token_ids[0]
             sums[b] += s.latents.mean(axis=0)
             counts[b] += 1
-    if (counts == 0).any():
-        missing = [b for b in range(n_behaviors) if counts[b] == 0]
-        raise TooFewSamples(f"no single-stage samples for behaviors {missing}")
+    ids = np.flatnonzero(counts)
+    if ids.size < 2:
+        raise TooFewSamples(f"single-stage training samples cover behaviors "
+                            f"{ids.tolist()}, need at least two")
+    sums = sums[ids]
     norms = np.linalg.norm(sums, axis=1, keepdims=True)
     if (norms < 1e-12).any():
         raise TooFewSamples("a behavior's mean latent collapsed to zero")
-    return sums / norms
+    return ids.tolist(), sums / norms
 
 
 def generation_study(flow, bottleneck, vocab, world, spec, sampler, t_m: int,
-                     seed: int, protos: np.ndarray, per_behavior: int = 16):
-    """Generate each single-behavior prompt repeatedly and score how often the
-    decoded latents' nearest training prototype is the prompted one, plus the
-    spread of the generations in the joint embedding space."""
+                     seed: int, behavior_ids, protos: np.ndarray,
+                     per_behavior: int = 16):
+    """Generate each single-behavior prompt in ``behavior_ids`` repeatedly and
+    score how often the decoded latents' nearest prototype among ``protos``
+    (one per id) is the prompted one, plus the spread of the generations in
+    the joint embedding space."""
     contexts, noises, expected = [], [], []
     rng = np.random.default_rng(seed)
-    for b, word in enumerate(spec.behaviors):
+    for k, b in enumerate(behavior_ids):
+        word = spec.behaviors[b]
         y_vec = embed_text(bottleneck, vocab.embeddings[list(vocab.encode(word))])
         for _ in range(per_behavior):
             contexts.append(y_vec)
             noises.append(rng.standard_normal((t_m, bottleneck.cfg.d_m)))
-            expected.append(b)
+            expected.append(k)
     programs = euler_sample(flow, noises, sampler, contexts)
     mean_latents = [z.mean(axis=0) for z in decode_packed(bottleneck, programs)]
     frames = project_program_frames(bottleneck, np.concatenate(programs))
@@ -377,11 +387,11 @@ def cmd_eval(args) -> int:
     top1 = retrieval_accuracy(sims, 1)
     top5 = retrieval_accuracy(sims, min(5, len(retrieval_set)))
 
-    protos = training_prototypes(_train_split(samples, args.holdout),
-                                 len(spec.behaviors), world.d_z)
+    ids, protos = training_prototypes(_train_split(samples, args.holdout),
+                                      len(spec.behaviors), world.d_z)
     match, div = generation_study(flow, bottleneck, vocab, world, spec,
                                   cfg.sampler, cfg.generation.t_m, cfg.seed,
-                                  protos)
+                                  ids, protos)
 
     report = EvalReport(
         n_samples=len(eval_samples),

@@ -119,11 +119,9 @@ def verify_smoothing_bound(world: SyntheticWorld, cfg: ExtractionConfig,
     full = averages[:n_z - span + 1]  # rows with a complete window
 
     feats = s_arr @ world.B_mat.T
-    worst_tel = 0.0
-    for i in range(full.shape[0] - 1):
-        lhs = full[i + 1] - full[i]
-        rhs = (feats[i + 1 + span] - feats[i + 1]) / span
-        worst_tel = max(worst_tel, float(np.max(np.abs(lhs - rhs))))
+    n_full = full.shape[0]
+    rhs = (feats[1 + span:n_full + span] - feats[1:n_full]) / span
+    worst_tel = float(np.max(np.abs(np.diff(full, axis=0) - rhs)))
     telescope_ok = worst_tel <= TELESCOPE_TOL
 
     rho = float(np.min(np.linalg.norm(full, axis=1)))
@@ -136,7 +134,7 @@ def verify_smoothing_bound(world: SyntheticWorld, cfg: ExtractionConfig,
     d_z = world.d_z
     state_var = sum(
         float(np.linalg.norm(s_arr[i + 1 + span] - s_arr[i + 1]))
-        for i in range(full.shape[0] - 1)
+        for i in range(n_full - 1)
     )
     cap = (2.0 * np.sqrt(d_z) * world.L_B / (rho * span)) * state_var
     tv_ok = bool(tv <= cap + BOUND_TOL)
@@ -255,12 +253,10 @@ def margin_tight_instance(d: int, eta: float, n_negatives: int = 1):
 
 def random_sphere_walk(rng, n_steps: int, d_z: int, step: float = 0.35):
     """Correlated on-sphere trajectory: a projected Gaussian random walk."""
-    raw = np.empty((n_steps, d_z))
-    raw[0] = rng.standard_normal(d_z)
-    for t in range(1, n_steps):
-        raw[t] = raw[t - 1] + step * rng.standard_normal(d_z)
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    low = norms[:, 0] < 1e-6
+    raw = rng.standard_normal((n_steps, d_z))
+    raw[1:] *= step
+    raw = np.cumsum(raw, axis=0)
+    low = np.linalg.norm(raw, axis=1) < 1e-6
     raw[low] = rng.standard_normal((int(low.sum()), d_z))
     return project_rows(raw)
 

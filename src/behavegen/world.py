@@ -3,7 +3,7 @@
 The world is a linear stand-in for a frozen behavior engine: a latent command
 z steers a linear policy whose actions drive linear dynamics.  Everything is
 chosen so the Lipschitz constants that the rollout-error bound needs are exact
-operator norms of small matrices, computable to tight tolerance.
+operator norms of small matrices, which an SVD gives to rounding.
 
 Latent commands are extracted from state trajectories by averaging a linear
 feature of the next ``lookahead`` states and projecting the average onto the
@@ -32,16 +32,12 @@ from .errors import (
 from .geometry import project_rows
 from .serialization import from_doc, to_doc
 
-OPNORM_REL_TOL = 1e-10
-OPNORM_MAX_ITER = 1000
 
+def operator_norm(mat) -> float:
+    """Largest singular value, from LAPACK's SVD.
 
-def operator_norm(mat, rel_tol: float = OPNORM_REL_TOL, max_iter: int = OPNORM_MAX_ITER) -> float:
-    """Largest singular value by power iteration on M^T M.
-
-    Deterministic: the starting vector is fixed by the matrix shape.  Stops
-    when the Rayleigh estimate is stable to ``rel_tol`` or after ``max_iter``
-    rounds, whichever is first.
+    Exact to rounding on every spectrum, near-degenerate ones included, and
+    deterministic for a given matrix.
     """
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2:
@@ -50,22 +46,7 @@ def operator_norm(mat, rel_tol: float = OPNORM_REL_TOL, max_iter: int = OPNORM_M
         raise NonFiniteState("matrix contains non-finite entries")
     if m.size == 0:
         return 0.0
-    gram = m.T @ m
-    rng = np.random.default_rng(np.int64(m.shape[0] * 1000003 + m.shape[1]))
-    v = rng.normal(size=m.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        new_sigma = float(np.sqrt(norm_w))
-        if abs(new_sigma - sigma) <= rel_tol * max(new_sigma, 1e-300):
-            return new_sigma
-        sigma = new_sigma
-    return sigma
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 @dataclass(frozen=True)
@@ -241,13 +222,14 @@ def rollout(world: SyntheticWorld, s1, z_seq, stochastic: bool = False, rng=None
         raise DimensionMismatch(f"initial state has shape {s.shape}")
     if stochastic and rng is None:
         raise RangeError("stochastic rollout needs an explicit rng")
+    W_s, W_z, A_s, A_a = world.W_s, world.W_z, world.A_s, world.A_a
     states = np.empty((z_arr.shape[0] + 1, world.state_dim))
     states[0] = s
-    for t, z in enumerate(z_arr):  # policy_mean inlined: the inputs are checked above
-        act = world.W_s @ states[t] + world.W_z @ z
+    for t, z in enumerate(z_arr, 1):  # policy_mean inlined: the inputs are checked above
+        act = W_s @ s + W_z @ z
         if stochastic:
             act = act + world.sigma_pi * rng.standard_normal(world.action_dim)
-        states[t + 1] = world.A_s @ states[t] + world.A_a @ act
+        s = states[t] = A_s @ s + A_a @ act
     if not np.all(np.isfinite(states)):
         raise NonFiniteState("rollout diverged to non-finite states")
     return states

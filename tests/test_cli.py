@@ -15,8 +15,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import behavegen.cli as cli
-from behavegen.cli import main
+from behavegen.cli import main, training_prototypes
+from behavegen.errors import TooFewSamples
 from behavegen.serialization import read_json
+from behavegen.world import Sample
 
 TINY_CONFIG = {
     "schema_version": 1,
@@ -173,6 +175,87 @@ class TestEval:
                    "--out", str(tmp_path / "e.json"),
                    "--retrieval-batch", "10000"])
         assert rc == 2
+
+
+def _single_stage(b, mean_latent, frames=3):
+    latents = np.tile(np.asarray(mean_latent, dtype=float), (frames, 1))
+    return Sample(token_ids=(b,), states=np.zeros((frames + 1, 2)), latents=latents)
+
+
+class TestTrainingPrototypes:
+    def test_behaviors_without_single_stage_sample_drop_out(self):
+        samples = [
+            _single_stage(0, [3.0, 4.0]),
+            _single_stage(0, [3.0, 4.0]),
+            # multi-stage samples never make a prototype
+            Sample(token_ids=(1, 3, 2), states=np.zeros((4, 2)), latents=np.ones((3, 2))),
+            _single_stage(2, [0.0, -2.0]),
+        ]
+        ids, protos = training_prototypes(samples, 3, 2)
+        assert ids == [0, 2]
+        np.testing.assert_array_equal(protos, [[0.6, 0.8], [0.0, -1.0]])
+
+    def test_fewer_than_two_prototypes_rejected(self):
+        samples = [_single_stage(1, [1.0, 0.0]),
+                   Sample(token_ids=(0, 2, 1), states=np.zeros((4, 2)),
+                          latents=np.ones((3, 2)))]
+        with pytest.raises(TooFewSamples, match=r"behaviors \[1\], need at least two"):
+            training_prototypes(samples, 2, 2)
+
+
+THREE_BEHAVIORS = {**TINY_CONFIG, "dataset": {**TINY_CONFIG["dataset"], "n_samples": 30,
+                                              "behaviors": ["walk", "turn", "sit"]}}
+
+
+@pytest.fixture(scope="class")
+def three_behaviors(tmp_path_factory):
+    """A three-behavior corpus with trained checkpoints."""
+    root = tmp_path_factory.mktemp("three")
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps(THREE_BEHAVIORS))
+    paths = {name: str(root / name) for name in ("data.json", "vbb", "flow")}
+    assert main(["gen-data", "--config", str(cfg), "--out", paths["data.json"]]) == 0
+    assert main(["train-vbb", "--config", str(cfg), "--data", paths["data.json"],
+                 "--out", paths["vbb"]]) == 0
+    assert main(["train-flow", "--config", str(cfg), "--data", paths["data.json"],
+                 "--vbb", paths["vbb"], "--out", paths["flow"]]) == 0
+    return {"cfg": str(cfg), **paths}
+
+
+class TestEvalPrototypes:
+    def _eval(self, three_behaviors, tmp_path, drop):
+        """Eval on the corpus without the single-stage samples of ``drop``."""
+        doc = read_json(three_behaviors["data.json"])
+        doc["samples"] = [s for s in doc["samples"]
+                          if not (len(s["prompt_tokens"]) == 1 and s["prompt_tokens"][0] in drop)]
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps(doc))
+        out = tmp_path / "eval.json"
+        rc = main(["eval", "--config", three_behaviors["cfg"], "--data", str(data),
+                   "--vbb", three_behaviors["vbb"], "--flow", three_behaviors["flow"],
+                   "--out", str(out), "--n-eval", "8", "--retrieval-batch", "3"])
+        return rc, out
+
+    def test_behavior_without_prototype_left_out(self, three_behaviors, tmp_path,
+                                                 monkeypatch):
+        scored = []
+
+        def spy(mean_latents, expected_ids, prototypes):
+            scored.append((list(expected_ids), prototypes.shape))
+            return match_rate(mean_latents, expected_ids, prototypes)
+
+        match_rate = cli.prototype_match_rate
+        monkeypatch.setattr(cli, "prototype_match_rate", spy)
+        rc, out = self._eval(three_behaviors, tmp_path, drop=(2,))
+        assert rc == 0
+        # 16 generations for each of the two behaviors that have a prototype
+        assert scored == [([0] * 16 + [1] * 16, (2, 2))]
+        assert 0.0 <= read_json(str(out))["prototype_match"] <= 1.0
+
+    def test_one_prototype_left_exits_2(self, three_behaviors, tmp_path, capsys):
+        rc, _ = self._eval(three_behaviors, tmp_path, drop=(0, 2))
+        err = capsys.readouterr().err
+        assert rc == 2 and len(err.splitlines()) == 1 and "need at least two" in err, err
 
 
 class TestVerifyBounds:

@@ -4,6 +4,8 @@ degenerate inputs raise instead of certifying vacuously."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from behavegen.errors import (
     CountMismatch,
@@ -11,7 +13,7 @@ from behavegen.errors import (
     PreconditionViolated,
     RangeError,
 )
-from behavegen.geometry import piecewise_constant_approx, total_variation
+from behavegen.geometry import piecewise_constant_approx, project_rows, total_variation
 from behavegen.theory import (
     compression_instance,
     margin_instance,
@@ -25,7 +27,36 @@ from behavegen.theory import (
     verify_margin_bound,
     verify_smoothing_bound,
 )
-from behavegen.world import ExtractionConfig, make_world, rollout
+from behavegen.world import ExtractionConfig, lookahead_averages, make_world, rollout
+
+
+# ---------------------------------------------------------------------------
+# loop oracles
+# ---------------------------------------------------------------------------
+
+def loop_sphere_walk(rng, n_steps, d_z, step=0.35):
+    """random_sphere_walk one step at a time, one draw of d_z normals per step."""
+    raw = np.empty((n_steps, d_z))
+    raw[0] = rng.standard_normal(d_z)
+    for t in range(1, n_steps):
+        raw[t] = raw[t - 1] + step * rng.standard_normal(d_z)
+    low = np.linalg.norm(raw, axis=1) < 1e-6
+    raw[low] = rng.standard_normal((int(low.sum()), d_z))
+    return project_rows(raw)
+
+
+def loop_worst_telescope(world, cfg, states):
+    """Largest telescope residual of verify_smoothing_bound, one window pair
+    at a time over the same full-window averages."""
+    span = cfg.lookahead
+    full = lookahead_averages(world, cfg, states)[:states.shape[0] - span]
+    feats = states @ world.B_mat.T
+    worst = 0.0
+    for i in range(full.shape[0] - 1):
+        lhs = full[i + 1] - full[i]
+        rhs = (feats[i + 1 + span] - feats[i + 1]) / span
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +124,23 @@ class TestCompressionBound:
 # ---------------------------------------------------------------------------
 
 class TestSmoothingBound:
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_telescope_matches_loop_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        world = random_world(rng)
+        span = int(rng.integers(1, 8))
+        z = random_sphere_walk(rng, int(rng.integers(span + 1, span + 40)), world.d_z)
+        states = rollout(world, 0.5 * rng.standard_normal(world.state_dim), z)
+        cfg = ExtractionConfig(lookahead=span)
+        try:
+            rep = verify_smoothing_bound(world, cfg, states)
+        except DegenerateRho:
+            return
+        worst = loop_worst_telescope(world, cfg, states)
+        assert rep["worst_telescope"] == worst
+        assert rep["telescope_ok"] == (worst <= 1e-10)
+
     def test_report_matches_loop_recomputation(self):
         rng = np.random.default_rng(8)
         world = make_world(state_dim=4, action_dim=3, d_z=3, target_L_s=0.8,
@@ -274,6 +322,16 @@ class TestSuites:
 
 
 class TestRandomGenerators:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 80), st.integers(1, 8),
+           st.sampled_from([0.35, 0.01, 3.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_sphere_walk_matches_loop(self, seed, n_steps, d_z, step):
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_sphere_walk(rng_got, n_steps, d_z, step)
+        want = loop_sphere_walk(rng_want, n_steps, d_z, step)
+        np.testing.assert_array_equal(got, want)
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
     def test_sphere_walk_on_sphere(self):
         rng = np.random.default_rng(14)
         z = random_sphere_walk(rng, 50, 4)
