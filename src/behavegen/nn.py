@@ -194,8 +194,9 @@ class Conv1d(Module):
         layout = seg.gapped(self.kernel, self.stride)
         xp = replicate_pad(x, self.pad) if layout is None else x[layout[0]]
         t_out = (xp.shape[0] - self.kernel) // self.stride + 1
-        y = np.tile(self.b.value, (t_out, 1))
-        for i in range(self.kernel):
+        y = xp[:self.stride * t_out:self.stride] @ self.W.value[0]
+        y += self.b.value  # p0 + b == b + p0, so the sum keeps its bits
+        for i in range(1, self.kernel):
             y += xp[i:i + self.stride * t_out:self.stride] @ self.W.value[i]
         return (y if layout is None else y[layout[1]]), (xp, t_out, layout)
 

@@ -11,7 +11,7 @@ can aggregate and surface failures:
   difference telescopes to an exact two-state expression, which caps the
   total variation of the projected latents;
 * contrastive margin separation: a pooled-embedding gap floor and the induced
-  retrieval probability floor, plus the construction that attains both.
+  retrieval probability floor.
 
 Random instance generators and suite runners live here too; the command-line
 ``verify-bounds`` subcommand is a thin wrapper over ``run_suites``.
@@ -43,6 +43,7 @@ from .world import (
     lookahead_averages,
     make_world,
     rollout,
+    rollouts,
 )
 
 BOUND_TOL = 1e-9
@@ -63,8 +64,7 @@ def verify_compression_bound(world: SyntheticWorld, z_traj, m: int, s1) -> dict:
     delta = v_total / (m - 1)
     dev = max_deviation(z, approx)
 
-    states_ref = rollout(world, s1, z)
-    states_hat = rollout(world, s1, approx)
+    states_ref, states_hat = rollouts(world, (s1, s1), (z, approx))
     errs = np.linalg.norm(states_ref - states_hat, axis=1)
 
     l_s, l_z = world.L_s, world.L_z
@@ -223,28 +223,6 @@ def verify_margin_bound(e_y, e_m, negatives, delta: float, tau: float) -> dict:
         "prob_ok": bool(prob_ok),
         "n_negatives": n_neg,
     }
-
-
-def margin_tight_instance(d: int, eta: float, n_negatives: int = 1):
-    """Embeddings that attain the gap and probability floors exactly.
-
-    The negative along (e_m - e_y) / ||e_m - e_y|| has cosine -sqrt(eta/2)
-    with e_y, so delta = 1 + sqrt(eta/2) makes the precondition an equality
-    and the realized gap equal to its floor.
-    """
-    if d < 2:
-        raise RangeError("need at least two dimensions")
-    if not (0.0 < eta < 2.0):
-        raise RangeError(f"eta = {eta} outside (0, 2)")
-    e_y = np.zeros(d)
-    e_y[0] = 1.0
-    # unit e_m at angle theta with cos(theta) = 1 - eta
-    e_m = np.zeros(d)
-    e_m[0] = 1.0 - eta
-    e_m[1] = np.sqrt(1.0 - (1.0 - eta) ** 2)
-    e_neg = _unit(e_m - e_y)
-    delta = 1.0 + np.sqrt(eta / 2.0)
-    return e_y, e_m, [e_neg] * n_negatives, delta
 
 
 # ---------------------------------------------------------------------------

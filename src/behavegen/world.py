@@ -193,46 +193,69 @@ def world_from_config(doc: dict) -> SyntheticWorld:
     return make_world(**asdict(from_doc(WorldConfig, doc, "world")))
 
 
-def policy_mean(world: SyntheticWorld, s, z) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if s.shape != (world.state_dim,):
-        raise DimensionMismatch(f"state has shape {s.shape}, want ({world.state_dim},)")
-    if z.shape != (world.d_z,):
-        raise DimensionMismatch(f"latent has shape {z.shape}, want ({world.d_z},)")
-    return world.W_s @ s + world.W_z @ z
-
-
-def step(world: SyntheticWorld, s, z) -> np.ndarray:
-    """One step of the deterministic mean dynamics."""
-    return world.A_s @ np.asarray(s, dtype=float) + world.A_a @ policy_mean(world, s, z)
-
-
 def rollout(world: SyntheticWorld, s1, z_seq, stochastic: bool = False, rng=None) -> np.ndarray:
     """Roll the world for len(z_seq) steps; returns [T_z + 1, state_dim] states.
 
     The default follows the mean policy exactly.  With ``stochastic=True``
     actions get N(0, sigma_pi^2 I) noise drawn from ``rng``.
     """
-    z_arr = np.asarray(z_seq, dtype=float)
-    if z_arr.ndim != 2 or z_arr.shape[1] != world.d_z:
-        raise DimensionMismatch(f"latent sequence has shape {z_arr.shape}")
-    s = np.asarray(s1, dtype=float)
-    if s.shape != (world.state_dim,):
-        raise DimensionMismatch(f"initial state has shape {s.shape}")
+    return rollouts(world, (s1,), (z_seq,), stochastic, rng)[0]
+
+
+def rollouts(world: SyntheticWorld, s1s, z_seqs, stochastic: bool = False, rng=None) -> list:
+    """Roll sequence i from ``s1s[i]`` under ``z_seqs[i]``; returns each
+    sequence's [T_i + 1, state_dim] states, in input order.
+
+    Sequences are sorted longest first and packed time-major, so step t
+    advances the first live[t] of them.  Each product is a stacked matmul over
+    (d, 1) columns, which NumPy runs as one gemv per item like ``M @ v``, so
+    every sequence gets the bits of a rollout of its own.  A stochastic step
+    draws ``rng.standard_normal((live[t], action_dim))``.
+    """
+    n_seq = len(z_seqs)
+    if n_seq == 0 or len(s1s) != n_seq:
+        raise CountMismatch(f"rollouts needs one initial state per latent sequence, "
+                            f"got {len(s1s)} states and {n_seq} sequences")
     if stochastic and rng is None:
         raise RangeError("stochastic rollout needs an explicit rng")
-    W_s, W_z, A_s, A_a = world.W_s, world.W_z, world.A_s, world.A_a
-    states = np.empty((z_arr.shape[0] + 1, world.state_dim))
-    states[0] = s
-    for t, z in enumerate(z_arr, 1):  # policy_mean inlined: the inputs are checked above
-        act = W_s @ s + W_z @ z
+    zs = [np.asarray(z, dtype=float) for z in z_seqs]
+    for z in zs:
+        if z.ndim != 2 or z.shape[1] != world.d_z:
+            raise DimensionMismatch(f"latent sequence has shape {z.shape}")
+    order = sorted(range(n_seq), key=lambda i: len(zs[i]), reverse=True)
+    lens = [len(zs[i]) for i in order]
+    s1 = np.asarray([s1s[i] for i in order], dtype=float)
+    if s1.shape != (n_seq, world.state_dim):
+        raise DimensionMismatch(f"initial states have shape {s1.shape}")
+    live = []  # live[t - 1]: how many sequences take step t
+    for r, end in zip(range(n_seq, 0, -1), [0] + lens[:0:-1]):
+        live += [r] * (lens[r - 1] - end)
+    states = np.empty((n_seq + sum(lens), world.state_dim, 1))  # s1s, then step by step
+    states[:n_seq, :, 0] = s1
+    z_packed = zs[0]
+    if n_seq > 1:
+        starts = np.cumsum([0] + live[:-1])  # first packed frame of each step
+        z_packed = np.empty((sum(lens), world.d_z))
+        for r, i in enumerate(order):
+            z_packed[starts[:lens[r]] + r] = zs[i]
+    W_s, A_s, A_a = world.W_s, world.A_s, world.A_a
+    wz = world.W_z @ z_packed[..., None]
+    s, at = states[:n_seq], 0  # the previous step's states; its first packed frame
+    for k in live:
+        if k < len(s):
+            s = s[:k]
+        act = W_s @ s
+        act += wz[at:at + k]
         if stochastic:
-            act = act + world.sigma_pi * rng.standard_normal(world.action_dim)
-        s = states[t] = A_s @ s + A_a @ act
-    if not np.all(np.isfinite(states)):
+            act += world.sigma_pi * rng.standard_normal((k, world.action_dim))[..., None]
+        s = np.add(A_s @ s, A_a @ act, out=states[n_seq + at:n_seq + at + k])
+        at += k
+    if not np.isfinite(states).all():
         raise NonFiniteState("rollout diverged to non-finite states")
-    return states
+    if n_seq == 1:
+        return [states[..., 0]]
+    rank = sorted(range(n_seq), key=order.__getitem__)
+    return [states[np.concatenate(([r], n_seq + r + starts[:lens[r]])), :, 0] for r in rank]
 
 
 @dataclass(frozen=True)
@@ -433,53 +456,44 @@ def prototype_directions(n_behaviors: int, d_z: int, seed: int) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=1)[:, None]
 
 
-def sample_seeds(master_seed: int, count: int):
-    """Deterministic per-item seed sequences spawned from one master seed."""
-    return np.random.SeedSequence(master_seed).spawn(count)
-
-
-def build_script(spec: DatasetSpec, protos: np.ndarray, behavior_ids, durations, rng) -> np.ndarray:
-    """Latent command script: noisy sphere-projected prototype per stage frame."""
-    rows = []
-    for b, dur in zip(behavior_ids, durations):
-        base = protos[b]
-        noise = spec.script_noise * rng.normal(size=(int(dur), base.size))
-        rows.append(base[None, :] + noise)
-    return project_rows(np.vstack(rows))
-
-
-def generate_sample(world: SyntheticWorld, extraction: ExtractionConfig,
-                    spec: DatasetSpec, vocab: Vocabulary, protos: np.ndarray,
-                    seed_seq) -> Sample:
+def draw_sample(spec: DatasetSpec, protos: np.ndarray, state_dim: int, seed_seq):
+    """One sample's behavior ids, latent script and initial state, drawn from
+    the sample's own rng.  The script holds a noisy sphere-projected
+    prototype per stage frame."""
     rng = np.random.default_rng(seed_seq)
     n_stages = int(rng.choice(len(spec.stage_probs), p=np.asarray(spec.stage_probs))) + 1
     n_beh = len(spec.behaviors)
     ids = [int(rng.integers(n_beh))]
     for _ in range(n_stages - 1):
         nxt = int(rng.integers(n_beh - 1))
-        if nxt >= ids[-1]:
-            nxt += 1  # no immediate repeats
-        ids.append(nxt)
+        ids.append(nxt + (nxt >= ids[-1]))  # no immediate repeats
     durations = rng.integers(spec.dur_min, spec.dur_max + 1, size=n_stages)
-    script = build_script(spec, protos, ids, durations, rng)
-    s1 = spec.init_state_scale * rng.normal(size=world.state_dim)
-    states = rollout(world, s1, script)
-    latents = extract_latents(world, extraction, states)
+    script = project_rows(np.vstack([
+        protos[b] + spec.script_noise * rng.normal(size=(int(dur), protos.shape[1]))
+        for b, dur in zip(ids, durations)]))
+    s1 = spec.init_state_scale * rng.normal(size=state_dim)
+    return ids, script, s1
 
-    tokens = []
-    for k, b in enumerate(ids):
-        if k > 0:
-            tokens.append(vocab.separator_id)
-        tokens.append(b)
-    return Sample(token_ids=tuple(tokens), states=states, latents=latents)
+
+def generate_sample(world: SyntheticWorld, extraction: ExtractionConfig,
+                    vocab: Vocabulary, ids, states) -> Sample:
+    """The corpus entry of a rolled-out script: its extracted latents and its
+    prompt, the behavior ids with the separator between them."""
+    tokens = [vocab.separator_id] * (2 * len(ids) - 1)
+    tokens[::2] = ids
+    return Sample(token_ids=tuple(tokens), states=states,
+                  latents=extract_latents(world, extraction, states))
 
 
 def generate_dataset(world: SyntheticWorld, extraction: ExtractionConfig,
                      spec: DatasetSpec, vocab: Vocabulary, seed: int):
-    """Deterministic corpus: per-sample RNGs are spawned from the master seed."""
+    """Deterministic corpus: per-sample RNGs are spawned from the master seed,
+    and every sample's script is rolled out in one batch."""
     protos = prototype_directions(len(spec.behaviors), world.d_z, spec.embed_seed)
-    return [generate_sample(world, extraction, spec, vocab, protos, sq)
-            for sq in sample_seeds(seed, spec.n_samples)]
+    seeds = np.random.SeedSequence(seed).spawn(spec.n_samples)
+    ids, scripts, s1s = zip(*(draw_sample(spec, protos, world.state_dim, sq) for sq in seeds))
+    return [generate_sample(world, extraction, vocab, b, states)
+            for b, states in zip(ids, rollouts(world, s1s, scripts))]
 
 
 # ---------------------------------------------------------------------------

@@ -480,6 +480,17 @@ class TestExitCodes:
                        "--out", str(tmp_path / "flow")])
         assert rc == 3
 
+    def test_diverging_rollout_exits_3(self, tmp_path, capsys):
+        cfg = dict(TINY_CONFIG, dataset=dict(TINY_CONFIG["dataset"], init_state_scale=1e308))
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "d.json"
+        with np.errstate(all="ignore"):
+            rc = main(["gen-data", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3 and err == "numeric failure: rollout diverged to non-finite states\n"
+        assert not out.exists()
+
 
 def _drop(*path):
     def edit(doc):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import behavegen.theory as theory
 from behavegen.errors import (
     CountMismatch,
     DegenerateRho,
@@ -17,7 +18,6 @@ from behavegen.geometry import piecewise_constant_approx, project_rows, total_va
 from behavegen.theory import (
     compression_instance,
     margin_instance,
-    margin_tight_instance,
     random_sphere_walk,
     random_world,
     run_suites,
@@ -31,7 +31,7 @@ from behavegen.world import ExtractionConfig, lookahead_averages, make_world, ro
 
 
 # ---------------------------------------------------------------------------
-# loop oracles
+# loop oracles and tight instances
 # ---------------------------------------------------------------------------
 
 def loop_sphere_walk(rng, n_steps, d_z, step=0.35):
@@ -43,6 +43,22 @@ def loop_sphere_walk(rng, n_steps, d_z, step=0.35):
     low = np.linalg.norm(raw, axis=1) < 1e-6
     raw[low] = rng.standard_normal((int(low.sum()), d_z))
     return project_rows(raw)
+
+
+def margin_tight_instance(d, eta, n_negatives=1):
+    """Embeddings that attain the gap and probability floors exactly.
+
+    The negative along (e_m - e_y) / ||e_m - e_y|| has cosine -sqrt(eta/2)
+    with e_y, so delta = 1 + sqrt(eta/2) makes the precondition an equality
+    and the realized gap equal to its floor.
+    """
+    e_y = np.eye(d)[0]
+    # unit e_m at angle theta with cos(theta) = 1 - eta
+    e_m = np.zeros(d)
+    e_m[0] = 1.0 - eta
+    e_m[1] = np.sqrt(1.0 - (1.0 - eta) ** 2)
+    e_neg = (e_m - e_y) / np.linalg.norm(e_m - e_y)
+    return e_y, e_m, [e_neg] * n_negatives, 1.0 + np.sqrt(eta / 2.0)
 
 
 def loop_worst_telescope(world, cfg, states):
@@ -117,6 +133,12 @@ class TestCompressionBound:
         rng = np.random.default_rng(7)
         for _ in range(100):
             assert compression_instance(rng)["ok"]
+
+    def test_one_batched_rollout_matches_two_calls(self, monkeypatch):
+        batched = [compression_instance(np.random.default_rng(seed)) for seed in range(60)]
+        monkeypatch.setattr(theory, "rollouts", lambda world, s1s, z_seqs: [
+            rollout(world, s1, z) for s1, z in zip(s1s, z_seqs, strict=True)])
+        assert batched == [compression_instance(np.random.default_rng(seed)) for seed in range(60)]
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +304,6 @@ class TestMarginBound:
         rng = np.random.default_rng(13)
         for _ in range(100):
             assert margin_instance(rng)["ok"]
-
-    def test_tight_instance_validation(self):
-        with pytest.raises(RangeError):
-            margin_tight_instance(1, 0.1)
-        with pytest.raises(RangeError):
-            margin_tight_instance(4, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,15 @@ estimate of the Gaussian KL.
 
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import behavegen.cli as cli
 import behavegen.world as world_module
 from behavegen.errors import (
     CountMismatch,
@@ -23,8 +26,9 @@ from behavegen.errors import (
     ShapeMismatch,
     UnknownToken,
 )
-from behavegen.geometry import project_to_sphere
-from behavegen.serialization import canon_dumps
+from behavegen.config import load_run_config
+from behavegen.geometry import project_rows, project_to_sphere
+from behavegen.serialization import canon_dumps, to_doc
 from behavegen.theory import random_world
 from behavegen.world import (
     DatasetSpec,
@@ -40,12 +44,14 @@ from behavegen.world import (
     make_vocabulary,
     make_world,
     operator_norm,
-    policy_mean,
     prototype_directions,
     rollout,
-    step,
+    rollouts,
     world_from_config,
 )
+
+
+BASE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "base.json"
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +80,15 @@ def extraction_oracle(b_mat, lookahead, states):
     return np.asarray(out)
 
 
+def policy_mean(world, s, z):
+    return world.W_s @ s + world.W_z @ z
+
+
+def step(world, s, z):
+    """One step of the deterministic mean dynamics."""
+    return world.A_s @ s + world.A_a @ policy_mean(world, s, z)
+
+
 def loop_rollout(world, s1, z_seq, stochastic=False, rng=None):
     """Rollout one ``policy_mean`` call per step, as ``rollout`` must match."""
     states = [np.asarray(s1, dtype=float)]
@@ -83,6 +98,40 @@ def loop_rollout(world, s1, z_seq, stochastic=False, rng=None):
             act = act + world.sigma_pi * rng.standard_normal(world.action_dim)
         states.append(world.A_s @ states[-1] + world.A_a @ act)
     return np.array(states)
+
+
+def loop_rollouts(world, s1s, z_seqs, rng):
+    """Stochastic batch rollout one sequence and step at a time: step t draws
+    one noise row per sequence still running, longest sequences first."""
+    order = sorted(range(len(z_seqs)), key=lambda i: -len(z_seqs[i]))
+    states = [[np.asarray(s, dtype=float)] for s in s1s]
+    for t in range(max(len(z) for z in z_seqs)):
+        live = [i for i in order if len(z_seqs[i]) > t]
+        for i, noise in zip(live, rng.standard_normal((len(live), world.action_dim))):
+            s = states[i][-1]
+            act = policy_mean(world, s, z_seqs[i][t]) + world.sigma_pi * noise
+            states[i].append(world.A_s @ s + world.A_a @ act)
+    return [np.array(seq) for seq in states]
+
+
+def draw_and_roll_sample(world, extraction, spec, vocab, protos, seed_seq):
+    """One corpus sample drawn, rolled and extracted on its own, in the order
+    the generator has always used: stage count, ids, durations, script noise
+    per stage, initial state."""
+    rng = np.random.default_rng(seed_seq)
+    n_stages = int(rng.choice(len(spec.stage_probs), p=np.asarray(spec.stage_probs))) + 1
+    n_beh = len(spec.behaviors)
+    ids = [int(rng.integers(n_beh))]
+    for _ in range(n_stages - 1):
+        nxt = int(rng.integers(n_beh - 1))
+        ids.append(nxt + 1 if nxt >= ids[-1] else nxt)
+    durations = rng.integers(spec.dur_min, spec.dur_max + 1, size=n_stages)
+    rows = [protos[b][None, :] + spec.script_noise * rng.normal(size=(int(d), world.d_z))
+            for b, d in zip(ids, durations)]
+    script = project_rows(np.vstack(rows))
+    states = loop_rollout(world, spec.init_state_scale * rng.normal(size=world.state_dim), script)
+    tokens = sum(([vocab.separator_id, b] for b in ids[1:]), [ids[0]])
+    return tuple(tokens), states, extract_latents(world, extraction, states)
 
 
 def loop_lookahead_averages(world, cfg, states):
@@ -206,8 +255,7 @@ class TestDynamics:
         s = rng.normal(size=w.state_dim)
         z = rng.normal(size=w.d_z)
         act = w.W_s @ s + w.W_z @ z
-        np.testing.assert_allclose(policy_mean(w, s, z), act, rtol=1e-14)
-        np.testing.assert_allclose(step(w, s, z), w.A_s @ s + w.A_a @ act, rtol=1e-14)
+        np.testing.assert_array_equal(rollout(w, s, z[None]), [s, w.A_s @ s + w.A_a @ act])
 
     def test_lipschitz_certificate(self):
         w = small_world(seed=5)
@@ -265,12 +313,41 @@ class TestDynamics:
         np.testing.assert_array_equal(got, want)
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
+    @given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 70), min_size=1, max_size=24))
+    @example(1, [0])
+    @example(2, [0, 0, 0])
+    @example(3, [5, 0, 70, 5, 0, 5, 70])
+    @settings(max_examples=60, deadline=None)
+    def test_rollouts_match_per_sequence_loop(self, seed, lengths):
+        rng = np.random.default_rng(seed)
+        w = random_world(rng)
+        z_seqs = [rng.normal(size=(n, w.d_z)) for n in lengths]
+        s1s = rng.normal(size=(len(lengths), w.state_dim))
+        for got, s1, z_seq in zip(rollouts(w, s1s, z_seqs), s1s, z_seqs, strict=True):
+            np.testing.assert_array_equal(got, loop_rollout(w, s1, z_seq))
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        noisy = rollouts(w, s1s, z_seqs, stochastic=True, rng=rng_got)
+        for got, want in zip(noisy, loop_rollouts(w, s1s, z_seqs, rng_want), strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
     def test_dimension_checks(self):
         w = small_world()
         with pytest.raises(DimensionMismatch):
-            policy_mean(w, np.zeros(w.state_dim + 1), np.zeros(w.d_z))
+            rollout(w, np.zeros(w.state_dim + 1), np.zeros((5, w.d_z)))
         with pytest.raises(DimensionMismatch):
             rollout(w, np.zeros(w.state_dim), np.zeros((5, w.d_z + 2)))
+        with pytest.raises(DimensionMismatch):
+            rollouts(w, np.zeros((2, w.state_dim)), [np.zeros((3, w.d_z)), np.zeros(3)])
+
+    def test_empty_or_unpaired_batch_rejected_in_one_line(self):
+        w = small_world()
+        for s1s, z_seqs in (((), ()), ((np.zeros(w.state_dim),), ())):
+            with pytest.raises(CountMismatch) as err:
+                rollouts(w, s1s, z_seqs)
+            # a class the CLI maps to exit code 2, with a one-line message
+            assert isinstance(err.value, cli._CONFIG_ERRORS)
+            assert "\n" not in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +539,33 @@ class TestDataset:
             assert sa.token_ids == sb.token_ids
             np.testing.assert_array_equal(sa.states, sb.states)
             np.testing.assert_array_equal(sa.latents, sb.latents)
+
+    @pytest.mark.parametrize("case", ["base", "one_dim_long_lookahead"])
+    def test_matches_per_sample_reference(self, case):
+        if case == "base":
+            cfg = load_run_config(str(BASE_CONFIG))
+            world = world_from_config(to_doc(cfg.world))
+            extraction, spec = cfg.extraction, replace(cfg.dataset, n_samples=40)
+        else:  # windows longer than every script
+            world = small_world(seed=3, state_dim=1, action_dim=2, d_z=1)
+            extraction = ExtractionConfig(lookahead=12)
+            spec = DatasetSpec(n_samples=40, behaviors=("walk", "run", "turn"),
+                               dur_min=2, dur_max=4, stage_probs=(0.5, 0.5))
+        vocab = make_vocabulary(spec.behaviors, spec.separator, spec.d_text, spec.embed_seed)
+        protos = prototype_directions(len(spec.behaviors), world.d_z, spec.embed_seed)
+        got = generate_dataset(world, extraction, spec, vocab, seed=5)
+        want = [draw_and_roll_sample(world, extraction, spec, vocab, protos, sq)
+                for sq in np.random.SeedSequence(5).spawn(spec.n_samples)]
+        for sample, (tokens, states, latents) in zip(got, want, strict=True):
+            assert sample.token_ids == tokens
+            np.testing.assert_array_equal(sample.states, states)
+            np.testing.assert_array_equal(sample.latents, latents)
+
+    def test_diverging_sample_raises(self):
+        spec = replace(self.spec, init_state_scale=1e308)
+        with np.errstate(all="ignore"), \
+                pytest.raises(NonFiniteState, match="^rollout diverged to non-finite states$"):
+            generate_dataset(self.world, self.extraction, spec, self.vocab, seed=100)
 
     def test_different_seeds_differ(self):
         a = generate_dataset(self.world, self.extraction, self.spec, self.vocab, seed=100)
