@@ -270,10 +270,12 @@ def _reconstructions(model: BottleneckModel, samples) -> list:
     return [z[:s.latents.shape[0]] for z, s in zip(decoded, samples)]
 
 
-def reconstruction_mse(model: BottleneckModel, samples) -> float:
-    """Mean squared latent reconstruction error through the posterior mean."""
-    diffs = [z - s.latents for z, s in zip(_reconstructions(model, samples), samples)]
-    return sum(float((d * d).sum()) for d in diffs) / sum(d.size for d in diffs)
+def reconstruction_mse(model: BottleneckModel, samples) -> tuple:
+    """Mean squared latent reconstruction error through the posterior mean,
+    over all frames and per sample."""
+    errs = [(z - s.latents) ** 2 for z, s in zip(_reconstructions(model, samples), samples)]
+    pooled = sum(float(e.sum()) for e in errs) / sum(e.size for e in errs)
+    return pooled, [float(e.mean()) for e in errs]
 
 
 def distinct_prompt_subset(samples, limit: int):
@@ -378,9 +380,9 @@ def cmd_eval(args) -> int:
     if args.retrieval_batch < 2:
         raise RangeError(f"retrieval batch {args.retrieval_batch} must be >= 2")
     eval_samples = samples[-args.n_eval:]
-    recon = reconstruction_mse(bottleneck, eval_samples)
+    recon, recon_per_sample = reconstruction_mse(bottleneck, eval_samples)
     baseline_model = BottleneckModel(bottleneck.cfg, seed=cfg.seed)
-    baseline = reconstruction_mse(baseline_model, eval_samples)
+    baseline, _ = reconstruction_mse(baseline_model, eval_samples)
 
     retrieval_set = distinct_prompt_subset(samples, args.retrieval_batch)
     sims = retrieval_scores(bottleneck, vocab, retrieval_set)
@@ -404,10 +406,8 @@ def cmd_eval(args) -> int:
     )
     write_json(args.out, to_doc(report))
     if args.emit_plot_data:
-        recons = _reconstructions(bottleneck, eval_samples)
-        rows = [{"index": i, "frames": s.latents.shape[0],
-                 "recon_mse": float(((z_hat - s.latents) ** 2).mean())}
-                for i, (s, z_hat) in enumerate(zip(eval_samples, recons))]
+        rows = [{"index": i, "frames": s.latents.shape[0], "recon_mse": mse}
+                for i, (s, mse) in enumerate(zip(eval_samples, recon_per_sample))]
         _write_csv(args.emit_plot_data, rows, ("index", "frames", "recon_mse"))
     print(f"recon {recon:.5f} (baseline {baseline:.5f}), "
           f"top-1 {top1:.3f}, top-5 {top5:.3f}, "

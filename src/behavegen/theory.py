@@ -18,7 +18,9 @@ Random instance generators and suite runners live here too; the command-line
 """
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -42,29 +44,53 @@ from .world import (
     SyntheticWorld,
     lookahead_averages,
     make_world,
-    rollout,
     rollouts,
 )
 
 BOUND_TOL = 1e-9
 TELESCOPE_TOL = 1e-10
-TIGHTNESS_TOL = 1e-12
+SUITE_BLOCK = 256  # instances a suite draws and rolls out together
 
 
 # ---------------------------------------------------------------------------
 # compression error propagation
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class BoundCase:
+    """A drawn bound instance: ``z_seqs`` are rolled out in ``world`` from
+    ``s1``, and ``check`` turns their states, in order, into the report."""
+
+    world: SyntheticWorld
+    s1: np.ndarray
+    z_seqs: tuple
+    check: Callable[[list], dict]
+
+    def report(self) -> dict:
+        """The report of this instance rolled out on its own."""
+        return self.check(rollouts(self.world, (self.s1,) * len(self.z_seqs), self.z_seqs))
+
+
+def compression_case(world: SyntheticWorld, z_traj, m: int, s1) -> BoundCase:
+    """A latent trajectory and its m-segment approximation, to be rolled out
+    from ``s1`` and checked against the per-step and uniform error bounds."""
+    z = np.asarray(z_traj, dtype=float)
+    approx, partition = piecewise_constant_approx(z, m)
+    return BoundCase(world, s1, (z, approx), partial(
+        _compression_report, world, z, approx, m, partition.segment_count))
+
+
 def verify_compression_bound(world: SyntheticWorld, z_traj, m: int, s1) -> dict:
     """Roll out a latent trajectory and its m-segment approximation and check
     the per-step and uniform error bounds."""
-    z = np.asarray(z_traj, dtype=float)
-    approx, partition = piecewise_constant_approx(z, m)
+    return compression_case(world, z_traj, m, s1).report()
+
+
+def _compression_report(world, z, approx, m, segments, states) -> dict:
+    states_ref, states_hat = states
     v_total = total_variation(z)
     delta = v_total / (m - 1)
     dev = max_deviation(z, approx)
-
-    states_ref, states_hat = rollouts(world, (s1, s1), (z, approx))
     errs = np.linalg.norm(states_ref - states_hat, axis=1)
 
     l_s, l_z = world.L_s, world.L_z
@@ -83,7 +109,7 @@ def verify_compression_bound(world: SyntheticWorld, z_traj, m: int, s1) -> dict:
         "per_step_ok": per_step_ok,
         "uniform_ok": uniform_ok,
         "deviation_ok": dev_ok,
-        "segments": partition.segment_count,
+        "segments": segments,
         "total_variation": float(v_total),
         "delta": float(delta),
         "max_deviation": float(dev),
@@ -251,27 +277,38 @@ def random_world(rng, ls_low: float = 0.5) -> SyntheticWorld:
     )
 
 
-def compression_instance(rng) -> dict:
+def draw_compression(rng) -> BoundCase:
     world = random_world(rng, ls_low=0.3)
     n_steps = int(rng.integers(20, 61))
     z = random_sphere_walk(rng, n_steps, world.d_z)
     m = int(rng.choice([2, 4, 8, 16]))
     s1 = 0.5 * rng.standard_normal(world.state_dim)
-    return verify_compression_bound(world, z, m, s1)
+    return compression_case(world, z, m, s1)
 
 
-def smoothing_instance(rng) -> dict:
+def compression_instance(rng) -> dict:
+    return draw_compression(rng).report()
+
+
+def draw_smoothing(rng) -> BoundCase:
     world = random_world(rng)
     span = int(rng.integers(2, 7))
     n_steps = int(rng.integers(span + 6, span + 40))
     z = random_sphere_walk(rng, n_steps, world.d_z)
     s1 = 0.5 * rng.standard_normal(world.state_dim)
-    states = rollout(world, s1, z)
-    cfg = ExtractionConfig(lookahead=span)
+    return BoundCase(world, s1, (z,), partial(
+        _smoothing_suite_report, world, ExtractionConfig(lookahead=span)))
+
+
+def _smoothing_suite_report(world, cfg, states) -> dict:
     try:
-        return verify_smoothing_bound(world, cfg, states)
+        return verify_smoothing_bound(world, cfg, states[0])
     except DegenerateRho:
         return {"ok": True, "degenerate_rho": True}
+
+
+def smoothing_instance(rng) -> dict:
+    return draw_smoothing(rng).report()
 
 
 def margin_instance(rng) -> dict:
@@ -298,6 +335,19 @@ def margin_instance(rng) -> dict:
     return verify_margin_bound(e_y, e_m, negs, delta, tau)
 
 
+def suite_reports(draw, rng, count: int):
+    """Reports of ``count`` drawn instances, in draw order.  Each block of at
+    most SUITE_BLOCK instances is drawn, then rolled out in one call, then
+    checked; the rollouts draw nothing, so the rng stream is that of one
+    instance after another."""
+    for lo in range(0, count, SUITE_BLOCK):
+        cases = [draw(rng) for _ in range(min(SUITE_BLOCK, count - lo))]
+        worlds, s1s, z_seqs = zip(*((c.world, c.s1, z) for c in cases for z in c.z_seqs))
+        states = iter(rollouts(worlds, s1s, z_seqs))
+        for c in cases:
+            yield c.check([next(states) for _ in c.z_seqs])
+
+
 def run_suites(seed: int = 0, n_compression: int = 500, n_smoothing: int = 200,
                n_margin: int = 500) -> dict:
     """Run every family on fresh random instances; returns counts and timing."""
@@ -306,15 +356,14 @@ def run_suites(seed: int = 0, n_compression: int = 500, n_smoothing: int = 200,
     rng = np.random.default_rng(check_seed(seed))
     t0 = time.perf_counter()
     results = {}
-    for name, gen, count in (
-        ("compression", compression_instance, n_compression),
-        ("smoothing", smoothing_instance, n_smoothing),
-        ("margin", margin_instance, n_margin),
+    for name, reports, count in (
+        ("compression", suite_reports(draw_compression, rng, n_compression), n_compression),
+        ("smoothing", suite_reports(draw_smoothing, rng, n_smoothing), n_smoothing),
+        ("margin", (margin_instance(rng) for _ in range(n_margin)), n_margin),
     ):
         passed = 0
         failures = []
-        for i in range(count):
-            rep = gen(rng)
+        for i, rep in enumerate(reports):
             if rep["ok"]:
                 passed += 1
             elif len(failures) < 5:

@@ -202,52 +202,80 @@ def rollout(world: SyntheticWorld, s1, z_seq, stochastic: bool = False, rng=None
     return rollouts(world, (s1,), (z_seq,), stochastic, rng)[0]
 
 
-def rollouts(world: SyntheticWorld, s1s, z_seqs, stochastic: bool = False, rng=None) -> list:
-    """Roll sequence i from ``s1s[i]`` under ``z_seqs[i]``; returns each
-    sequence's [T_i + 1, state_dim] states, in input order.
+def _padded(mats, shape) -> np.ndarray:
+    """The matrices stacked and zero-padded to one [len(mats), *shape]."""
+    if len(mats) == 1:  # the batch sizes are its own: nothing to pad
+        return mats[0][None]
+    out = np.zeros((len(mats), *shape))
+    for o, m in zip(out, mats):
+        o[:m.shape[0], :m.shape[1]] = m
+    return out
+
+
+def rollouts(worlds, s1s, z_seqs, stochastic: bool = False, rng=None) -> list:
+    """Roll sequence i from ``s1s[i]`` under ``z_seqs[i]`` in ``worlds[i]``,
+    or in ``worlds`` itself when it is one world; returns each sequence's
+    [T_i + 1, state_dim_i] states, in input order.
 
     Sequences are sorted longest first and packed time-major, so step t
     advances the first live[t] of them.  Each product is a stacked matmul over
-    (d, 1) columns, which NumPy runs as one gemv per item like ``M @ v``, so
-    every sequence gets the bits of a rollout of its own.  A stochastic step
-    draws ``rng.standard_normal((live[t], action_dim))``.
+    (d, 1) columns, which NumPy runs as one gemv per item like ``M @ v``, so in
+    one world every sequence gets the bits of a rollout of its own.  Distinct
+    worlds are stacked and zero-padded to the largest state, action and latent
+    sizes; padded components stay exactly 0, and the states agree with
+    per-world rollouts to rounding.  A stochastic step draws
+    ``rng.standard_normal((live[t], action_dim))``, at the largest action_dim.
     """
     n_seq = len(z_seqs)
     if n_seq == 0 or len(s1s) != n_seq:
         raise CountMismatch(f"rollouts needs one initial state per latent sequence, "
                             f"got {len(s1s)} states and {n_seq} sequences")
+    if isinstance(worlds, SyntheticWorld):
+        worlds = (worlds,) * n_seq
+    elif len(worlds) != n_seq:
+        raise CountMismatch(f"rollouts needs one world per latent sequence, "
+                            f"got {len(worlds)} worlds and {n_seq} sequences")
     if stochastic and rng is None:
         raise RangeError("stochastic rollout needs an explicit rng")
     zs = [np.asarray(z, dtype=float) for z in z_seqs]
-    for z in zs:
-        if z.ndim != 2 or z.shape[1] != world.d_z:
+    s1s = [np.asarray(s, dtype=float) for s in s1s]
+    for w, s, z in zip(worlds, s1s, zs):
+        if z.ndim != 2 or z.shape[1] != w.d_z:
             raise DimensionMismatch(f"latent sequence has shape {z.shape}")
+        if s.shape != (w.state_dim,):
+            raise DimensionMismatch(f"initial state has shape {s.shape}")
     order = sorted(range(n_seq), key=lambda i: len(zs[i]), reverse=True)
     lens = [len(zs[i]) for i in order]
-    s1 = np.asarray([s1s[i] for i in order], dtype=float)
-    if s1.shape != (n_seq, world.state_dim):
-        raise DimensionMismatch(f"initial states have shape {s1.shape}")
     live = []  # live[t - 1]: how many sequences take step t
     for r, end in zip(range(n_seq, 0, -1), [0] + lens[:0:-1]):
         live += [r] * (lens[r - 1] - end)
-    states = np.empty((n_seq + sum(lens), world.state_dim, 1))  # s1s, then step by step
-    states[:n_seq, :, 0] = s1
-    z_packed = zs[0]
-    if n_seq > 1:
+    # one stack entry per sequence in step order; a single entry, which [:k]
+    # keeps, broadcasts over a batch in one world
+    ws = worlds[:1] if all(w is worlds[0] for w in worlds) else [worlds[i] for i in order]
+    n, a = max(w.state_dim for w in ws), max(w.action_dim for w in ws)
+    W_s = _padded([w.W_s for w in ws], (a, n))
+    A_s = _padded([w.A_s for w in ws], (n, n))
+    A_a = _padded([w.A_a for w in ws], (n, a))
+    if stochastic:
+        sigma = _padded([np.full((w.action_dim, 1), w.sigma_pi) for w in ws], (a, 1))
+    states = np.zeros((n_seq + sum(lens), n, 1))  # s1s, then step by step
+    if n_seq == 1:
+        states[0, :, 0] = s1s[0]
+        wz = worlds[0].W_z @ zs[0][..., None]
+    else:
         starts = np.cumsum([0] + live[:-1])  # first packed frame of each step
-        z_packed = np.empty((sum(lens), world.d_z))
+        wz = np.zeros((sum(lens), a, 1))
         for r, i in enumerate(order):
-            z_packed[starts[:lens[r]] + r] = zs[i]
-    W_s, A_s, A_a = world.W_s, world.A_s, world.A_a
-    wz = world.W_z @ z_packed[..., None]
+            states[r, :len(s1s[i]), 0] = s1s[i]
+            wz[starts[:lens[r]] + r, :worlds[i].action_dim] = worlds[i].W_z @ zs[i][..., None]
     s, at = states[:n_seq], 0  # the previous step's states; its first packed frame
     for k in live:
         if k < len(s):
-            s = s[:k]
+            s, W_s, A_s, A_a = s[:k], W_s[:k], A_s[:k], A_a[:k]
         act = W_s @ s
         act += wz[at:at + k]
         if stochastic:
-            act += world.sigma_pi * rng.standard_normal((k, world.action_dim))[..., None]
+            act += sigma[:k] * rng.standard_normal((k, a))[..., None]
         s = np.add(A_s @ s, A_a @ act, out=states[n_seq + at:n_seq + at + k])
         at += k
     if not np.isfinite(states).all():
@@ -255,7 +283,8 @@ def rollouts(world: SyntheticWorld, s1s, z_seqs, stochastic: bool = False, rng=N
     if n_seq == 1:
         return [states[..., 0]]
     rank = sorted(range(n_seq), key=order.__getitem__)
-    return [states[np.concatenate(([r], n_seq + r + starts[:lens[r]])), :, 0] for r in rank]
+    return [states[np.concatenate(([r], n_seq + r + starts[:lens[r]])), :worlds[i].state_dim, 0]
+            for i, r in enumerate(rank)]
 
 
 @dataclass(frozen=True)
@@ -419,6 +448,9 @@ class DatasetSpec:
         probs = np.asarray(self.stage_probs, dtype=float)
         if probs.ndim != 1 or probs.size < 1 or np.any(probs < 0) or not np.isclose(probs.sum(), 1.0):
             raise InvalidSpec("stage_probs must be a probability vector")
+        if len(self.behaviors) == 1 and np.any(probs[1:] > 0):
+            raise InvalidSpec("one behavior cannot fill two stages without a repeat; "
+                              "stage_probs must put all weight on one stage")
         if self.script_noise < 0:
             raise InvalidSpec("script_noise must be >= 0")
 

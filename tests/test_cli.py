@@ -167,6 +167,26 @@ class TestEval:
         assert lines[0] == "index,frames,recon_mse"
         assert len(lines) == 9
 
+    def test_plot_data_reuses_the_reconstructions(self, workdir, tmp_path, monkeypatch):
+        # the CSV rows come from the reconstructions the report already made
+        decoded = []
+
+        def spy(model, programs):
+            decoded.append(len(programs))
+            return decode_packed(model, programs)
+
+        decode_packed = cli.decode_packed
+        monkeypatch.setattr(cli, "decode_packed", spy)
+        rc = main(["eval", "--config", workdir["cfg"],
+                   "--data", workdir["data"], "--vbb", workdir["vbb"],
+                   "--flow", workdir["flow"], "--out", str(tmp_path / "e.json"),
+                   "--n-eval", "5", "--retrieval-batch", "3",
+                   "--emit-plot-data", str(tmp_path / "recon.csv")])
+        assert rc == 0
+        # one reconstruction each for the trained and the baseline model, then
+        # one decode of the generation study's 16 programs per behavior
+        assert decoded == [5, 5, 32]
+
     def test_retrieval_batch_larger_than_distinct_prompts(self, workdir,
                                                           tmp_path):
         rc = main(["eval", "--config", workdir["cfg"],
@@ -274,6 +294,13 @@ class TestVerifyBounds:
         assert doc["ok"] is True
         header = csv.read_text().splitlines()[0]
         assert header.startswith("m,trial,")
+
+    def test_empty_suites_pass(self, capsys):
+        rc = main(["verify-bounds", "--n-compression", "0", "--n-smoothing", "0",
+                   "--n-margin", "0"])
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert all(f"PASS {name} 0/0" in text for name in ("compression", "smoothing", "margin"))
 
     def test_violation_exits_4(self, monkeypatch, capsys):
         fake = {
@@ -466,6 +493,16 @@ class TestExitCodes:
                    "--out", str(out), "--n-eval", "8", "--retrieval-batch", batch])
         err = capsys.readouterr().err
         assert rc == 2 and len(err.splitlines()) == 1 and "retrieval batch" in err, err
+        assert not out.exists()
+
+    def test_one_behavior_with_two_stages_exits_2(self, tmp_path, capsys):
+        cfg = dict(TINY_CONFIG, dataset=dict(TINY_CONFIG["dataset"], behaviors=["walk"]))
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "d.json"
+        rc = main(["gen-data", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and len(err.splitlines()) == 1 and "one behavior" in err, err
         assert not out.exists()
 
     def test_divergence_exits_3(self, workdir, tmp_path):

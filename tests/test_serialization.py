@@ -247,7 +247,8 @@ WORDS = ("walk", "run", "turn", "sit", "jump")
 # field strategies where a class's checks need more than a type
 OVERRIDES = {
     DatasetSpec: {
-        "behaviors": st.lists(st.sampled_from(WORDS), min_size=1, max_size=4,
+        # two behaviors at least, since one allows only single-stage scripts
+        "behaviors": st.lists(st.sampled_from(WORDS), min_size=2, max_size=4,
                               unique=True).map(tuple),
         "separator": st.just("then"),
         "dur_min": st.integers(2, 9),

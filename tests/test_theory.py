@@ -61,6 +61,31 @@ def margin_tight_instance(d, eta, n_negatives=1):
     return e_y, e_m, [e_neg] * n_negatives, 1.0 + np.sqrt(eta / 2.0)
 
 
+def loop_suites(seed, n_compression, n_smoothing, n_margin):
+    """run_suites one instance after another, each rolled out on its own."""
+    rng = np.random.default_rng(seed)
+    results = {}
+    for name, gen, count in (("compression", compression_instance, n_compression),
+                             ("smoothing", smoothing_instance, n_smoothing),
+                             ("margin", margin_instance, n_margin)):
+        reports = [gen(rng) for _ in range(count)]
+        failures = [{"instance": i, **rep} for i, rep in enumerate(reports) if not rep["ok"]]
+        results[name] = {"passed": sum(rep["ok"] for rep in reports), "total": count,
+                         "failures": failures[:5]}
+    return results
+
+
+def assert_reports_close(got, want):
+    """Equal keys, flags and counts; floats to the rounding of a mixed-world
+    batch."""
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, float):
+            np.testing.assert_allclose(got[key], value, rtol=1e-13, atol=1e-14, err_msg=key)
+        else:
+            assert got[key] == value, key
+
+
 def loop_worst_telescope(world, cfg, states):
     """Largest telescope residual of verify_smoothing_bound, one window pair
     at a time over the same full-window averages."""
@@ -325,6 +350,56 @@ class TestSuites:
         b = run_suites(seed=5, n_compression=10, n_smoothing=5, n_margin=10)
         for key in ("compression", "smoothing", "margin"):
             assert a[key] == b[key]
+
+    @pytest.mark.parametrize("seed", [0, 1, 9, 1501003])
+    def test_batched_suites_match_per_instance_loop(self, seed):
+        got = run_suites(seed=seed, n_compression=30, n_smoothing=12, n_margin=5)
+        want = loop_suites(seed, 30, 12, 5)
+        for name in ("compression", "smoothing", "margin"):
+            assert got[name] == want[name], name
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_empty_and_single_suites(self, count, monkeypatch):
+        if count == 0:  # rollouts rejects an empty batch
+            monkeypatch.setattr(theory, "rollouts", lambda *a: pytest.fail("rolled out"))
+        got = run_suites(seed=4, n_compression=count, n_smoothing=count, n_margin=count)
+        assert got["ok"]
+        want = loop_suites(4, count, count, count)
+        for name in ("compression", "smoothing", "margin"):
+            assert got[name] == want[name], name
+
+    def test_blocks_keep_the_draw_order(self, monkeypatch):
+        monkeypatch.setattr(theory, "SUITE_BLOCK", 3)
+        calls = []
+        rollouts = theory.rollouts
+        monkeypatch.setattr(theory, "rollouts", lambda *a: calls.append(len(a[2])) or rollouts(*a))
+        got = run_suites(seed=6, n_compression=8, n_smoothing=7, n_margin=2)
+        # blocks of 3, 3 and 2 instances with two trajectories each, then 3, 3, 1
+        assert calls == [6, 6, 4, 3, 3, 1]
+        want = loop_suites(6, 8, 7, 2)
+        for name in ("compression", "smoothing", "margin"):
+            assert got[name] == want[name], name
+
+    def test_failures_listed_like_the_per_instance_loop(self, monkeypatch):
+        # a negative tolerance fails every instance, so the failure reports
+        # themselves are compared
+        monkeypatch.setattr(theory, "BOUND_TOL", -1.0)
+        monkeypatch.setattr(theory, "TELESCOPE_TOL", -1.0)
+        got = run_suites(seed=2, n_compression=7, n_smoothing=7, n_margin=0)
+        want = loop_suites(2, 7, 7, 0)
+        for name in ("compression", "smoothing"):
+            assert got[name]["passed"] == want[name]["passed"] < 7
+            assert len(got[name]["failures"]) == len(want[name]["failures"]) == 5
+            for a, b in zip(got[name]["failures"], want[name]["failures"], strict=True):
+                assert_reports_close(a, b)
+
+    @pytest.mark.parametrize("draw, single", [(theory.draw_compression, compression_instance),
+                                              (theory.draw_smoothing, smoothing_instance)])
+    def test_batched_reports_match_single_instances(self, draw, single):
+        got = list(theory.suite_reports(draw, np.random.default_rng(21), 80))
+        rng = np.random.default_rng(21)
+        for a in got:
+            assert_reports_close(a, single(rng))
 
     def test_sweep_rows(self):
         rows = sweep_compression_grid(seed=1, segment_counts=(2, 4),

@@ -100,17 +100,21 @@ def loop_rollout(world, s1, z_seq, stochastic=False, rng=None):
     return np.array(states)
 
 
-def loop_rollouts(world, s1s, z_seqs, rng):
-    """Stochastic batch rollout one sequence and step at a time: step t draws
-    one noise row per sequence still running, longest sequences first."""
+def loop_rollouts(worlds, s1s, z_seqs, rng):
+    """Stochastic batch rollout one sequence and step at a time, in one world
+    or one world per sequence: step t draws one noise row per sequence still
+    running, longest sequences first, as wide as the widest action."""
+    if isinstance(worlds, SyntheticWorld):
+        worlds = [worlds] * len(z_seqs)
+    width = max(w.action_dim for w in worlds)
     order = sorted(range(len(z_seqs)), key=lambda i: -len(z_seqs[i]))
     states = [[np.asarray(s, dtype=float)] for s in s1s]
     for t in range(max(len(z) for z in z_seqs)):
         live = [i for i in order if len(z_seqs[i]) > t]
-        for i, noise in zip(live, rng.standard_normal((len(live), world.action_dim))):
-            s = states[i][-1]
-            act = policy_mean(world, s, z_seqs[i][t]) + world.sigma_pi * noise
-            states[i].append(world.A_s @ s + world.A_a @ act)
+        for i, noise in zip(live, rng.standard_normal((len(live), width))):
+            w, s = worlds[i], states[i][-1]
+            act = policy_mean(w, s, z_seqs[i][t]) + w.sigma_pi * noise[:w.action_dim]
+            states[i].append(w.A_s @ s + w.A_a @ act)
     return [np.array(seq) for seq in states]
 
 
@@ -330,6 +334,32 @@ class TestDynamics:
         for got, want in zip(noisy, loop_rollouts(w, s1s, z_seqs, rng_want), strict=True):
             np.testing.assert_array_equal(got, want)
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    @given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 70), min_size=1, max_size=24))
+    @example(4, [0])
+    @example(5, [0, 0, 0])
+    @example(6, [5, 0, 70, 5, 0, 5, 70])
+    @settings(max_examples=40, deadline=None)
+    def test_rollouts_in_many_worlds_match_per_sequence_loop(self, seed, lengths):
+        # zero-padded stacked matrices sum in another order, so only to rounding
+        rng = np.random.default_rng(seed)
+        worlds = [random_world(rng) for _ in lengths]
+        worlds[2::3] = worlds[:1] * len(worlds[2::3])  # a world may recur among others
+        z_seqs = [rng.normal(size=(n, w.d_z)) for n, w in zip(lengths, worlds)]
+        s1s = [rng.normal(size=w.state_dim) for w in worlds]
+        got = rollouts(worlds, s1s, z_seqs)
+        for states, w, s1, z_seq in zip(got, worlds, s1s, z_seqs, strict=True):
+            np.testing.assert_allclose(states, loop_rollout(w, s1, z_seq), rtol=1e-13, atol=1e-14)
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        noisy = rollouts(worlds, s1s, z_seqs, stochastic=True, rng=rng_got)
+        for states, want in zip(noisy, loop_rollouts(worlds, s1s, z_seqs, rng_want), strict=True):
+            np.testing.assert_allclose(states, want, rtol=1e-13, atol=1e-14)
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    def test_one_world_per_sequence_required(self):
+        w = small_world()
+        with pytest.raises(CountMismatch, match="one world per latent sequence"):
+            rollouts([w], np.zeros((2, w.state_dim)), [np.zeros((3, w.d_z))] * 2)
 
     def test_dimension_checks(self):
         w = small_world()
@@ -661,6 +691,15 @@ class TestDataset:
             DatasetSpec(stage_probs=(0.5, 0.4))
         with pytest.raises(InvalidSpec):
             DatasetSpec(behaviors=("walk", "walk"))
+
+    def test_one_behavior_needs_one_stage(self):
+        # later stages must differ from the one before, which one behavior cannot
+        for probs in ((0.6, 0.4), (0.0, 1.0), (0.5, 0.0, 0.5)):
+            with pytest.raises(InvalidSpec, match="one behavior") as err:
+                DatasetSpec(behaviors=("walk",), stage_probs=probs)
+            assert "\n" not in str(err.value)
+        for probs in ((1.0,), (1.0, 0.0)):
+            DatasetSpec(behaviors=("walk",), stage_probs=probs)
 
     def test_prototypes_orthonormal_when_room(self):
         protos = prototype_directions(6, 8, seed=2)
