@@ -27,7 +27,6 @@ from .errors import (
     DegenerateBatch,
     DimensionMismatch,
     DivergenceDetected,
-    LengthNotCompressible,
     NonUnitInput,
     RangeError,
     ShapeMismatch,
@@ -79,10 +78,6 @@ class Posterior:
             raise ShapeMismatch(
                 f"posterior shapes {self.mu.shape} vs {self.log_var.shape}"
             )
-
-    @property
-    def T_m(self) -> int:
-        return self.mu.shape[0]
 
 
 class Encoder(Module):
@@ -275,13 +270,9 @@ def encode_packed(model: BottleneckModel, latents):
     return post, _offsets(t_m)
 
 
-def encode(model: BottleneckModel, z, pad: bool = True) -> Posterior:
+def encode(model: BottleneckModel, z) -> Posterior:
     """Posterior over compact program frames; T_m = ceil(T_z / compression)."""
-    arr = _check_latents(model, z)
-    if not pad and arr.shape[0] % model.compression != 0:
-        raise LengthNotCompressible(f"length {arr.shape[0]} not divisible by "
-                                    f"{model.compression} and padding is off")
-    return encode_packed(model, [arr])[0]
+    return encode_packed(model, [z])[0]
 
 
 def sample_posterior(post: Posterior, noise: np.ndarray) -> np.ndarray:

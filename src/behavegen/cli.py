@@ -38,20 +38,12 @@ from .composition import generate_composed, generate_single_shot, split_prompt
 from .config import load_run_config
 from .errors import (
     BehavegenError,
-    BoundaryOutOfRange,
     ConfigInvalid,
-    CountMismatch,
-    DegenerateBatch,
-    DimensionMismatch,
-    EmptyClause,
+    InputError,
     InvalidSpec,
-    LengthNotCompressible,
     MissingArtifact,
-    OverlapTooLarge,
     RangeError,
-    ShapeMismatch,
     TooFewSamples,
-    UnknownToken,
     check_seed,
 )
 from .flow import FlowConfig, FlowModel, FlowTrainConfig, euler_sample, train_flow
@@ -78,13 +70,6 @@ from .world import (
     make_world,
 )
 
-_CONFIG_ERRORS = (
-    ConfigInvalid, InvalidSpec, MissingArtifact, UnknownToken, EmptyClause,
-    RangeError, OverlapTooLarge, CountMismatch, ShapeMismatch,
-    DimensionMismatch, LengthNotCompressible, DegenerateBatch, TooFewSamples,
-    BoundaryOutOfRange, OSError,
-)
-
 
 def _fmt_cell(v) -> str:
     if isinstance(v, bool):
@@ -94,10 +79,11 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _write_csv(path: str, rows, columns) -> None:
-    lines = [",".join(columns)]
+def _write_csv(path: str, rows) -> None:
+    """One line per row dict under a header of the first row's keys."""
+    lines = [",".join(rows[0])]
     for row in rows:
-        lines.append(",".join(_fmt_cell(row[c]) for c in columns))
+        lines.append(",".join(_fmt_cell(v) for v in row.values()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -343,9 +329,8 @@ def training_prototypes(samples, n_behaviors: int, d_z: int):
 
 
 def generation_study(flow, bottleneck, vocab, world, spec, sampler, t_m: int,
-                     seed: int, behavior_ids, protos: np.ndarray,
-                     per_behavior: int = 16):
-    """Generate each single-behavior prompt in ``behavior_ids`` repeatedly and
+                     seed: int, behavior_ids, protos: np.ndarray):
+    """Generate each single-behavior prompt in ``behavior_ids`` 16 times and
     score how often the decoded latents' nearest prototype among ``protos``
     (one per id) is the prompted one, plus the spread of the generations in
     the joint embedding space."""
@@ -354,7 +339,7 @@ def generation_study(flow, bottleneck, vocab, world, spec, sampler, t_m: int,
     for k, b in enumerate(behavior_ids):
         word = spec.behaviors[b]
         y_vec = embed_text(bottleneck, vocab.embeddings[list(vocab.encode(word))])
-        for _ in range(per_behavior):
+        for _ in range(16):
             contexts.append(y_vec)
             noises.append(rng.standard_normal((t_m, bottleneck.cfg.d_m)))
             expected.append(k)
@@ -408,7 +393,7 @@ def cmd_eval(args) -> int:
     if args.emit_plot_data:
         rows = [{"index": i, "frames": s.latents.shape[0], "recon_mse": mse}
                 for i, (s, mse) in enumerate(zip(eval_samples, recon_per_sample))]
-        _write_csv(args.emit_plot_data, rows, ("index", "frames", "recon_mse"))
+        _write_csv(args.emit_plot_data, rows)
     print(f"recon {recon:.5f} (baseline {baseline:.5f}), "
           f"top-1 {top1:.3f}, top-5 {top5:.3f}, "
           f"prototype match {match:.3f}, diversity {div:.4f}")
@@ -427,10 +412,7 @@ def cmd_verify_bounds(args) -> int:
         # the wall clock stays out of the file, so equal seeds give equal bytes
         write_json(args.out, {k: v for k, v in out.items() if k != "elapsed_seconds"})
     if args.emit_plot_data:
-        rows = sweep_compression_grid(seed=args.seed)
-        _write_csv(args.emit_plot_data, rows,
-                   ("m", "trial", "L_s", "L_z", "total_variation", "delta",
-                    "max_error", "uniform_bound", "tightness", "ok"))
+        _write_csv(args.emit_plot_data, sweep_compression_grid(seed=args.seed))
     return 0 if out["ok"] else 4
 
 
@@ -476,9 +458,7 @@ def cmd_sweep_compression(args) -> int:
                              samples[-args.n_eval:], budgets)
     write_json(args.out, {"budgets": budgets, "rows": rows})
     if args.emit_plot_data:
-        _write_csv(args.emit_plot_data, rows,
-                   ("compression", "levels", "mean_action_kl", "final_loss",
-                    "n_eval"))
+        _write_csv(args.emit_plot_data, rows)
     for row in rows:
         print(f"compression {row['compression']:3d}: "
               f"action KL {row['mean_action_kl']:.6f}")
@@ -580,7 +560,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BehavegenError as exc:

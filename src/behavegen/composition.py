@@ -193,22 +193,19 @@ def generate_composed(flow_model, bottleneck, vocab, world, token_ids,
 
 def generate_single_shot(flow_model, bottleneck, vocab, world, token_ids,
                          t_m: int, sampler: SamplerConfig, seed: int,
-                         boundaries=None,
                          init_state_scale: float = 0.5) -> ComposedRollout:
     """One program for the whole prompt, separator tokens and all.
 
     The pooled text context has no notion of clause order, which is exactly
-    the failure mode stage-wise stitching is meant to beat.  ``boundaries``
-    (defaults to an even split per clause) only annotates where stages are
+    the failure mode stage-wise stitching is meant to beat.  The boundaries
+    split the frames evenly per clause; they only annotate where stages are
     expected, for segment-level evaluation.
     """
     clauses = split_prompt(token_ids, vocab.separator_id)
     (latents,), s1 = _sample_stages(flow_model, bottleneck, vocab, world, [token_ids],
                                     t_m, sampler, seed, init_state_scale)
     total, n = latents.shape[0], len(clauses)
-    if boundaries is None:
-        boundaries = tuple(total * k // n for k in range(1, n))
-    boundaries = tuple(int(b) for b in boundaries)
+    boundaries = tuple(total * k // n for k in range(1, n))
     lengths = tuple(s.stop - s.start for s in stage_slices(total, boundaries))
     return ComposedRollout(latents=latents, states=rollout(world, s1, latents),
                            boundaries=boundaries, stage_lengths=lengths)

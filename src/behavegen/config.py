@@ -13,7 +13,7 @@ import json
 import os
 
 from .bottleneck import BottleneckConfig, TrainConfig
-from .errors import MAX_COUNT, BehavegenError, ConfigInvalid, check_seed, check_sizes
+from .errors import MAX_COUNT, MAX_SCALE, BehavegenError, ConfigInvalid, check_seed, check_sizes
 from .flow import FlowConfig, FlowTrainConfig, SamplerConfig
 from .serialization import from_doc, to_doc
 from .world import DatasetSpec, ExtractionConfig, WorldConfig
@@ -31,6 +31,7 @@ class GenerationConfig:
     def __post_init__(self):
         check_sizes(self, "t_m", limit=MAX_COUNT)
         check_sizes(self, "overlap", limit=MAX_COUNT, low=0)
+        check_sizes(self, "init_state_scale", limit=MAX_SCALE, low=0)
 
 
 def _section(cls, *derived):

@@ -9,11 +9,15 @@ class BehavegenError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ShapeMismatch(BehavegenError):
+class InputError(BehavegenError):
+    """Bad configuration, argument or file: exit code 2; any other BehavegenError exits 3."""
+
+
+class ShapeMismatch(InputError):
     """Array arguments disagree on a required shape."""
 
 
-class DimensionMismatch(BehavegenError):
+class DimensionMismatch(InputError):
     """A vector or matrix has the wrong dimensionality for the operation."""
 
 
@@ -33,27 +37,23 @@ class UnstableWorld(BehavegenError):
     """World construction could not reach the requested contraction factor."""
 
 
-class InvalidSpec(BehavegenError):
+class InvalidSpec(InputError):
     """A dataset or generation spec fails validation."""
 
 
-class UnknownToken(BehavegenError):
+class UnknownToken(InputError):
     """A prompt word is not present in the vocabulary."""
-
-
-class LengthNotCompressible(BehavegenError):
-    """Sequence length is not divisible by the compression factor and padding is off."""
 
 
 class NonUnitInput(BehavegenError):
     """An embedding expected to be unit-norm deviates beyond tolerance."""
 
 
-class DegenerateBatch(BehavegenError):
+class DegenerateBatch(InputError):
     """A batch is too small or otherwise unusable for a contrastive objective."""
 
 
-class RangeError(BehavegenError):
+class RangeError(InputError):
     """A scalar argument lies outside its admissible interval."""
 
 
@@ -61,10 +61,15 @@ class RangeError(BehavegenError):
 MAX_DIM = 1024        # feature dimensions, widths and layer counts
 MAX_LEVELS = 10       # compression levels: 2^10 = MAX_DIM
 MAX_COUNT = 100_000   # sample counts, stage durations, program lengths, sampler steps
+# Initial-state scales: states start at scale * N(0, I), and extraction and the
+# bounds square state norms, which overflows float64 past about 1e154; the
+# unit-sphere latents hold the steady state near 1, so 1e6 leaves ample room.
+MAX_SCALE = 1e6
 
 
-def check_sizes(obj, *names, limit: int = MAX_DIM, low: int = 1) -> None:
-    """RangeError naming the first of the fields ``names`` of ``obj`` outside [low, limit]."""
+def check_sizes(obj, *names, limit: float = MAX_DIM, low: float = 1) -> None:
+    """RangeError naming the first of the fields ``names`` of ``obj`` outside
+    [low, limit]; NaN lies outside every range."""
     for name in names:
         if not low <= getattr(obj, name) <= limit:
             raise RangeError(f"{name} = {getattr(obj, name)} outside [{low}, {limit}]")
@@ -81,23 +86,23 @@ class DivergenceDetected(BehavegenError):
     """Training or sampling produced non-finite numbers."""
 
 
-class EmptyClause(BehavegenError):
+class EmptyClause(InputError):
     """Prompt splitting produced a clause with no tokens."""
 
 
-class OverlapTooLarge(BehavegenError):
+class OverlapTooLarge(InputError):
     """Blend overlap does not fit inside the shortest neighbouring stage."""
 
 
-class CountMismatch(BehavegenError):
+class CountMismatch(InputError):
     """Two paired collections differ in length."""
 
 
-class BoundaryOutOfRange(BehavegenError):
+class BoundaryOutOfRange(InputError):
     """A stage boundary index falls outside the valid interior of a trajectory."""
 
 
-class TooFewSamples(BehavegenError):
+class TooFewSamples(InputError):
     """A statistic needs more samples than were provided."""
 
 
@@ -109,9 +114,9 @@ class PreconditionViolated(BehavegenError):
     """An analytic precondition of a verified bound fails on the given input."""
 
 
-class ConfigInvalid(BehavegenError):
+class ConfigInvalid(InputError):
     """A run configuration fails schema validation."""
 
 
-class MissingArtifact(BehavegenError):
+class MissingArtifact(InputError):
     """A required input file (dataset, checkpoint) is absent or malformed."""

@@ -19,44 +19,13 @@ DEFAULT_NORM_FLOOR = 1e-8
 
 
 def _as_traj(z) -> np.ndarray:
-    """Coerce a LatentTrajectory or array-like to a validated [T x d] float array."""
-    if isinstance(z, LatentTrajectory):
-        return z.data
+    """Coerce an array-like to a validated [T x d] float array."""
     arr = np.asarray(z, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeMismatch(f"expected a 2-D [T x d] trajectory, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput("trajectory contains non-finite entries")
     return arr
-
-
-@dataclass(frozen=True)
-class LatentTrajectory:
-    """Temporally ordered latent commands, one row per step."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ShapeMismatch(f"latent trajectory must be [T x d_z], got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteInput("latent trajectory contains non-finite entries")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def T(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def d_z(self) -> int:
-        return self.data.shape[1]
-
-    def on_sphere(self, rtol: float = 1e-9) -> bool:
-        """True when every row sits on the sphere of radius sqrt(d_z)."""
-        radius = np.sqrt(self.d_z)
-        norms = np.linalg.norm(self.data, axis=1)
-        return bool(np.all(np.abs(norms - radius) <= rtol * radius))
 
 
 @dataclass(frozen=True)
@@ -83,12 +52,6 @@ class SegmentPartition:
     @property
     def segment_count(self) -> int:
         return len(self.starts)
-
-    def segment_of(self, t: int) -> int:
-        """Index of the segment containing step t."""
-        if t < 0 or t >= self.length:
-            raise RangeError(f"step {t} outside [0, {self.length})")
-        return int(np.searchsorted(np.asarray(self.starts), t, side="right") - 1)
 
     def segment_slices(self):
         ends = list(self.starts[1:]) + [self.length]

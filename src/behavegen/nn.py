@@ -65,8 +65,8 @@ class Module:
     def param_count(self) -> int:
         return sum(p.size for p in self.params().values())
 
-    def load_values(self, values: dict, prefix: str = ""):
-        params = self.params(prefix)
+    def load_values(self, values: dict):
+        params = self.params()
         missing = set(params) - set(values)
         extra = set(values) - set(params)
         if missing or extra:
@@ -77,8 +77,8 @@ class Module:
                 raise ShapeMismatch(f"{name}: shape {arr.shape} vs {p.value.shape}")
             p.value[...] = arr
 
-    def export_values(self, prefix: str = "") -> dict:
-        return {name: p.value.copy() for name, p in self.params(prefix).items()}
+    def export_values(self) -> dict:
+        return {name: p.value.copy() for name, p in self.params().items()}
 
 
 def replicate_pad(x: np.ndarray, pad: int) -> np.ndarray:
@@ -304,10 +304,10 @@ class Adam:
     Adam owns its parameters' storage: each ``Param``'s value and gradient
     become views of two flat buffers, so write them in place from then on."""
 
-    def __init__(self, params: dict, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0, warmup: int = 0):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict, lr: float, weight_decay: float = 0.0, warmup: int = 0):
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.warmup = warmup
         self.t = 0
@@ -327,7 +327,7 @@ class Adam:
     def step(self):
         lr_t = self.current_lr()
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bias1, bias2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
         g, m, v = self.grad, self.m, self.v
         s1, s2 = np.empty_like(g), np.empty_like(g)
@@ -338,7 +338,7 @@ class Adam:
         v *= b2
         v += np.multiply(np.multiply(g, 1 - b2, out=s1), g, out=s1)
         np.divide(m, bias1, out=s1)
-        s1 /= np.add(np.sqrt(np.divide(v, bias2, out=s2), out=s2), self.eps, out=s2)
+        s1 /= np.add(np.sqrt(np.divide(v, bias2, out=s2), out=s2), self.EPS, out=s2)
         if self.weight_decay > 0.0:
             s1 += np.multiply(self.value, self.weight_decay, out=s2)
         self.value -= np.multiply(s1, lr_t, out=s1)

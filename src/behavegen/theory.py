@@ -48,6 +48,7 @@ from .world import (
 )
 
 BOUND_TOL = 1e-9
+RHO_FLOOR = 1e-8  # smallest pre-projection norm for which the smoothing cap means anything
 TELESCOPE_TOL = 1e-10
 SUITE_BLOCK = 256  # instances a suite draws and rolls out together
 
@@ -124,8 +125,7 @@ def _compression_report(world, z, approx, m, segments, states) -> dict:
 # extraction smoothness
 # ---------------------------------------------------------------------------
 
-def verify_smoothing_bound(world: SyntheticWorld, cfg: ExtractionConfig,
-                           states, rho_floor: float = 1e-8) -> dict:
+def verify_smoothing_bound(world: SyntheticWorld, cfg: ExtractionConfig, states) -> dict:
     """Telescoping identity and total-variation cap on full lookahead windows.
 
     With a full window the averaged feature difference collapses to
@@ -151,7 +151,7 @@ def verify_smoothing_bound(world: SyntheticWorld, cfg: ExtractionConfig,
     telescope_ok = worst_tel <= TELESCOPE_TOL
 
     rho = float(np.min(np.linalg.norm(full, axis=1)))
-    if rho < rho_floor:
+    if rho < RHO_FLOOR:
         raise DegenerateRho(
             f"pre-projection norms reach {rho:.3e}; cap is vacuous"
         )

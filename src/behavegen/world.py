@@ -19,6 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     MAX_COUNT,
+    MAX_SCALE,
     CountMismatch,
     DimensionMismatch,
     InvalidSpec,
@@ -139,7 +140,7 @@ class SyntheticWorld:
         return operator_norm(self.B_mat)
 
     def to_config(self) -> dict:
-        """The recipe as a JSON document; ``world_from_config`` rebuilds
+        """The recipe as a JSON document; ``make_world(**doc)`` rebuilds
         this world from it bit for bit."""
         return to_doc(self.config)
 
@@ -188,31 +189,21 @@ def make_world(**recipe) -> SyntheticWorld:
     return world
 
 
-def world_from_config(doc: dict) -> SyntheticWorld:
-    """Rebuild a world from its complete recipe document."""
-    return make_world(**asdict(from_doc(WorldConfig, doc, "world")))
-
-
-def rollout(world: SyntheticWorld, s1, z_seq, stochastic: bool = False, rng=None) -> np.ndarray:
-    """Roll the world for len(z_seq) steps; returns [T_z + 1, state_dim] states.
-
-    The default follows the mean policy exactly.  With ``stochastic=True``
-    actions get N(0, sigma_pi^2 I) noise drawn from ``rng``.
-    """
-    return rollouts(world, (s1,), (z_seq,), stochastic, rng)[0]
+def rollout(world: SyntheticWorld, s1, z_seq) -> np.ndarray:
+    """Roll the world for len(z_seq) steps under the mean policy; returns
+    [T_z + 1, state_dim] states."""
+    return rollouts(world, (s1,), (z_seq,))[0]
 
 
 def _padded(mats, shape) -> np.ndarray:
     """The matrices stacked and zero-padded to one [len(mats), *shape]."""
-    if len(mats) == 1:  # the batch sizes are its own: nothing to pad
-        return mats[0][None]
     out = np.zeros((len(mats), *shape))
     for o, m in zip(out, mats):
         o[:m.shape[0], :m.shape[1]] = m
     return out
 
 
-def rollouts(worlds, s1s, z_seqs, stochastic: bool = False, rng=None) -> list:
+def rollouts(worlds, s1s, z_seqs) -> list:
     """Roll sequence i from ``s1s[i]`` under ``z_seqs[i]`` in ``worlds[i]``,
     or in ``worlds`` itself when it is one world; returns each sequence's
     [T_i + 1, state_dim_i] states, in input order.
@@ -223,8 +214,7 @@ def rollouts(worlds, s1s, z_seqs, stochastic: bool = False, rng=None) -> list:
     one world every sequence gets the bits of a rollout of its own.  Distinct
     worlds are stacked and zero-padded to the largest state, action and latent
     sizes; padded components stay exactly 0, and the states agree with
-    per-world rollouts to rounding.  A stochastic step draws
-    ``rng.standard_normal((live[t], action_dim))``, at the largest action_dim.
+    per-world rollouts to rounding.
     """
     n_seq = len(z_seqs)
     if n_seq == 0 or len(s1s) != n_seq:
@@ -235,8 +225,6 @@ def rollouts(worlds, s1s, z_seqs, stochastic: bool = False, rng=None) -> list:
     elif len(worlds) != n_seq:
         raise CountMismatch(f"rollouts needs one world per latent sequence, "
                             f"got {len(worlds)} worlds and {n_seq} sequences")
-    if stochastic and rng is None:
-        raise RangeError("stochastic rollout needs an explicit rng")
     zs = [np.asarray(z, dtype=float) for z in z_seqs]
     s1s = [np.asarray(s, dtype=float) for s in s1s]
     for w, s, z in zip(worlds, s1s, zs):
@@ -256,32 +244,22 @@ def rollouts(worlds, s1s, z_seqs, stochastic: bool = False, rng=None) -> list:
     W_s = _padded([w.W_s for w in ws], (a, n))
     A_s = _padded([w.A_s for w in ws], (n, n))
     A_a = _padded([w.A_a for w in ws], (n, a))
-    if stochastic:
-        sigma = _padded([np.full((w.action_dim, 1), w.sigma_pi) for w in ws], (a, 1))
     states = np.zeros((n_seq + sum(lens), n, 1))  # s1s, then step by step
-    if n_seq == 1:
-        states[0, :, 0] = s1s[0]
-        wz = worlds[0].W_z @ zs[0][..., None]
-    else:
-        starts = np.cumsum([0] + live[:-1])  # first packed frame of each step
-        wz = np.zeros((sum(lens), a, 1))
-        for r, i in enumerate(order):
-            states[r, :len(s1s[i]), 0] = s1s[i]
-            wz[starts[:lens[r]] + r, :worlds[i].action_dim] = worlds[i].W_z @ zs[i][..., None]
+    starts = np.cumsum([0] + live[:-1])  # first packed frame of each step
+    wz = np.zeros((sum(lens), a, 1))
+    for r, i in enumerate(order):
+        states[r, :len(s1s[i]), 0] = s1s[i]
+        wz[starts[:lens[r]] + r, :worlds[i].action_dim] = worlds[i].W_z @ zs[i][..., None]
     s, at = states[:n_seq], 0  # the previous step's states; its first packed frame
     for k in live:
         if k < len(s):
             s, W_s, A_s, A_a = s[:k], W_s[:k], A_s[:k], A_a[:k]
         act = W_s @ s
         act += wz[at:at + k]
-        if stochastic:
-            act += sigma[:k] * rng.standard_normal((k, a))[..., None]
         s = np.add(A_s @ s, A_a @ act, out=states[n_seq + at:n_seq + at + k])
         at += k
     if not np.isfinite(states).all():
         raise NonFiniteState("rollout diverged to non-finite states")
-    if n_seq == 1:
-        return [states[..., 0]]
     rank = sorted(range(n_seq), key=order.__getitem__)
     return [states[np.concatenate(([r], n_seq + r + starts[:lens[r]])), :worlds[i].state_dim, 0]
             for i, r in enumerate(rank)]
@@ -372,14 +350,6 @@ class Vocabulary:
         if not np.allclose(norms, 1.0, atol=1e-9):
             raise InvalidSpec("embedding rows must be unit-norm")
 
-    @property
-    def size(self) -> int:
-        return len(self.words)
-
-    @property
-    def d_text(self) -> int:
-        return self.embeddings.shape[1]
-
     def encode(self, text: str) -> tuple:
         ids = []
         index = {w: i for i, w in enumerate(self.words)}
@@ -453,6 +423,7 @@ class DatasetSpec:
                               "stage_probs must put all weight on one stage")
         if self.script_noise < 0:
             raise InvalidSpec("script_noise must be >= 0")
+        check_sizes(self, "init_state_scale", limit=MAX_SCALE, low=0)
 
 
 @dataclass(frozen=True)

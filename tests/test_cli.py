@@ -5,6 +5,7 @@ tests; each subcommand is exercised through ``main(argv)`` so the exit-code
 contract is tested exactly as a shell would see it.
 """
 
+import dataclasses
 import json
 import shutil
 import time
@@ -15,8 +16,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import behavegen.cli as cli
+from behavegen import errors
 from behavegen.cli import main, training_prototypes
-from behavegen.errors import TooFewSamples
+from behavegen.errors import InputError, TooFewSamples
 from behavegen.serialization import read_json
 from behavegen.world import Sample
 
@@ -430,10 +432,12 @@ class TestExitCodes:
         ("bottleneck", "levels", "train-vbb"),
         ("flow", "width", "train-flow"),
         ("generation", "t_m", "compose"),
+        ("dataset", "init_state_scale", "gen-data"),
+        ("generation", "init_state_scale", "compose"),
     ])
     def test_huge_size_exits_2(self, workdir, tmp_path, capsys, section, key, command):
         # a size far above its fixed limit is refused at once, not when an
-        # array of that size is allocated
+        # array of that size is allocated or a rollout overflows
         cfg = json.loads(json.dumps(TINY_CONFIG))
         cfg[section][key] = 10 ** 10
         path = tmp_path / "huge.json"
@@ -448,6 +452,7 @@ class TestExitCodes:
         elapsed = time.perf_counter() - t0
         err = capsys.readouterr().err
         assert rc == 2 and len(err.splitlines()) == 1 and key in err, err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "out.json").exists()
         assert elapsed < 1.0, f"{command} took {elapsed:.2f} s to refuse {key}"
 
     @pytest.mark.parametrize("entry", ["config", "env", "generate", "verify-bounds"])
@@ -517,16 +522,51 @@ class TestExitCodes:
                        "--out", str(tmp_path / "flow")])
         assert rc == 3
 
-    def test_diverging_rollout_exits_3(self, tmp_path, capsys):
-        cfg = dict(TINY_CONFIG, dataset=dict(TINY_CONFIG["dataset"], init_state_scale=1e308))
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps(cfg))
+    def test_diverging_rollout_exits_3(self, tmp_path, capsys, monkeypatch):
+        # no valid config makes a world expand, so the world is swapped for one
+        # whose state map is scaled up by 1e100
+        make_world = cli.make_world
+
+        def expanding_world(**recipe):
+            world = make_world(**recipe)
+            return dataclasses.replace(world, A_s=world.A_s * 1e100)
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(TINY_CONFIG))
+        monkeypatch.setattr(cli, "make_world", expanding_world)
         out = tmp_path / "d.json"
         with np.errstate(all="ignore"):
             rc = main(["gen-data", "--config", str(path), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 3 and err == "numeric failure: rollout diverged to non-finite states\n"
         assert not out.exists()
+
+
+# every error class but these blames the input: the CLI exits 2 for it, 3 for these
+NUMERIC_FAILURES = {"NonFiniteInput", "ZeroNormInput", "NonFiniteState", "UnstableWorld",
+                    "NonUnitInput", "DivergenceDetected", "DegenerateRho",
+                    "PreconditionViolated"}
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, errors.BehavegenError)]
+
+
+class TestErrorClasses:
+    def test_numeric_failures_are_the_only_other_errors(self):
+        other = {c.__name__ for c in ERROR_CLASSES if not issubclass(c, InputError)}
+        assert other == NUMERIC_FAILURES | {"BehavegenError"}
+
+    @pytest.mark.parametrize("error", [*ERROR_CLASSES, OSError], ids=lambda c: c.__name__)
+    def test_each_error_maps_to_its_exit_code(self, monkeypatch, capsys, error):
+        def fail(args):
+            raise error("stubbed")
+
+        monkeypatch.setattr(cli, "cmd_verify_bounds", fail)
+        rc = main(["verify-bounds"])
+        err = capsys.readouterr().err
+        if error.__name__ in NUMERIC_FAILURES | {"BehavegenError"}:
+            assert (rc, err) == (3, "numeric failure: stubbed\n")
+        else:
+            assert (rc, err) == (2, "error: stubbed\n")
 
 
 def _drop(*path):

@@ -284,15 +284,6 @@ class TestGenerateSingleShot:
         assert out.stage_lengths == (4, 4, 4)
         assert out.states.shape == (13, 3)
 
-    def test_explicit_boundaries(self):
-        flow, bottleneck, vocab, world = pipeline()
-        ids = vocab.encode("walk then sit")
-        out = generate_single_shot(flow, bottleneck, vocab, world, ids, t_m=5,
-                                   sampler=SamplerConfig(steps=4), seed=3,
-                                   boundaries=(7,))
-        assert out.boundaries == (7,)
-        assert out.stage_lengths == (7, 3)
-
     def test_deterministic(self):
         flow, bottleneck, vocab, world = pipeline()
         ids = vocab.encode("walk then sit")

@@ -82,10 +82,12 @@ class TestStrictness:
             run_config_from_dict(minimal_doc(seed=True))
 
     def test_generation_sizes_bounded(self):
-        # overlap 0 means no crossfade; sizes past MAX_COUNT are refused at load
+        # overlap 0 means no crossfade; sizes past MAX_COUNT and start scales
+        # outside [0, MAX_SCALE] are refused at load
         cfg = run_config_from_dict(minimal_doc(generation={"overlap": 0}))
         assert cfg.generation.overlap == 0
-        for bad in ({"t_m": 0}, {"t_m": 10 ** 12}, {"overlap": -1}, {"overlap": 10 ** 12}):
+        for bad in ({"t_m": 0}, {"t_m": 10 ** 12}, {"overlap": -1}, {"overlap": 10 ** 12},
+                    {"init_state_scale": -0.5}, {"init_state_scale": 1e308}):
             with pytest.raises(ConfigInvalid, match=next(iter(bad))):
                 run_config_from_dict(minimal_doc(generation=bad))
 

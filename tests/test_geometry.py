@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from behavegen.errors import RangeError, ShapeMismatch, ZeroNormInput
 from behavegen.geometry import (
-    LatentTrajectory,
     SegmentPartition,
     blend_overlap,
     max_deviation,
@@ -240,8 +239,6 @@ class TestPiecewiseConstant:
         for seg in part.segment_slices():
             covered.extend(range(seg.start, seg.stop))
         assert covered == list(range(33))
-        assert part.segment_of(0) == 0
-        assert part.segment_of(32) == part.segment_count - 1
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +280,6 @@ class TestBlend:
 # ---------------------------------------------------------------------------
 
 class TestTypes:
-    def test_latent_trajectory_validation(self):
-        with pytest.raises(ShapeMismatch):
-            LatentTrajectory(np.zeros(5))
-        with pytest.raises(Exception):
-            LatentTrajectory(np.array([[np.nan, 1.0]]))
-
-    def test_on_sphere_flag(self):
-        rng = np.random.default_rng(31)
-        z = project_rows(rng.normal(size=(5, 6)))
-        assert LatentTrajectory(z).on_sphere()
-        assert not LatentTrajectory(z * 1.001).on_sphere()
-
     def test_partition_validation(self):
         with pytest.raises(ShapeMismatch):
             SegmentPartition(starts=(1, 3), length=5)

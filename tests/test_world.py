@@ -15,11 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import behavegen.cli as cli
 import behavegen.world as world_module
 from behavegen.errors import (
+    MAX_SCALE,
     CountMismatch,
     DimensionMismatch,
+    InputError,
     InvalidSpec,
     NonFiniteState,
     RangeError,
@@ -34,7 +35,6 @@ from behavegen.world import (
     DatasetSpec,
     ExtractionConfig,
     Sample,
-    SyntheticWorld,
     action_kl,
     dataset_from_dict,
     dataset_to_dict,
@@ -47,7 +47,6 @@ from behavegen.world import (
     prototype_directions,
     rollout,
     rollouts,
-    world_from_config,
 )
 
 
@@ -89,33 +88,12 @@ def step(world, s, z):
     return world.A_s @ s + world.A_a @ policy_mean(world, s, z)
 
 
-def loop_rollout(world, s1, z_seq, stochastic=False, rng=None):
+def loop_rollout(world, s1, z_seq):
     """Rollout one ``policy_mean`` call per step, as ``rollout`` must match."""
     states = [np.asarray(s1, dtype=float)]
     for z in np.asarray(z_seq, dtype=float):
-        act = policy_mean(world, states[-1], z)
-        if stochastic:
-            act = act + world.sigma_pi * rng.standard_normal(world.action_dim)
-        states.append(world.A_s @ states[-1] + world.A_a @ act)
+        states.append(step(world, states[-1], z))
     return np.array(states)
-
-
-def loop_rollouts(worlds, s1s, z_seqs, rng):
-    """Stochastic batch rollout one sequence and step at a time, in one world
-    or one world per sequence: step t draws one noise row per sequence still
-    running, longest sequences first, as wide as the widest action."""
-    if isinstance(worlds, SyntheticWorld):
-        worlds = [worlds] * len(z_seqs)
-    width = max(w.action_dim for w in worlds)
-    order = sorted(range(len(z_seqs)), key=lambda i: -len(z_seqs[i]))
-    states = [[np.asarray(s, dtype=float)] for s in s1s]
-    for t in range(max(len(z) for z in z_seqs)):
-        live = [i for i in order if len(z_seqs[i]) > t]
-        for i, noise in zip(live, rng.standard_normal((len(live), width))):
-            w, s = worlds[i], states[i][-1]
-            act = policy_mean(w, s, z_seqs[i][t]) + w.sigma_pi * noise[:w.action_dim]
-            states[i].append(w.A_s @ s + w.A_a @ act)
-    return [np.array(seq) for seq in states]
 
 
 def draw_and_roll_sample(world, extraction, spec, vocab, protos, seed_seq):
@@ -237,7 +215,7 @@ class TestOperatorNorm:
         for _ in range(300):
             w = random_world(rng)
             for doc in (w.to_config(), json.loads(canon_dumps(w.to_config()))):
-                again = world_from_config(doc)
+                again = make_world(**doc)
                 assert again.config == w.config
                 for name in ("A_s", "A_a", "W_s", "W_z", "B_mat"):
                     assert getattr(again, name).tobytes() == getattr(w, name).tobytes()
@@ -294,28 +272,14 @@ class TestDynamics:
         limit = w.L_z * np.sqrt(w.d_z) / (1 - w.L_s)
         assert np.linalg.norm(states, axis=1).max() <= limit + 1e-9
 
-    def test_stochastic_rollout_needs_rng_and_differs(self):
-        w = small_world(seed=13)
-        z_seq = np.zeros((10, w.d_z))
-        s1 = np.ones(w.state_dim)
-        with pytest.raises(RangeError):
-            rollout(w, s1, z_seq, stochastic=True)
-        noisy = rollout(w, s1, z_seq, stochastic=True, rng=np.random.default_rng(0))
-        clean = rollout(w, s1, z_seq)
-        assert not np.allclose(noisy, clean)
-
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 40), st.booleans())
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 40))
     @settings(max_examples=60, deadline=None)
-    def test_rollout_matches_policy_mean_loop(self, seed, n_steps, stochastic):
+    def test_rollout_matches_policy_mean_loop(self, seed, n_steps):
         rng = np.random.default_rng(seed)
         w = random_world(rng)
         z_seq = rng.normal(size=(n_steps, w.d_z))
         s1 = rng.normal(size=w.state_dim)
-        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = rollout(w, s1, z_seq, stochastic, rng_got if stochastic else None)
-        want = loop_rollout(w, s1, z_seq, stochastic, rng_want)
-        np.testing.assert_array_equal(got, want)
-        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+        np.testing.assert_array_equal(rollout(w, s1, z_seq), loop_rollout(w, s1, z_seq))
 
     @given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 70), min_size=1, max_size=24))
     @example(1, [0])
@@ -329,11 +293,6 @@ class TestDynamics:
         s1s = rng.normal(size=(len(lengths), w.state_dim))
         for got, s1, z_seq in zip(rollouts(w, s1s, z_seqs), s1s, z_seqs, strict=True):
             np.testing.assert_array_equal(got, loop_rollout(w, s1, z_seq))
-        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-        noisy = rollouts(w, s1s, z_seqs, stochastic=True, rng=rng_got)
-        for got, want in zip(noisy, loop_rollouts(w, s1s, z_seqs, rng_want), strict=True):
-            np.testing.assert_array_equal(got, want)
-        assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
     @given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 70), min_size=1, max_size=24))
     @example(4, [0])
@@ -350,11 +309,6 @@ class TestDynamics:
         got = rollouts(worlds, s1s, z_seqs)
         for states, w, s1, z_seq in zip(got, worlds, s1s, z_seqs, strict=True):
             np.testing.assert_allclose(states, loop_rollout(w, s1, z_seq), rtol=1e-13, atol=1e-14)
-        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-        noisy = rollouts(worlds, s1s, z_seqs, stochastic=True, rng=rng_got)
-        for states, want in zip(noisy, loop_rollouts(worlds, s1s, z_seqs, rng_want), strict=True):
-            np.testing.assert_allclose(states, want, rtol=1e-13, atol=1e-14)
-        assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
     def test_one_world_per_sequence_required(self):
         w = small_world()
@@ -376,7 +330,7 @@ class TestDynamics:
             with pytest.raises(CountMismatch) as err:
                 rollouts(w, s1s, z_seqs)
             # a class the CLI maps to exit code 2, with a one-line message
-            assert isinstance(err.value, cli._CONFIG_ERRORS)
+            assert isinstance(err.value, InputError)
             assert "\n" not in str(err.value)
 
 
@@ -535,7 +489,7 @@ class TestActionKL:
 class TestVocabulary:
     def test_round_trip_and_separator(self):
         v = make_vocabulary(("walk", "run"), separator="then", d_text=16, embed_seed=3)
-        assert v.size == 3
+        assert len(v.words) == 3
         assert v.words[v.separator_id] == "then"
         ids = v.encode("walk then run")
         assert ids == (0, 2, 1)
@@ -574,7 +528,7 @@ class TestDataset:
     def test_matches_per_sample_reference(self, case):
         if case == "base":
             cfg = load_run_config(str(BASE_CONFIG))
-            world = world_from_config(to_doc(cfg.world))
+            world = make_world(**to_doc(cfg.world))
             extraction, spec = cfg.extraction, replace(cfg.dataset, n_samples=40)
         else:  # windows longer than every script
             world = small_world(seed=3, state_dim=1, action_dim=2, d_z=1)
@@ -592,10 +546,11 @@ class TestDataset:
             np.testing.assert_array_equal(sample.latents, latents)
 
     def test_diverging_sample_raises(self):
-        spec = replace(self.spec, init_state_scale=1e308)
+        # no valid recipe makes a world expand, so its state map is scaled up
+        world = replace(self.world, A_s=self.world.A_s * 1e100)
         with np.errstate(all="ignore"), \
                 pytest.raises(NonFiniteState, match="^rollout diverged to non-finite states$"):
-            generate_dataset(self.world, self.extraction, spec, self.vocab, seed=100)
+            generate_dataset(world, self.extraction, self.spec, self.vocab, seed=100)
 
     def test_different_seeds_differ(self):
         a = generate_dataset(self.world, self.extraction, self.spec, self.vocab, seed=100)
@@ -691,6 +646,11 @@ class TestDataset:
             DatasetSpec(stage_probs=(0.5, 0.4))
         with pytest.raises(InvalidSpec):
             DatasetSpec(behaviors=("walk", "walk"))
+        for ok in (0.0, MAX_SCALE):
+            assert DatasetSpec(init_state_scale=ok).init_state_scale == ok
+        for bad in (-1e-3, MAX_SCALE * 1.01, 1e308, float("inf"), float("nan")):
+            with pytest.raises(RangeError, match="init_state_scale"):
+                DatasetSpec(init_state_scale=bad)
 
     def test_one_behavior_needs_one_stage(self):
         # later stages must differ from the one before, which one behavior cannot
