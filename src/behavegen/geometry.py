@@ -85,6 +85,20 @@ def project_rows(z, norm_floor: float = DEFAULT_NORM_FLOOR) -> np.ndarray:
     return np.sqrt(arr.shape[1]) * arr / norms[:, None]
 
 
+def row_dots(x, y) -> np.ndarray:
+    """Dot product of each row of ``x`` with the matching row of ``y``; a
+    single vector broadcasts.  The stacked [k, 1, d] @ [k, d, 1] product runs
+    one BLAS dot per row, so row i has the bits of ``x[i] @ y[i]``."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def row_norms(x) -> np.ndarray:
+    """Euclidean norm of each row, with the bits of ``np.linalg.norm(row)``,
+    which is the square root of the same BLAS dot.  ``np.linalg.norm(x,
+    axis=1)`` sums in another order, so it differs in the last bits."""
+    return np.sqrt(row_dots(x, x))
+
+
 def total_variation(z) -> float:
     """Sum of Euclidean step lengths along the trajectory. Zero for T = 1."""
     arr = _as_traj(z)

@@ -37,6 +37,8 @@ from .geometry import (
     max_deviation,
     piecewise_constant_approx,
     project_rows,
+    row_dots,
+    row_norms,
     total_variation,
 )
 from .world import (
@@ -44,6 +46,7 @@ from .world import (
     SyntheticWorld,
     lookahead_averages,
     make_world,
+    make_worlds,
     rollouts,
 )
 
@@ -59,35 +62,36 @@ SUITE_BLOCK = 256  # instances a suite draws and rolls out together
 
 @dataclass(frozen=True)
 class BoundCase:
-    """A drawn bound instance: ``z_seqs`` are rolled out in ``world`` from
-    ``s1``, and ``check`` turns their states, in order, into the report."""
+    """A drawn bound instance: the world of ``recipe`` rolls ``z_seqs`` out
+    from ``s1``, and ``check(world, states)`` turns their states, in order,
+    into the report."""
 
-    world: SyntheticWorld
+    recipe: dict
     s1: np.ndarray
     z_seqs: tuple
-    check: Callable[[list], dict]
+    check: Callable[[SyntheticWorld, list], dict]
 
-    def report(self) -> dict:
-        """The report of this instance rolled out on its own."""
-        return self.check(rollouts(self.world, (self.s1,) * len(self.z_seqs), self.z_seqs))
+    def report(self, world: SyntheticWorld) -> dict:
+        """The report of this instance rolled out on its own in ``world``,
+        the world of its recipe."""
+        return self.check(world, rollouts(world, (self.s1,) * len(self.z_seqs), self.z_seqs))
 
 
-def compression_case(world: SyntheticWorld, z_traj, m: int, s1) -> BoundCase:
+def compression_case(recipe: dict, z, m: int, s1) -> BoundCase:
     """A latent trajectory and its m-segment approximation, to be rolled out
     from ``s1`` and checked against the per-step and uniform error bounds."""
-    z = np.asarray(z_traj, dtype=float)
     approx, partition = piecewise_constant_approx(z, m)
-    return BoundCase(world, s1, (z, approx), partial(
-        _compression_report, world, z, approx, m, partition.segment_count))
+    return BoundCase(recipe, s1, (z, approx), partial(
+        _compression_report, z, approx, m, partition.segment_count))
 
 
 def verify_compression_bound(world: SyntheticWorld, z_traj, m: int, s1) -> dict:
     """Roll out a latent trajectory and its m-segment approximation and check
     the per-step and uniform error bounds."""
-    return compression_case(world, z_traj, m, s1).report()
+    return compression_case(world.to_config(), np.asarray(z_traj, dtype=float), m, s1).report(world)
 
 
-def _compression_report(world, z, approx, m, segments, states) -> dict:
+def _compression_report(z, approx, m, segments, world, states) -> dict:
     states_ref, states_hat = states
     v_total = total_variation(z)
     delta = v_total / (m - 1)
@@ -158,10 +162,8 @@ def verify_smoothing_bound(world: SyntheticWorld, cfg: ExtractionConfig, states)
     z_full = project_rows(full, cfg.norm_floor)
     tv = total_variation(z_full)
     d_z = world.d_z
-    state_var = sum(
-        float(np.linalg.norm(s_arr[i + 1 + span] - s_arr[i + 1]))
-        for i in range(n_full - 1)
-    )
+    # summed left to right, one window pair after another
+    state_var = sum(row_norms(s_arr[1 + span:n_full + span] - s_arr[1:n_full]).tolist())
     cap = (2.0 * np.sqrt(d_z) * world.L_B / (rho * span)) * state_var
     tv_ok = bool(tv <= cap + BOUND_TOL)
 
@@ -201,29 +203,34 @@ def verify_margin_bound(e_y, e_m, negatives, delta: float, tau: float) -> dict:
     if tau <= 0:
         raise RangeError(f"temperature {tau} must be positive")
     e_y = np.asarray(e_y, dtype=float)
-    e_m = np.asarray(e_m, dtype=float)
-    negs = [np.asarray(n, dtype=float) for n in negatives]
-    if len(negs) == 0:
+    vecs = [e_y, np.asarray(e_m, dtype=float)] + [np.asarray(n, dtype=float) for n in negatives]
+    if len(vecs) == 2:
         raise CountMismatch("need at least one negative")
-    for v in [e_y, e_m] + negs:
-        if v.shape != e_y.shape:
-            raise ShapeMismatch("all embeddings must share one dimension")
-        if abs(float(np.linalg.norm(v)) - 1.0) > 1e-9:
-            raise PreconditionViolated("embeddings must be unit-norm")
-    cos_neg = [float(e_y @ v) for v in negs]
-    if max(cos_neg) > 1.0 - delta + 1e-12:
+    if e_y.ndim != 1:
+        raise ShapeMismatch(f"embeddings must be vectors, got shape {e_y.shape}")
+    # the vectors before the first of another shape are checked for unit norm first
+    same = next((i for i, v in enumerate(vecs) if v.shape != e_y.shape), len(vecs))
+    units = np.array(vecs[:same])
+    if (np.abs(row_norms(units) - 1.0) > 1e-9).any():
+        raise PreconditionViolated("embeddings must be unit-norm")
+    if same < len(vecs):
+        raise ShapeMismatch("all embeddings must share one dimension")
+    e_m, negs = units[1], units[2:]
+    cos_neg = max(row_dots(e_y, negs).tolist())
+    if cos_neg > 1.0 - delta + 1e-12:
         raise PreconditionViolated(
-            f"a negative has cosine {max(cos_neg):.6f} > 1 - delta"
+            f"a negative has cosine {cos_neg:.6f} > 1 - delta"
         )
 
     eta = 1.0 - float(e_y @ e_m)
     margin_regime = delta > eta + np.sqrt(2.0 * eta)
     gap_floor = delta - eta - np.sqrt(2.0 * eta)
-    gaps = [float(e_m @ e_y - e_m @ v) for v in negs]
-    actual_gap = min(gaps)
+    match = float(e_m @ e_y)
+    to_negs = row_dots(e_m, negs)
+    actual_gap = min((match - to_negs).tolist())
 
     # softmax retrieval over the matched prompt plus the negatives
-    logits = np.array([float(e_m @ e_y)] + [float(e_m @ v) for v in negs]) / tau
+    logits = np.concatenate(([match], to_negs)) / tau
     logits -= logits.max()
     weights = np.exp(logits)
     p_match = float(weights[0] / weights.sum())
@@ -265,8 +272,9 @@ def random_sphere_walk(rng, n_steps: int, d_z: int, step: float = 0.35):
     return project_rows(raw)
 
 
-def random_world(rng, ls_low: float = 0.5) -> SyntheticWorld:
-    return make_world(
+def world_recipe(rng, ls_low: float = 0.5) -> dict:
+    """A random world recipe for ``make_worlds``."""
+    return dict(
         state_dim=int(rng.integers(3, 8)),
         action_dim=int(rng.integers(2, 6)),
         d_z=int(rng.integers(2, 6)),
@@ -277,30 +285,39 @@ def random_world(rng, ls_low: float = 0.5) -> SyntheticWorld:
     )
 
 
+def random_world(rng, ls_low: float = 0.5) -> SyntheticWorld:
+    return make_world(**world_recipe(rng, ls_low))
+
+
 def draw_compression(rng) -> BoundCase:
-    world = random_world(rng, ls_low=0.3)
+    recipe = world_recipe(rng, ls_low=0.3)
     n_steps = int(rng.integers(20, 61))
-    z = random_sphere_walk(rng, n_steps, world.d_z)
+    z = random_sphere_walk(rng, n_steps, recipe["d_z"])
     m = int(rng.choice([2, 4, 8, 16]))
-    s1 = 0.5 * rng.standard_normal(world.state_dim)
-    return compression_case(world, z, m, s1)
+    s1 = 0.5 * rng.standard_normal(recipe["state_dim"])
+    return compression_case(recipe, z, m, s1)
+
+
+def _alone(case: BoundCase) -> dict:
+    """The report of one instance, its world built and rolled out on its own."""
+    return case.report(make_world(**case.recipe))
 
 
 def compression_instance(rng) -> dict:
-    return draw_compression(rng).report()
+    return _alone(draw_compression(rng))
 
 
 def draw_smoothing(rng) -> BoundCase:
-    world = random_world(rng)
+    recipe = world_recipe(rng)
     span = int(rng.integers(2, 7))
     n_steps = int(rng.integers(span + 6, span + 40))
-    z = random_sphere_walk(rng, n_steps, world.d_z)
-    s1 = 0.5 * rng.standard_normal(world.state_dim)
-    return BoundCase(world, s1, (z,), partial(
-        _smoothing_suite_report, world, ExtractionConfig(lookahead=span)))
+    z = random_sphere_walk(rng, n_steps, recipe["d_z"])
+    s1 = 0.5 * rng.standard_normal(recipe["state_dim"])
+    return BoundCase(recipe, s1, (z,), partial(
+        _smoothing_suite_report, ExtractionConfig(lookahead=span)))
 
 
-def _smoothing_suite_report(world, cfg, states) -> dict:
+def _smoothing_suite_report(cfg, world, states) -> dict:
     try:
         return verify_smoothing_bound(world, cfg, states[0])
     except DegenerateRho:
@@ -308,7 +325,7 @@ def _smoothing_suite_report(world, cfg, states) -> dict:
 
 
 def smoothing_instance(rng) -> dict:
-    return draw_smoothing(rng).report()
+    return _alone(draw_smoothing(rng))
 
 
 def margin_instance(rng) -> dict:
@@ -337,15 +354,17 @@ def margin_instance(rng) -> dict:
 
 def suite_reports(draw, rng, count: int):
     """Reports of ``count`` drawn instances, in draw order.  Each block of at
-    most SUITE_BLOCK instances is drawn, then rolled out in one call, then
-    checked; the rollouts draw nothing, so the rng stream is that of one
-    instance after another."""
+    most SUITE_BLOCK instances is drawn, then its worlds are built in one
+    ``make_worlds`` call and its trajectories rolled out in one ``rollouts``
+    call, then each instance is checked.  Building and rolling draw nothing
+    from ``rng``, so its stream is that of one instance after another."""
     for lo in range(0, count, SUITE_BLOCK):
         cases = [draw(rng) for _ in range(min(SUITE_BLOCK, count - lo))]
-        worlds, s1s, z_seqs = zip(*((c.world, c.s1, z) for c in cases for z in c.z_seqs))
-        states = iter(rollouts(worlds, s1s, z_seqs))
-        for c in cases:
-            yield c.check([next(states) for _ in c.z_seqs])
+        worlds = make_worlds([c.recipe for c in cases])
+        states = iter(rollouts(*zip(*((w, c.s1, z) for w, c in zip(worlds, cases)
+                                      for z in c.z_seqs))))
+        for w, c in zip(worlds, cases):
+            yield c.check(w, [next(states) for _ in c.z_seqs])
 
 
 def run_suites(seed: int = 0, n_compression: int = 500, n_smoothing: int = 200,

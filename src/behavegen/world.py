@@ -12,7 +12,7 @@ trajectory's commands vary smoothly in time.
 """
 
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,20 +34,34 @@ from .geometry import project_rows
 from .serialization import from_doc, to_doc
 
 
-def operator_norm(mat) -> float:
-    """Largest singular value, from LAPACK's SVD.
+def operator_norm(mat):
+    """Largest singular value, from LAPACK's SVD: a float for one matrix, an
+    array for a stack [k, rows, cols].
 
     Exact to rounding on every spectrum, near-degenerate ones included, and
-    deterministic for a given matrix.
+    deterministic for a given matrix.  NumPy runs a stack as one LAPACK call
+    per matrix, so each norm has the bits of that matrix's own call.
     """
     m = np.asarray(mat, dtype=float)
-    if m.ndim != 2:
-        raise ShapeMismatch(f"operator norm needs a matrix, got shape {m.shape}")
+    if m.ndim not in (2, 3):
+        raise ShapeMismatch(f"operator norm needs a matrix or a stack of them, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NonFiniteState("matrix contains non-finite entries")
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    norms = np.linalg.svd(m, compute_uv=False)[..., 0] if m.size else np.zeros(m.shape[:-2])
+    return float(norms) if m.ndim == 2 else norms
+
+
+def _operator_norms(mats) -> list:
+    """``operator_norm`` of each matrix, in order, with one stacked SVD per
+    distinct shape."""
+    groups = {}
+    for i, m in enumerate(mats):
+        groups.setdefault(m.shape, []).append(i)
+    out = [0.0] * len(mats)
+    for idx in groups.values():
+        for i, norm in zip(idx, operator_norm(np.stack([mats[i] for i in idx])).tolist()):
+            out[i] = norm
+    return out
 
 
 @dataclass(frozen=True)
@@ -69,8 +83,9 @@ class WorldConfig:
         check_sizes(self, "state_dim", "action_dim", "d_z")
         if not (0.0 < self.target_L_s < 1.0):
             raise RangeError(f"target_L_s must lie in (0, 1), got {self.target_L_s}")
-        if self.target_L_z <= 0 or self.target_L_B <= 0:
-            raise RangeError("target_L_z and target_L_B must be positive")
+        for name in ("target_L_z", "target_L_B"):
+            if not 0.0 < getattr(self, name) <= MAX_SCALE:
+                raise RangeError(f"{name} = {getattr(self, name)} outside (0, {MAX_SCALE}]")
         if self.sigma_pi <= 0:
             raise RangeError(f"sigma_pi must be positive, got {self.sigma_pi}")
         if self.seed < 0:
@@ -83,8 +98,8 @@ class SyntheticWorld:
 
     ``B_mat`` maps states to the latent feature space used by extraction.
     ``config`` is the recipe the matrices were drawn from.  The matrices are
-    read-only, so the Lipschitz constants are computed once per world, on
-    first access, and can never go stale.
+    read-only, and ``L_s``, ``L_z`` and ``L_B`` are their Lipschitz constants,
+    the operator norms that ``make_worlds`` measured on them.
     """
 
     A_s: np.ndarray
@@ -93,6 +108,9 @@ class SyntheticWorld:
     W_z: np.ndarray
     B_mat: np.ndarray
     config: WorldConfig
+    L_s: float  # norm of the state-to-state map of the mean dynamics, A_s + A_a W_s
+    L_z: float  # norm of the latent-to-state map of the mean dynamics, A_a W_z
+    L_B: float  # norm of the feature map B_mat
 
     def __post_init__(self):
         n, a, d = self.state_dim, self.action_dim, self.d_z
@@ -125,20 +143,6 @@ class SyntheticWorld:
     def sigma_pi(self) -> float:
         return self.config.sigma_pi
 
-    @cached_property
-    def L_s(self) -> float:
-        """Norm of the state-to-state map of the mean dynamics, A_s + A_a W_s."""
-        return operator_norm(self.A_s + self.A_a @ self.W_s)
-
-    @cached_property
-    def L_z(self) -> float:
-        """Norm of the latent-to-state map of the mean dynamics, A_a W_z."""
-        return operator_norm(self.A_a @ self.W_z)
-
-    @cached_property
-    def L_B(self) -> float:
-        return operator_norm(self.B_mat)
-
     def to_config(self) -> dict:
         """The recipe as a JSON document; ``make_world(**doc)`` rebuilds
         this world from it bit for bit."""
@@ -146,47 +150,57 @@ class SyntheticWorld:
 
 
 def make_world(**recipe) -> SyntheticWorld:
-    """Draw random matrices and rescale them to hit the requested norms.
+    """The world of one recipe: ``make_worlds([recipe])[0]``."""
+    return make_worlds([recipe])[0]
 
-    The keywords are the ``WorldConfig`` fields, with its defaults.  The
+
+def _draw(cfg: WorldConfig) -> tuple:
+    """The unscaled A_s, A_a, W_s, W_z, B_mat of a recipe, from its own rng."""
+    n, a, d = cfg.state_dim, cfg.action_dim, cfg.d_z
+    rng = np.random.default_rng(cfg.seed)
+    return (rng.normal(size=(n, n)) / np.sqrt(n), rng.normal(size=(n, a)) / np.sqrt(a),
+            rng.normal(size=(a, n)) / np.sqrt(n), rng.normal(size=(a, d)) / np.sqrt(d),
+            rng.normal(size=(d, n)) / np.sqrt(n))
+
+
+def _map_norms(mats) -> list:
+    """The (closed-loop A_s + A_a W_s, latent gain A_a W_z, feature map B_mat)
+    operator norms of each (A_s, A_a, W_s, W_z, B_mat)."""
+    return list(zip(_operator_norms([A_s + A_a @ W_s for A_s, A_a, W_s, _, _ in mats]),
+                    _operator_norms([A_a @ W_z for _, A_a, _, W_z, _ in mats]),
+                    _operator_norms([B_mat for *_, B_mat in mats])))
+
+
+def make_worlds(recipes) -> list:
+    """Draw each recipe's random matrices and rescale them to hit its norms.
+
+    A recipe holds ``WorldConfig`` fields as keywords, with its defaults.  The
     closed-loop state map is scaled to ``target_L_s`` (must be < 1 so the
     mean dynamics contract), the latent gain to ``target_L_z`` and the feature
-    map to ``target_L_B``.
+    map to ``target_L_B``.  Each world draws from its own
+    ``default_rng(seed)``, and each kind of matrix is measured with one
+    stacked SVD per shape, so every world has the bits it has when built
+    alone.  Every recipe is checked, then every draw, before any world is
+    rescaled.
     """
-    cfg = WorldConfig(**recipe)
-    state_dim, action_dim, d_z = cfg.state_dim, cfg.action_dim, cfg.d_z
-    rng = np.random.default_rng(cfg.seed)
-    A_s = rng.normal(size=(state_dim, state_dim)) / np.sqrt(state_dim)
-    A_a = rng.normal(size=(state_dim, action_dim)) / np.sqrt(action_dim)
-    W_s = rng.normal(size=(action_dim, state_dim)) / np.sqrt(state_dim)
-    W_z = rng.normal(size=(action_dim, d_z)) / np.sqrt(d_z)
-    B_mat = rng.normal(size=(d_z, state_dim)) / np.sqrt(state_dim)
-
-    closed = A_s + A_a @ W_s
-    norm_closed = operator_norm(closed)
-    if norm_closed < 1e-12:
-        raise UnstableWorld("degenerate random draw: closed-loop norm ~ 0")
-    scale = cfg.target_L_s / norm_closed
-    A_s = A_s * scale
-    W_s = W_s * scale
-
-    gain = A_a @ W_z
-    norm_gain = operator_norm(gain)
-    if norm_gain < 1e-12:
-        raise UnstableWorld("degenerate random draw: latent gain norm ~ 0")
-    W_z = W_z * (cfg.target_L_z / norm_gain)
-
-    norm_b = operator_norm(B_mat)
-    if norm_b < 1e-12:
-        raise UnstableWorld("degenerate random draw: feature map norm ~ 0")
-    B_mat = B_mat * (cfg.target_L_B / norm_b)
-
-    world = SyntheticWorld(A_s=A_s, A_a=A_a, W_s=W_s, W_z=W_z, B_mat=B_mat, config=cfg)
-    if abs(world.L_s - cfg.target_L_s) > 1e-6:
-        raise UnstableWorld(
-            f"rescaling missed target L_s: {world.L_s} vs {cfg.target_L_s}"
-        )
-    return world
+    cfgs = [WorldConfig(**r) for r in recipes]
+    draws = [_draw(cfg) for cfg in cfgs]
+    mats = []
+    for cfg, (A_s, A_a, W_s, W_z, B_mat), norms in zip(cfgs, draws, _map_norms(draws)):
+        for norm, what in zip(norms, ("closed-loop norm", "latent gain norm", "feature map norm")):
+            if norm < 1e-12:
+                raise UnstableWorld(f"degenerate random draw: {what} ~ 0")
+        n_closed, n_gain, n_b = norms
+        scale = cfg.target_L_s / n_closed
+        mats.append((A_s * scale, A_a, W_s * scale, W_z * (cfg.target_L_z / n_gain),
+                     B_mat * (cfg.target_L_B / n_b)))
+    worlds = []
+    for cfg, (A_s, A_a, W_s, W_z, B_mat), (L_s, L_z, L_B) in zip(cfgs, mats, _map_norms(mats)):
+        if abs(L_s - cfg.target_L_s) > 1e-6:
+            raise UnstableWorld(f"rescaling missed target L_s: {L_s} vs {cfg.target_L_s}")
+        worlds.append(SyntheticWorld(A_s=A_s, A_a=A_a, W_s=W_s, W_z=W_z, B_mat=B_mat,
+                                     config=cfg, L_s=L_s, L_z=L_z, L_B=L_B))
+    return worlds
 
 
 def rollout(world: SyntheticWorld, s1, z_seq) -> np.ndarray:
@@ -245,7 +259,7 @@ def rollouts(worlds, s1s, z_seqs) -> list:
     A_s = _padded([w.A_s for w in ws], (n, n))
     A_a = _padded([w.A_a for w in ws], (n, a))
     states = np.zeros((n_seq + sum(lens), n, 1))  # s1s, then step by step
-    starts = np.cumsum([0] + live[:-1])  # first packed frame of each step
+    starts = np.fromiter(accumulate(live[:-1], initial=0), dtype=np.intp)  # first packed frame of each step
     wz = np.zeros((sum(lens), a, 1))
     for r, i in enumerate(order):
         states[r, :len(s1s[i]), 0] = s1s[i]
@@ -261,7 +275,9 @@ def rollouts(worlds, s1s, z_seqs) -> list:
     if not np.isfinite(states).all():
         raise NonFiniteState("rollout diverged to non-finite states")
     rank = sorted(range(n_seq), key=order.__getitem__)
-    return [states[np.concatenate(([r], n_seq + r + starts[:lens[r]])), :worlds[i].state_dim, 0]
+    rows = np.concatenate(([0], n_seq + starts))  # sequence r holds rows[:len + 1] + r
+    flat = states[..., 0]  # contiguous, so take copies only the rows it gathers
+    return [np.ascontiguousarray(flat.take(rows[:lens[r] + 1] + r, axis=0)[:, :worlds[i].state_dim])
             for i, r in enumerate(rank)]
 
 

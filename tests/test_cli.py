@@ -434,6 +434,8 @@ class TestExitCodes:
         ("generation", "t_m", "compose"),
         ("dataset", "init_state_scale", "gen-data"),
         ("generation", "init_state_scale", "compose"),
+        ("world", "target_L_z", "gen-data"),
+        ("world", "target_L_B", "gen-data"),
     ])
     def test_huge_size_exits_2(self, workdir, tmp_path, capsys, section, key, command):
         # a size far above its fixed limit is refused at once, not when an

@@ -19,6 +19,8 @@ from behavegen.geometry import (
     piecewise_constant_approx,
     project_rows,
     project_to_sphere,
+    row_dots,
+    row_norms,
     total_variation,
 )
 
@@ -149,6 +151,32 @@ class TestTotalVariation:
         z = rng.normal(size=(8, 5))
         q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
         assert np.isclose(total_variation(z), total_variation(z @ q), rtol=1e-10)
+
+
+class TestRowNorms:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_bits_of_one_norm_per_row(self, seed, n_rows, dim):
+        # zero rows and rows whose squares are tiny or huge included
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n_rows, dim)) * 10.0 ** rng.uniform(-8, 8, size=(n_rows, 1))
+        x[rng.random(n_rows) < 0.15] = 0.0
+        x[rng.random(n_rows) < 0.15] *= 1e-150
+        x[rng.random(n_rows) < 0.15] *= 1e150
+        y = rng.normal(size=dim)
+        with np.errstate(over="ignore", invalid="ignore"):  # squares past 1e308 are inf
+            want = np.array([np.linalg.norm(v) for v in x])
+            assert row_norms(x).tobytes() == want.tobytes()
+            assert row_dots(y, x).tobytes() == np.array([y @ v for v in x]).tobytes()
+            assert row_dots(x, x[::-1]).tobytes() == np.array(
+                [u @ v for u, v in zip(x, x[::-1], strict=True)]).tobytes()
+
+    def test_extreme_rows(self):
+        x = np.array([[0.0, 0.0, 0.0], [1e-150, 2e-150, 2e-150], [1e150, -2e150, 2e150],
+                      [3.0, 4.0, 0.0]])
+        want = np.array([np.linalg.norm(v) for v in x])
+        assert row_norms(x).tobytes() == want.tobytes()
+        assert row_norms(x)[0] == 0.0 and row_norms(x)[3] == 5.0
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from behavegen.errors import (
     DegenerateRho,
     PreconditionViolated,
     RangeError,
+    ShapeMismatch,
 )
 from behavegen.geometry import piecewise_constant_approx, project_rows, total_variation
 from behavegen.theory import (
@@ -313,6 +314,17 @@ class TestMarginBound:
             verify_margin_bound(e_y, e_m, [e_m], delta=0.5, tau=0.0)
         with pytest.raises(CountMismatch):
             verify_margin_bound(e_y, e_m, [], delta=0.5, tau=0.1)
+
+    def test_shape_and_norm_checks_in_vector_order(self):
+        # unit norms are checked up to the first vector of another shape,
+        # as a check of one vector after another would
+        e_y, e_m = np.eye(4)[0], np.eye(4)[1]
+        with pytest.raises(ShapeMismatch, match="share one dimension"):
+            verify_margin_bound(e_y, e_m, [e_m, np.eye(3)[0]], delta=0.5, tau=0.1)
+        with pytest.raises(PreconditionViolated, match="unit-norm"):
+            verify_margin_bound(e_y, 2 * e_m, [np.eye(3)[0]], delta=0.5, tau=0.1)
+        with pytest.raises(ShapeMismatch, match="vectors"):
+            verify_margin_bound(e_y[None], e_m[None], [e_m[None]], delta=0.5, tau=0.1)
 
     def test_boundary_negative_passes_precondition(self):
         d = 4

@@ -26,6 +26,7 @@ from behavegen.errors import (
     RangeError,
     ShapeMismatch,
     UnknownToken,
+    UnstableWorld,
 )
 from behavegen.config import load_run_config
 from behavegen.geometry import project_rows, project_to_sphere
@@ -43,6 +44,7 @@ from behavegen.world import (
     lookahead_averages,
     make_vocabulary,
     make_world,
+    make_worlds,
     operator_norm,
     prototype_directions,
     rollout,
@@ -59,6 +61,31 @@ BASE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "base.json"
 
 def svd_opnorm(m):
     return float(np.linalg.norm(np.asarray(m, dtype=float), 2))
+
+
+def top_singular(m):
+    """Largest singular value from one 2-D SVD call."""
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def loop_make_world(**recipe):
+    """One world on its own, with one SVD per matrix, as ``make_worlds`` must
+    match: the five matrices and the norms of the scaled maps."""
+    cfg = world_module.WorldConfig(**recipe)
+    n, a, d = cfg.state_dim, cfg.action_dim, cfg.d_z
+    rng = np.random.default_rng(cfg.seed)
+    A_s = rng.normal(size=(n, n)) / np.sqrt(n)
+    A_a = rng.normal(size=(n, a)) / np.sqrt(a)
+    W_s = rng.normal(size=(a, n)) / np.sqrt(n)
+    W_z = rng.normal(size=(a, d)) / np.sqrt(d)
+    B_mat = rng.normal(size=(d, n)) / np.sqrt(n)
+    scale = cfg.target_L_s / top_singular(A_s + A_a @ W_s)
+    A_s = A_s * scale
+    W_s = W_s * scale
+    W_z = W_z * (cfg.target_L_z / top_singular(A_a @ W_z))
+    B_mat = B_mat * (cfg.target_L_B / top_singular(B_mat))
+    mats = dict(A_s=A_s, A_a=A_a, W_s=W_s, W_z=W_z, B_mat=B_mat)
+    return mats, (top_singular(A_s + A_a @ W_s), top_singular(A_a @ W_z), top_singular(B_mat))
 
 
 def extraction_oracle(b_mat, lookahead, states):
@@ -228,6 +255,59 @@ class TestOperatorNorm:
         for name in ("A_s", "A_a", "W_s", "W_z", "B_mat"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(w, name)[0, 0] = 1.0
+
+
+class TestMakeWorlds:
+    @given(st.lists(st.tuples(st.integers(1, 8), st.integers(1, 6), st.integers(1, 6),
+                              st.floats(0.05, 0.99), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3),
+                              st.integers(0, 2 ** 32 - 1)),
+                    min_size=0, max_size=40))
+    @example([(1, 1, 1, 0.5, 1.0, 1.0, 0)])
+    @example([(6, 4, 4, 0.9, 1.0, 1.0, 0)] * 3)
+    @settings(max_examples=60, deadline=None)
+    def test_block_matches_one_world_at_a_time(self, rows):
+        recipes = [dict(state_dim=n, action_dim=a, d_z=d, target_L_s=ls, target_L_z=lz,
+                        target_L_B=lb, seed=seed) for n, a, d, ls, lz, lb, seed in rows]
+        worlds = make_worlds(recipes)
+        assert len(worlds) == len(recipes)
+        for w, recipe in zip(worlds, recipes, strict=True):
+            mats, (l_s, l_z, l_b) = loop_make_world(**recipe)
+            assert w.config == world_module.WorldConfig(**recipe)
+            for name, mat in mats.items():
+                assert getattr(w, name).tobytes() == mat.tobytes(), name
+            assert (w.L_s, w.L_z, w.L_B) == (l_s, l_z, l_b)
+            assert type(w.L_s) is float
+
+    def test_stacked_operator_norms_match_one_at_a_time(self):
+        rng = np.random.default_rng(8)
+        stack = rng.normal(size=(30, 5, 3)) * 10 ** rng.uniform(-3, 3, size=(30, 1, 1))
+        want = np.array([top_singular(m) for m in stack])
+        assert operator_norm(stack).tobytes() == want.tobytes()
+        assert operator_norm(np.zeros((2, 0, 3))).tolist() == [0.0, 0.0]
+        with pytest.raises(ShapeMismatch):
+            operator_norm(np.ones((2, 2, 2, 2)))
+
+    def test_recipes_checked_before_draws(self, monkeypatch):
+        draw = world_module._draw
+
+        def zero_feature_map(cfg):  # a degenerate draw for seeds >= 100
+            mats = draw(cfg)
+            return mats if cfg.seed < 100 else mats[:4] + (0 * mats[4],)
+
+        monkeypatch.setattr(world_module, "_draw", zero_feature_map)
+        recipes = [dict(seed=1), dict(seed=100), dict(seed=2)]
+        with pytest.raises(UnstableWorld, match="feature map norm"):
+            make_worlds(recipes)
+        with pytest.raises(RangeError, match="target_L_z"):  # though a draw before it is bad
+            make_worlds(recipes + [dict(target_L_z=0.0)])
+        assert len(make_worlds(recipes[::2])) == 2
+
+    @pytest.mark.parametrize("name", ["target_L_z", "target_L_B"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, MAX_SCALE * 1.01, 1e300, math.inf, math.nan])
+    def test_gain_targets_in_range(self, name, value):
+        with pytest.raises(RangeError, match=name):
+            make_world(**{name: value})
+        assert getattr(make_world(**{name: MAX_SCALE}).config, name) == MAX_SCALE
 
 
 class TestDynamics:
