@@ -9,8 +9,6 @@ the rollout-error bound: with a budget of m segments and total variation V it
 guarantees a per-frame deviation of at most V / (m - 1).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonFiniteInput, RangeError, ShapeMismatch, ZeroNormInput
@@ -26,36 +24,6 @@ def _as_traj(z) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteInput("trajectory contains non-finite entries")
     return arr
-
-
-@dataclass(frozen=True)
-class SegmentPartition:
-    """Contiguous partition of step indices 0..length-1 into segments.
-
-    ``starts`` holds the 0-based first index of each segment; the first entry
-    is always 0 and entries are strictly increasing.
-    """
-
-    starts: tuple
-    length: int
-
-    def __post_init__(self):
-        starts = tuple(int(s) for s in self.starts)
-        if len(starts) == 0 or starts[0] != 0:
-            raise ShapeMismatch("partition must start at index 0")
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ShapeMismatch("segment starts must be strictly increasing")
-        if starts[-1] >= self.length:
-            raise ShapeMismatch("segment start beyond trajectory length")
-        object.__setattr__(self, "starts", starts)
-
-    @property
-    def segment_count(self) -> int:
-        return len(self.starts)
-
-    def segment_slices(self):
-        ends = list(self.starts[1:]) + [self.length]
-        return [slice(a, b) for a, b in zip(self.starts, ends)]
 
 
 def project_to_sphere(u, norm_floor: float = DEFAULT_NORM_FLOOR) -> np.ndarray:
@@ -127,7 +95,7 @@ def piecewise_constant_approx(z, m: int):
     hence by delta.  When m >= T every step can afford its own segment and the
     trajectory is reproduced exactly.
 
-    Returns (approximation [T x d], SegmentPartition).
+    Returns (approximation [T x d], the tuple of segment start indices).
     """
     arr = _as_traj(z)
     n_steps = arr.shape[0]
@@ -136,32 +104,21 @@ def piecewise_constant_approx(z, m: int):
     m = int(m)
 
     if m >= n_steps:
-        starts = tuple(range(n_steps))
-        return arr.copy(), SegmentPartition(starts=starts, length=n_steps)
+        return arr.copy(), tuple(range(n_steps))
 
-    variation = total_variation(arr)
-    delta = variation / (m - 1)
-    step_norms = np.linalg.norm(np.diff(arr, axis=0), axis=1)
-
+    delta = total_variation(arr) / (m - 1)
     starts = [0]
     acc = 0.0
-    for t in range(1, n_steps):
-        step = float(step_norms[t - 1])
+    for t, step in enumerate(np.linalg.norm(np.diff(arr, axis=0), axis=1).tolist(), 1):
         if acc + step > delta:
             starts.append(t)
             acc = 0.0
         else:
             acc += step
 
-    part = SegmentPartition(starts=tuple(starts), length=n_steps)
-    if part.segment_count > m:
-        raise RangeError(
-            f"greedy pass used {part.segment_count} segments for budget {m}"
-        )
-    reps = np.empty_like(arr)
-    for seg in part.segment_slices():
-        reps[seg] = arr[seg.start]
-    return reps, part
+    if len(starts) > m:
+        raise RangeError(f"greedy pass used {len(starts)} segments for budget {m}")
+    return np.repeat(arr[starts], np.diff([*starts, n_steps]), axis=0), tuple(starts)
 
 
 def blend_overlap(tail, head) -> np.ndarray:

@@ -19,7 +19,7 @@ Random instance generators and suite runners live here too; the command-line
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -45,7 +45,6 @@ from .world import (
     ExtractionConfig,
     SyntheticWorld,
     lookahead_averages,
-    make_world,
     make_worlds,
     rollouts,
 )
@@ -64,31 +63,31 @@ SUITE_BLOCK = 256  # instances a suite draws and rolls out together
 class BoundCase:
     """A drawn bound instance: the world of ``recipe`` rolls ``z_seqs`` out
     from ``s1``, and ``check(world, states)`` turns their states, in order,
-    into the report."""
+    into the report.  ``check_cases`` makes the reports."""
 
     recipe: dict
     s1: np.ndarray
     z_seqs: tuple
     check: Callable[[SyntheticWorld, list], dict]
 
-    def report(self, world: SyntheticWorld) -> dict:
-        """The report of this instance rolled out on its own in ``world``,
-        the world of its recipe."""
-        return self.check(world, rollouts(world, (self.s1,) * len(self.z_seqs), self.z_seqs))
+
+def check_cases(cases) -> list:
+    """The report of each case, in order.  Every case's world is built in one
+    ``make_worlds`` call and every trajectory rolled out in one ``rollouts``
+    call.  A lone case rolls out in one world, with the bits of rollouts of
+    its own; a block of several worlds agrees with that to rounding."""
+    worlds = make_worlds([c.recipe for c in cases])
+    states = iter(rollouts(*zip(*((w, c.s1, z) for w, c in zip(worlds, cases)
+                                  for z in c.z_seqs))))
+    return [c.check(w, [next(states) for _ in c.z_seqs]) for w, c in zip(worlds, cases)]
 
 
 def compression_case(recipe: dict, z, m: int, s1) -> BoundCase:
     """A latent trajectory and its m-segment approximation, to be rolled out
     from ``s1`` and checked against the per-step and uniform error bounds."""
-    approx, partition = piecewise_constant_approx(z, m)
+    approx, starts = piecewise_constant_approx(z, m)
     return BoundCase(recipe, s1, (z, approx), partial(
-        _compression_report, z, approx, m, partition.segment_count))
-
-
-def verify_compression_bound(world: SyntheticWorld, z_traj, m: int, s1) -> dict:
-    """Roll out a latent trajectory and its m-segment approximation and check
-    the per-step and uniform error bounds."""
-    return compression_case(world.to_config(), np.asarray(z_traj, dtype=float), m, s1).report(world)
+        _compression_report, z, approx, m, len(starts)))
 
 
 def _compression_report(z, approx, m, segments, world, states) -> dict:
@@ -285,10 +284,6 @@ def world_recipe(rng, ls_low: float = 0.5) -> dict:
     )
 
 
-def random_world(rng, ls_low: float = 0.5) -> SyntheticWorld:
-    return make_world(**world_recipe(rng, ls_low))
-
-
 def draw_compression(rng) -> BoundCase:
     recipe = world_recipe(rng, ls_low=0.3)
     n_steps = int(rng.integers(20, 61))
@@ -298,13 +293,8 @@ def draw_compression(rng) -> BoundCase:
     return compression_case(recipe, z, m, s1)
 
 
-def _alone(case: BoundCase) -> dict:
-    """The report of one instance, its world built and rolled out on its own."""
-    return case.report(make_world(**case.recipe))
-
-
 def compression_instance(rng) -> dict:
-    return _alone(draw_compression(rng))
+    return check_cases([draw_compression(rng)])[0]
 
 
 def draw_smoothing(rng) -> BoundCase:
@@ -325,7 +315,7 @@ def _smoothing_suite_report(cfg, world, states) -> dict:
 
 
 def smoothing_instance(rng) -> dict:
-    return _alone(draw_smoothing(rng))
+    return check_cases([draw_smoothing(rng)])[0]
 
 
 def margin_instance(rng) -> dict:
@@ -354,17 +344,11 @@ def margin_instance(rng) -> dict:
 
 def suite_reports(draw, rng, count: int):
     """Reports of ``count`` drawn instances, in draw order.  Each block of at
-    most SUITE_BLOCK instances is drawn, then its worlds are built in one
-    ``make_worlds`` call and its trajectories rolled out in one ``rollouts``
-    call, then each instance is checked.  Building and rolling draw nothing
-    from ``rng``, so its stream is that of one instance after another."""
+    most SUITE_BLOCK instances is drawn, then checked by ``check_cases``.
+    Checking draws nothing from ``rng``, so its stream is that of one
+    instance after another."""
     for lo in range(0, count, SUITE_BLOCK):
-        cases = [draw(rng) for _ in range(min(SUITE_BLOCK, count - lo))]
-        worlds = make_worlds([c.recipe for c in cases])
-        states = iter(rollouts(*zip(*((w, c.s1, z) for w, c in zip(worlds, cases)
-                                      for z in c.z_seqs))))
-        for w, c in zip(worlds, cases):
-            yield c.check(w, [next(states) for _ in c.z_seqs])
+        yield from check_cases([draw(rng) for _ in range(min(SUITE_BLOCK, count - lo))])
 
 
 def run_suites(seed: int = 0, n_compression: int = 500, n_smoothing: int = 200,
@@ -400,25 +384,22 @@ def run_suites(seed: int = 0, n_compression: int = 500, n_smoothing: int = 200,
 
 def sweep_compression_grid(seed: int = 0, segment_counts=(2, 3, 4, 6, 8, 12),
                            n_trials: int = 10) -> list:
-    """Bound-tightness rows over a grid of segment budgets, for plotting."""
+    """Bound-tightness rows over a grid of segment budgets, for plotting.
+    Every instance is checked in one ``check_cases`` block."""
     rng = np.random.default_rng(seed)
-    rows = []
+    cases = []
     for m in segment_counts:
         for trial in range(n_trials):
-            world = random_world(rng)
-            z = random_sphere_walk(rng, int(rng.integers(30, 61)), world.d_z)
-            s1 = 0.5 * rng.standard_normal(world.state_dim)
-            rep = verify_compression_bound(world, z, m, s1)
-            rows.append({
-                "m": m,
-                "trial": trial,
-                "L_s": world.L_s,
-                "L_z": world.L_z,
-                "total_variation": rep["total_variation"],
-                "delta": rep["delta"],
-                "max_error": rep["max_error"],
-                "uniform_bound": rep["uniform_bound"],
-                "tightness": rep["tightness"],
-                "ok": rep["ok"],
-            })
-    return rows
+            recipe = world_recipe(rng)
+            z = random_sphere_walk(rng, int(rng.integers(30, 61)), recipe["d_z"])
+            s1 = 0.5 * rng.standard_normal(recipe["state_dim"])
+            case = compression_case(recipe, z, m, s1)
+            cases.append(replace(case, check=partial(_sweep_row, case.check, m, trial)))
+    return check_cases(cases)
+
+
+def _sweep_row(check, m, trial, world, states) -> dict:
+    rep = check(world, states)
+    return {"m": m, "trial": trial, "L_s": world.L_s, "L_z": world.L_z,
+            **{k: rep[k] for k in ("total_variation", "delta", "max_error",
+                                   "uniform_bound", "tightness", "ok")}}

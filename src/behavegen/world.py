@@ -86,8 +86,8 @@ class WorldConfig:
         for name in ("target_L_z", "target_L_B"):
             if not 0.0 < getattr(self, name) <= MAX_SCALE:
                 raise RangeError(f"{name} = {getattr(self, name)} outside (0, {MAX_SCALE}]")
-        if self.sigma_pi <= 0:
-            raise RangeError(f"sigma_pi must be positive, got {self.sigma_pi}")
+        # the policy KL divides by 2 sigma_pi^2, which underflows to 0 near 1e-162
+        check_sizes(self, "sigma_pi", limit=MAX_SCALE, low=1e-6)
         if self.seed < 0:
             raise RangeError(f"seed must be >= 0, got {self.seed}")
 
@@ -289,6 +289,9 @@ class ExtractionConfig:
     def __post_init__(self):
         if self.lookahead < 1:
             raise RangeError(f"lookahead must be >= 1, got {self.lookahead}")
+        # the floor screens out near-zero features; one above 1 rejects ordinary ones
+        if not 0.0 < self.norm_floor <= 1.0:
+            raise RangeError(f"norm_floor = {self.norm_floor} outside (0, 1]")
 
 
 def lookahead_averages(world: SyntheticWorld, cfg: ExtractionConfig, states) -> np.ndarray:
@@ -437,9 +440,7 @@ class DatasetSpec:
         if len(self.behaviors) == 1 and np.any(probs[1:] > 0):
             raise InvalidSpec("one behavior cannot fill two stages without a repeat; "
                               "stage_probs must put all weight on one stage")
-        if self.script_noise < 0:
-            raise InvalidSpec("script_noise must be >= 0")
-        check_sizes(self, "init_state_scale", limit=MAX_SCALE, low=0)
+        check_sizes(self, "script_noise", "init_state_scale", limit=MAX_SCALE, low=0)
 
 
 @dataclass(frozen=True)

@@ -436,6 +436,8 @@ class TestExitCodes:
         ("generation", "init_state_scale", "compose"),
         ("world", "target_L_z", "gen-data"),
         ("world", "target_L_B", "gen-data"),
+        ("dataset", "script_noise", "gen-data"),
+        ("extraction", "norm_floor", "gen-data"),
     ])
     def test_huge_size_exits_2(self, workdir, tmp_path, capsys, section, key, command):
         # a size far above its fixed limit is refused at once, not when an
@@ -456,6 +458,19 @@ class TestExitCodes:
         assert rc == 2 and len(err.splitlines()) == 1 and key in err, err
         assert not (tmp_path / "out").exists() and not (tmp_path / "out.json").exists()
         assert elapsed < 1.0, f"{command} took {elapsed:.2f} s to refuse {key}"
+
+    @pytest.mark.parametrize("sigma_pi", [1e-300, 1e-7])
+    def test_tiny_policy_noise_exits_2(self, workdir, tmp_path, capsys, sigma_pi):
+        # 2 sigma_pi^2 underflows to 0 at 1e-300, and the policy loss then
+        # divided by it; the dataset's world is refused when it is loaded
+        doc = read_json(workdir["data"])
+        doc["spec"]["world"]["sigma_pi"] = sigma_pi
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["train-vbb", "--config", workdir["cfg"], "--data", str(bad),
+                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2 and len(err.splitlines()) == 1 and "sigma_pi" in err, err
 
     @pytest.mark.parametrize("entry", ["config", "env", "generate", "verify-bounds"])
     def test_negative_seed_exits_2(self, workdir, tmp_path, capsys, monkeypatch, entry):
@@ -763,6 +778,16 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
         assert "elapsed_seconds" not in read_json(str(a))
         assert capsys.readouterr().out.count("elapsed ") == 2
+
+    def test_verify_bounds_plot_data_byte_identical(self, tmp_path):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        for out in (a, b):
+            assert main(["verify-bounds", "--seed", "3", "--n-compression", "0",
+                         "--n-smoothing", "0", "--n-margin", "0",
+                         "--emit-plot-data", str(out)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert len(a.read_text().splitlines()) == 61
 
     def test_env_seed_changes_dataset(self, workdir, tmp_path, monkeypatch):
         monkeypatch.setenv("BEHAVE_SEED", "999")

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from behavegen.errors import RangeError, ShapeMismatch, ZeroNormInput
 from behavegen.geometry import (
-    SegmentPartition,
     blend_overlap,
     max_deviation,
     piecewise_constant_approx,
@@ -47,6 +46,33 @@ def max_dev_oracle(a, b):
 def sphere_oracle(u):
     n = math.sqrt(sum(x * x for x in u))
     return [math.sqrt(len(u)) * x / n for x in u]
+
+
+def loop_piecewise_constant(z, m):
+    """piecewise_constant_approx with a step over NumPy scalars and one
+    segment filled at a time."""
+    n_steps = z.shape[0]
+    if m >= n_steps:
+        return z.copy(), tuple(range(n_steps))
+    delta = total_variation(z) / (m - 1)
+    step_norms = np.linalg.norm(np.diff(z, axis=0), axis=1)
+    starts = [0]
+    acc = 0.0
+    for t in range(1, n_steps):
+        step = float(step_norms[t - 1])
+        if acc + step > delta:
+            starts.append(t)
+            acc = 0.0
+        else:
+            acc += step
+    reps = np.empty_like(z)
+    for a, b in zip(starts, starts[1:] + [n_steps]):
+        reps[a:b] = z[a]
+    return reps, tuple(starts)
+
+
+def segment_slices(starts, n_steps):
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], n_steps])]
 
 
 def random_sphere_traj(rng, n_steps, d_z, step_scale=0.5):
@@ -186,17 +212,17 @@ class TestRowNorms:
 class TestPiecewiseConstant:
     def test_constant_trajectory_single_segment(self):
         z = np.tile([1.0, -2.0], (9, 1))
-        approx, part = piecewise_constant_approx(z, 3)
+        approx, starts = piecewise_constant_approx(z, 3)
         np.testing.assert_array_equal(approx, z)
-        assert part.segment_count == 1
+        assert len(starts) == 1
 
     def test_budget_at_least_length_reproduces_exactly(self):
         rng = np.random.default_rng(2)
         z = rng.normal(size=(6, 4))
         for m in (6, 7, 20):
-            approx, part = piecewise_constant_approx(z, m)
+            approx, starts = piecewise_constant_approx(z, m)
             np.testing.assert_array_equal(approx, z)
-            assert part.segment_count == 6
+            assert len(starts) == 6
 
     def test_representative_is_first_frame_of_segment(self):
         # a jump of 10 against delta = 5.5 forces a new segment at t = 4; the
@@ -206,8 +232,8 @@ class TestPiecewiseConstant:
             np.tile([10.0, 0.0], (2, 1)),
             np.tile([10.0, 1.0], (2, 1)),
         ])
-        approx, part = piecewise_constant_approx(z, 3)
-        assert part.starts == (0, 4)
+        approx, starts = piecewise_constant_approx(z, 3)
+        assert starts == (0, 4)
         np.testing.assert_array_equal(approx[:4], np.tile([0.0, 0.0], (4, 1)))
         np.testing.assert_array_equal(approx[4:], np.tile([10.0, 0.0], (4, 1)))
 
@@ -215,8 +241,8 @@ class TestPiecewiseConstant:
         # total variation 10 with m = 2 gives delta = 10; the single step of
         # exactly 10 ties with the budget and must not split
         z = np.vstack([np.tile([0.0, 0.0], (4, 1)), np.tile([10.0, 0.0], (4, 1))])
-        approx, part = piecewise_constant_approx(z, 2)
-        assert part.segment_count == 1
+        approx, starts = piecewise_constant_approx(z, 2)
+        assert len(starts) == 1
         assert max_deviation(z, approx) <= 10.0 + 1e-12
 
     def test_deviation_bound_random_trajectories(self):
@@ -226,33 +252,45 @@ class TestPiecewiseConstant:
             n = int(rng.integers(4, 60))
             z = random_sphere_traj(rng, n, d_z, step_scale=float(rng.uniform(0.05, 1.5)))
             for m in (2, 4, 8):
-                approx, part = piecewise_constant_approx(z, m)
+                approx, starts = piecewise_constant_approx(z, m)
                 v = tv_oracle(z.tolist())
                 bound = v / (m - 1)
                 dev = max_dev_oracle(z.tolist(), approx.tolist())
                 assert dev <= bound + 1e-9, (
                     f"trial {trial}: deviation {dev:.6g} exceeds V/(m-1) = {bound:.6g}"
                 )
-                assert part.segment_count <= m
+                assert len(starts) <= m
 
     def test_intra_segment_variation_never_exceeds_budget(self):
         rng = np.random.default_rng(29)
         z = random_sphere_traj(rng, 50, 4)
         m = 5
-        approx, part = piecewise_constant_approx(z, m)
+        approx, starts = piecewise_constant_approx(z, m)
         delta = total_variation(z) / (m - 1)
-        for seg in part.segment_slices():
+        for seg in segment_slices(starts, 50):
             assert tv_oracle(z[seg].tolist()) <= delta + 1e-12
 
     def test_tie_stays_in_segment(self):
         # steps of length 1 each, V = 4, m = 5 -> delta = 1; a single step
         # exactly equals the budget and must not open a new segment
         z = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
-        approx, part = piecewise_constant_approx(z, 5)
+        approx, starts = piecewise_constant_approx(z, 5)
         # m >= T path reproduces exactly here, so force the greedy path with m=3
-        approx, part = piecewise_constant_approx(z, 3)
+        approx, starts = piecewise_constant_approx(z, 3)
         # delta = 4/2 = 2; steps accumulate 1,2 then a third would hit 3 > 2
-        assert part.starts == (0, 3)
+        assert starts == (0, 3)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 70), st.integers(1, 6),
+           st.sampled_from([2, 3, 4, 8, 16, 100]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_segment_loop(self, seed, n_steps, d_z, m):
+        rng = np.random.default_rng(seed)
+        z = random_sphere_traj(rng, n_steps, d_z, step_scale=float(rng.uniform(0.01, 2.0)))
+        z[rng.random(n_steps) < 0.2] = z[0]  # repeated frames make zero steps and ties
+        approx, starts = piecewise_constant_approx(z, m)
+        want, want_starts = loop_piecewise_constant(z, m)
+        assert starts == want_starts
+        assert approx.tobytes() == want.tobytes()
 
     def test_budget_below_two_raises(self):
         z = np.zeros((4, 2))
@@ -262,9 +300,9 @@ class TestPiecewiseConstant:
     def test_partition_covers_everything_once(self):
         rng = np.random.default_rng(17)
         z = random_sphere_traj(rng, 33, 3)
-        _, part = piecewise_constant_approx(z, 4)
+        _, starts = piecewise_constant_approx(z, 4)
         covered = []
-        for seg in part.segment_slices():
+        for seg in segment_slices(starts, 33):
             covered.extend(range(seg.start, seg.stop))
         assert covered == list(range(33))
 
@@ -308,14 +346,6 @@ class TestBlend:
 # ---------------------------------------------------------------------------
 
 class TestTypes:
-    def test_partition_validation(self):
-        with pytest.raises(ShapeMismatch):
-            SegmentPartition(starts=(1, 3), length=5)
-        with pytest.raises(ShapeMismatch):
-            SegmentPartition(starts=(0, 3, 3), length=5)
-        with pytest.raises(ShapeMismatch):
-            SegmentPartition(starts=(0, 9), length=5)
-
     def test_max_deviation_matches_oracle(self):
         rng = np.random.default_rng(37)
         a = rng.normal(size=(12, 3))

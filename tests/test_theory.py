@@ -17,16 +17,17 @@ from behavegen.errors import (
 )
 from behavegen.geometry import piecewise_constant_approx, project_rows, total_variation
 from behavegen.theory import (
+    check_cases,
+    compression_case,
     compression_instance,
     margin_instance,
     random_sphere_walk,
-    random_world,
     run_suites,
     smoothing_instance,
     sweep_compression_grid,
-    verify_compression_bound,
     verify_margin_bound,
     verify_smoothing_bound,
+    world_recipe,
 )
 from behavegen.world import ExtractionConfig, lookahead_averages, make_world, rollout
 
@@ -76,6 +77,27 @@ def loop_suites(seed, n_compression, n_smoothing, n_margin):
     return results
 
 
+def compression_report(world, z, m, s1):
+    """The report of one compression instance in ``world``."""
+    return check_cases([compression_case(world.to_config(), z, m, s1)])[0]
+
+
+def loop_sweep(seed, segment_counts, n_trials):
+    """sweep_compression_grid one instance after another, each world built
+    and rolled out on its own."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for m in segment_counts:
+        for trial in range(n_trials):
+            world = make_world(**world_recipe(rng))
+            z = random_sphere_walk(rng, int(rng.integers(30, 61)), world.d_z)
+            rep = compression_report(world, z, m, 0.5 * rng.standard_normal(world.state_dim))
+            rows.append({"m": m, "trial": trial, "L_s": world.L_s, "L_z": world.L_z,
+                         **{k: rep[k] for k in ("total_variation", "delta", "max_error",
+                                                "uniform_bound", "tightness", "ok")}})
+    return rows
+
+
 def assert_reports_close(got, want):
     """Equal keys, flags and counts; floats to the rounding of a mixed-world
     batch."""
@@ -113,7 +135,7 @@ class TestCompressionBound:
         z = random_sphere_walk(rng, 30, 3)
         s1 = 0.5 * rng.standard_normal(4)
         m = 5
-        rep = verify_compression_bound(world, z, m, s1)
+        rep = compression_report(world, z, m, s1)
 
         approx, _ = piecewise_constant_approx(z, m)
         sa = rollout(world, s1, z)
@@ -139,7 +161,7 @@ class TestCompressionBound:
         world = make_world(state_dim=3, action_dim=2, d_z=2, target_L_s=0.7,
                            target_L_z=0.5, target_L_B=1.0, seed=4)
         z = random_sphere_walk(rng, 8, 2)
-        rep = verify_compression_bound(world, z, m=8, s1=np.zeros(3))
+        rep = compression_report(world, z, m=8, s1=np.zeros(3))
         assert rep["ok"]
         assert rep["max_error"] == 0.0
         assert rep["max_deviation"] == 0.0
@@ -150,7 +172,7 @@ class TestCompressionBound:
         world = make_world(state_dim=4, action_dim=3, d_z=3, target_L_s=0.9,
                            target_L_z=1.0, target_L_B=1.0, seed=6)
         z = random_sphere_walk(rng, 40, 3)
-        rep = verify_compression_bound(world, z, m=2, s1=np.zeros(4))
+        rep = compression_report(world, z, m=2, s1=np.zeros(4))
         assert rep["ok"]
         assert rep["max_error"] > 1e-3
         assert 0.0 < rep["tightness"] <= 1.0
@@ -162,8 +184,8 @@ class TestCompressionBound:
 
     def test_one_batched_rollout_matches_two_calls(self, monkeypatch):
         batched = [compression_instance(np.random.default_rng(seed)) for seed in range(60)]
-        monkeypatch.setattr(theory, "rollouts", lambda world, s1s, z_seqs: [
-            rollout(world, s1, z) for s1, z in zip(s1s, z_seqs, strict=True)])
+        monkeypatch.setattr(theory, "rollouts", lambda worlds, s1s, z_seqs: [
+            rollout(w, s1, z) for w, s1, z in zip(worlds, s1s, z_seqs, strict=True)])
         assert batched == [compression_instance(np.random.default_rng(seed)) for seed in range(60)]
 
 
@@ -176,7 +198,7 @@ class TestSmoothingBound:
     @settings(max_examples=60, deadline=None)
     def test_telescope_matches_loop_exactly(self, seed):
         rng = np.random.default_rng(seed)
-        world = random_world(rng)
+        world = make_world(**world_recipe(rng))
         span = int(rng.integers(1, 8))
         z = random_sphere_walk(rng, int(rng.integers(span + 1, span + 40)), world.d_z)
         states = rollout(world, 0.5 * rng.standard_normal(world.state_dim), z)
@@ -423,6 +445,23 @@ class TestSuites:
             assert row["max_error"] <= row["uniform_bound"] + 1e-9
         assert sorted({r["m"] for r in rows}) == [2, 4]
 
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_sweep_matches_one_world_at_a_time(self, seed, monkeypatch):
+        # one block of mixed worlds: the same draws, worlds, ints and flags
+        # as one world at a time, and floats equal to rounding
+        calls = []
+        for name in ("make_worlds", "rollouts"):
+            monkeypatch.setattr(theory, name, lambda *a, f=getattr(theory, name), n=name:
+                                calls.append(n) or f(*a))
+        got = sweep_compression_grid(seed=seed)
+        assert calls == ["make_worlds", "rollouts"]
+        want = loop_sweep(seed, (2, 3, 4, 6, 8, 12), 10)
+        assert len(got) == len(want) == 60
+        for a, b in zip(got, want, strict=True):
+            assert list(a) == list(b)
+            assert (a["L_s"], a["L_z"]) == (b["L_s"], b["L_z"])
+            assert_reports_close(a, b)
+
 
 class TestRandomGenerators:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 80), st.integers(1, 8),
@@ -449,5 +488,5 @@ class TestRandomGenerators:
     def test_random_world_contractive(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
-            world = random_world(rng)
+            world = make_world(**world_recipe(rng))
             assert world.L_s < 1.0

@@ -31,7 +31,7 @@ from behavegen.errors import (
 from behavegen.config import load_run_config
 from behavegen.geometry import project_rows, project_to_sphere
 from behavegen.serialization import canon_dumps, to_doc
-from behavegen.theory import random_world
+from behavegen.theory import world_recipe
 from behavegen.world import (
     DatasetSpec,
     ExtractionConfig,
@@ -201,7 +201,7 @@ class TestOperatorNorm:
                 assert np.isclose(operator_norm(m), svd_opnorm(m), rtol=1e-13, atol=0)
         # the draws whose norms a power iteration left furthest low
         for seed in (18280, 9780, 8384):
-            w = random_world(np.random.default_rng(seed))
+            w = make_world(**world_recipe(np.random.default_rng(seed)))
             for m in (w.A_s + w.A_a @ w.W_s, w.A_a @ w.W_z, w.B_mat):
                 assert np.isclose(operator_norm(m), svd_opnorm(m), rtol=1e-13, atol=0)
 
@@ -217,7 +217,7 @@ class TestOperatorNorm:
     @example(9780)
     @settings(max_examples=60, deadline=None)
     def test_random_world_norms_hit_targets(self, seed):
-        w = random_world(np.random.default_rng(seed))
+        w = make_world(**world_recipe(np.random.default_rng(seed)))
         assert abs(svd_opnorm(w.A_s + w.A_a @ w.W_s) - w.config.target_L_s) <= 1e-12
         assert abs(svd_opnorm(w.A_a @ w.W_z) - w.config.target_L_z) <= 1e-12
         assert abs(svd_opnorm(w.B_mat) - w.config.target_L_B) <= 1e-12
@@ -240,7 +240,7 @@ class TestOperatorNorm:
     def test_recipe_round_trip_is_bit_exact(self):
         rng = np.random.default_rng(2026)
         for _ in range(300):
-            w = random_world(rng)
+            w = make_world(**world_recipe(rng))
             for doc in (w.to_config(), json.loads(canon_dumps(w.to_config()))):
                 again = make_world(**doc)
                 assert again.config == w.config
@@ -309,6 +309,14 @@ class TestMakeWorlds:
             make_world(**{name: value})
         assert getattr(make_world(**{name: MAX_SCALE}).config, name) == MAX_SCALE
 
+    @pytest.mark.parametrize("value", [0.0, 1e-300, 9.9e-7, MAX_SCALE * 1.01, math.nan])
+    def test_policy_noise_in_range(self, value):
+        # the policy KL divides by 2 sigma_pi^2, which is 0.0 at 1e-300
+        with pytest.raises(RangeError, match="sigma_pi"):
+            make_world(sigma_pi=value)
+        for ok in (1e-6, MAX_SCALE):
+            assert make_world(sigma_pi=ok).sigma_pi == ok
+
 
 class TestDynamics:
     def test_step_is_affine_composition(self):
@@ -356,7 +364,7 @@ class TestDynamics:
     @settings(max_examples=60, deadline=None)
     def test_rollout_matches_policy_mean_loop(self, seed, n_steps):
         rng = np.random.default_rng(seed)
-        w = random_world(rng)
+        w = make_world(**world_recipe(rng))
         z_seq = rng.normal(size=(n_steps, w.d_z))
         s1 = rng.normal(size=w.state_dim)
         np.testing.assert_array_equal(rollout(w, s1, z_seq), loop_rollout(w, s1, z_seq))
@@ -368,7 +376,7 @@ class TestDynamics:
     @settings(max_examples=60, deadline=None)
     def test_rollouts_match_per_sequence_loop(self, seed, lengths):
         rng = np.random.default_rng(seed)
-        w = random_world(rng)
+        w = make_world(**world_recipe(rng))
         z_seqs = [rng.normal(size=(n, w.d_z)) for n in lengths]
         s1s = rng.normal(size=(len(lengths), w.state_dim))
         for got, s1, z_seq in zip(rollouts(w, s1s, z_seqs), s1s, z_seqs, strict=True):
@@ -382,7 +390,7 @@ class TestDynamics:
     def test_rollouts_in_many_worlds_match_per_sequence_loop(self, seed, lengths):
         # zero-padded stacked matrices sum in another order, so only to rounding
         rng = np.random.default_rng(seed)
-        worlds = [random_world(rng) for _ in lengths]
+        worlds = [make_world(**world_recipe(rng)) for _ in lengths]
         worlds[2::3] = worlds[:1] * len(worlds[2::3])  # a world may recur among others
         z_seqs = [rng.normal(size=(n, w.d_z)) for n, w in zip(lengths, worlds)]
         s1s = [rng.normal(size=w.state_dim) for w in worlds]
@@ -493,6 +501,12 @@ class TestExtraction:
     def test_lookahead_validation(self):
         with pytest.raises(RangeError):
             ExtractionConfig(lookahead=0)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, 1.01, 1e300, math.nan])
+    def test_norm_floor_in_range(self, value):
+        with pytest.raises(RangeError, match="norm_floor"):
+            ExtractionConfig(norm_floor=value)
+        assert ExtractionConfig(norm_floor=1.0).norm_floor == 1.0
 
 
 # ---------------------------------------------------------------------------
