@@ -33,7 +33,7 @@ from .errors import (
     ZeroNormInput,
     check_sizes,
 )
-from .nn import Adam, Conv1d, Linear, Module, ReLU, ResBlock, Segments, Upsample2
+from .nn import Conv1d, Linear, Module, ReLU, ResBlock, Segments, TrainConfig, Upsample2, fit
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,10 @@ class BottleneckConfig:
     def __post_init__(self):
         check_sizes(self, "d_z", "d_m", "d_e", "width", "d_text")
         check_sizes(self, "levels", limit=MAX_LEVELS)
-        if self.beta < 0 or self.lambda_pi < 0 or self.lambda_sem < 0:
-            raise RangeError("loss weights must be >= 0")
-        if self.lambda_tok <= 0 or self.lambda_frm <= 0:
-            raise RangeError("pooling temperatures must be > 0")
+        check_sizes(self, "beta", "lambda_pi", "lambda_sem", limit=math.inf, low=0)
+        for name in ("lambda_tok", "lambda_frm"):  # pooling temperatures
+            if not getattr(self, name) > 0:
+                raise RangeError(f"{name} = {getattr(self, name)} must be > 0")
 
     @property
     def compression(self) -> int:
@@ -584,6 +584,8 @@ def _vbb_step(model: BottleneckModel, world, batch, noises, grad: bool):
                                            y_unit, _offsets([len(t) for t in texts]),
                                            cfg.lambda_tok, cfg.lambda_frm)
     gamma = model.gamma
+    if not 0.0 < gamma < np.inf:  # exp(alpha) under- or overflowed
+        raise DivergenceDetected(f"logit scale diverged to {gamma}")
     sem, p_rows, p_cols = _contrastive_forward(r_mat, gamma)
 
     rec = rec_sum / b
@@ -641,47 +643,15 @@ def embed_text(model: BottleneckModel, y) -> np.ndarray:
 # training
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrainConfig:
-    lr: float = 5e-5
-    weight_decay: float = 5e-4
-    warmup: int = 200
-    batch_size: int = 32
-    steps: int = 1000
-
-    def __post_init__(self):
-        if self.lr <= 0 or self.steps < 1 or self.batch_size < 2:
-            raise RangeError("invalid training configuration")
-
-
 def train_bottleneck(model: BottleneckModel, world, vocab, samples,
                      train_cfg: TrainConfig, seed: int, history_hook=None):
-    """Adam training loop; deterministic for a fixed seed.
-
-    Returns the per-step loss history as a list of dicts.  ``history_hook``
-    (if given) is called with each record as it is produced.
-    """
-    if len(samples) < train_cfg.batch_size:
-        raise DegenerateBatch(
-            f"{len(samples)} samples cannot fill batches of {train_cfg.batch_size}"
-        )
+    """Train the bottleneck with ``fit``; deterministic for a fixed seed."""
     items = batch_from_samples(samples, vocab)
     rng = np.random.default_rng(seed)
-    opt = Adam(model.params(), lr=train_cfg.lr, weight_decay=train_cfg.weight_decay,
-               warmup=train_cfg.warmup)
-    history = []
-    n = len(items)
-    for step_idx in range(train_cfg.steps):
-        idx = rng.choice(n, size=train_cfg.batch_size, replace=False)
+
+    def step(k):
+        idx = rng.choice(len(items), size=train_cfg.batch_size, replace=False)
         batch = [items[i] for i in idx]
-        noises = make_noises(model, batch, rng)
-        opt.zero_grad()
-        total, comps = vbb_grad(model, world, batch, noises)
-        if not np.isfinite(total):
-            raise DivergenceDetected(f"loss diverged at step {step_idx}")
-        opt.step()
-        record = {"step": step_idx, **comps}
-        history.append(record)
-        if history_hook is not None:
-            history_hook(record)
-    return history
+        return vbb_grad(model, world, batch, make_noises(model, batch, rng))[1]
+
+    return fit(model.params(), train_cfg, len(items), step, history_hook)

@@ -25,7 +25,6 @@ import numpy as np
 from .bottleneck import (
     BottleneckConfig,
     BottleneckModel,
-    TrainConfig,
     decode_packed,
     embed_text,
     encode_packed,
@@ -46,8 +45,9 @@ from .errors import (
     TooFewSamples,
     check_seed,
 )
-from .flow import FlowConfig, FlowModel, FlowTrainConfig, euler_sample, train_flow
+from .flow import FlowConfig, FlowModel, euler_sample, train_flow
 from .metrics import EvalReport, diversity, prototype_match_rate, retrieval_accuracy
+from .nn import TrainConfig
 from .serialization import (
     from_doc,
     jsonl_appender,
@@ -121,7 +121,7 @@ class BottleneckHyperparams:
 @dataclasses.dataclass(frozen=True)
 class FlowHyperparams:
     config: FlowConfig
-    train: FlowTrainConfig
+    train: TrainConfig
     seed: int
     kind: str = "flow"
 

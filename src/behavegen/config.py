@@ -12,9 +12,10 @@ import dataclasses
 import json
 import os
 
-from .bottleneck import BottleneckConfig, TrainConfig
+from .bottleneck import BottleneckConfig
 from .errors import MAX_COUNT, MAX_SCALE, BehavegenError, ConfigInvalid, check_seed, check_sizes
-from .flow import FlowConfig, FlowTrainConfig, SamplerConfig
+from .flow import FlowConfig, SamplerConfig
+from .nn import TrainConfig
 from .serialization import from_doc, to_doc
 from .world import DatasetSpec, ExtractionConfig, WorldConfig
 
@@ -65,7 +66,7 @@ class RunConfig:
     bottleneck: BottleneckSection = BottleneckSection()
     vbb_train: TrainConfig = TrainConfig()
     flow: FlowSection = FlowSection()
-    flow_train: FlowTrainConfig = FlowTrainConfig()
+    flow_train: TrainConfig = TrainConfig(lr=3e-5, steps=2000)
     sampler: SamplerConfig = SamplerConfig()
     generation: GenerationConfig = GenerationConfig()
 

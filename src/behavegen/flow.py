@@ -17,13 +17,12 @@ from .bottleneck import embed_text, encode_packed, sample_posterior
 from .errors import (
     MAX_COUNT,
     CountMismatch,
-    DegenerateBatch,
     DivergenceDetected,
     RangeError,
     ShapeMismatch,
     check_sizes,
 )
-from .nn import Adam, Linear, Module, ReLU
+from .nn import Linear, Module, ReLU, TrainConfig, fit
 
 
 @dataclass(frozen=True)
@@ -224,19 +223,6 @@ def euler_sample(model: FlowModel, noise, cfg: SamplerConfig, y_vec=None):
 # training
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FlowTrainConfig:
-    lr: float = 3e-5
-    weight_decay: float = 5e-4
-    warmup: int = 200
-    batch_size: int = 32
-    steps: int = 2000
-
-    def __post_init__(self):
-        if self.lr <= 0 or self.steps < 1 or self.batch_size < 1:
-            raise RangeError("invalid flow training configuration")
-
-
 def prepare_flow_targets(post, starts, rng):
     """Fresh posterior draws for every sample; called once per epoch.
 
@@ -250,24 +236,19 @@ def prepare_flow_targets(post, starts, rng):
 
 
 def train_flow(model: FlowModel, bottleneck, vocab, samples,
-               train_cfg: FlowTrainConfig, seed: int, history_hook=None):
-    """Train the field against a frozen bottleneck; deterministic per seed."""
-    if len(samples) < train_cfg.batch_size:
-        raise DegenerateBatch(
-            f"{len(samples)} samples cannot fill batches of {train_cfg.batch_size}"
-        )
+               train_cfg: TrainConfig, seed: int, history_hook=None):
+    """Train the field against a frozen bottleneck with ``fit``; deterministic per seed."""
     # frozen pooled text embedding per sample
     contexts = [embed_text(bottleneck, vocab.embeddings[list(s.token_ids)]) for s in samples]
     rng = np.random.default_rng(seed)
-    opt = Adam(model.params(), lr=train_cfg.lr, weight_decay=train_cfg.weight_decay,
-               warmup=train_cfg.warmup)
     n = len(samples)
     steps_per_epoch = max(1, n // train_cfg.batch_size)
     post, starts = encode_packed(bottleneck, [s.latents for s in samples])
     targets = None
-    history = []
-    for step_idx in range(train_cfg.steps):
-        if step_idx % steps_per_epoch == 0:
+
+    def step(k):
+        nonlocal targets
+        if k % steps_per_epoch == 0:
             targets = prepare_flow_targets(post, starts, rng)
         idx = rng.choice(n, size=train_cfg.batch_size, replace=False)
         rs, noises, ctxs = [], [], []
@@ -275,14 +256,6 @@ def train_flow(model: FlowModel, bottleneck, vocab, samples,
             rs.append(float(rng.uniform()))
             noises.append(rng.standard_normal(targets[i].shape))
             ctxs.append(None if rng.uniform() < model.cfg.cond_dropout else contexts[i])
-        opt.zero_grad()
-        total = fm_grad(model, [targets[i] for i in idx], noises, rs, ctxs)
-        if not np.isfinite(total):
-            raise DivergenceDetected(f"flow loss diverged at step {step_idx}")
-        opt.step()
-        record = {"step": step_idx, "total": float(total)}
-        history.append(record)
-        if history_hook is not None:
-            history_hook(record)
-    return history
+        return {"total": fm_grad(model, [targets[i] for i in idx], noises, rs, ctxs)}
 
+    return fit(model.params(), train_cfg, n, step, history_hook)

@@ -15,9 +15,12 @@ what one call per sequence would.  A single sequence is the one-segment
 case and is padded at its two ends only, with no index arrays.
 """
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import DegenerateBatch, DivergenceDetected, RangeError, ShapeMismatch, check_sizes
 
 
 class Param:
@@ -345,6 +348,49 @@ class Adam:
 
     def zero_grad(self):
         self.grad.fill(0.0)
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """One Adam run: learning rate, decoupled decay, warmup steps, batch size
+    and step count.  The bottleneck and the flow each train with one."""
+
+    lr: float = 5e-5
+    weight_decay: float = 5e-4
+    warmup: int = 200
+    batch_size: int = 32
+    steps: int = 1000
+
+    def __post_init__(self):
+        if not self.lr > 0:
+            raise RangeError(f"lr = {self.lr} must be > 0")
+        check_sizes(self, "weight_decay", "warmup", limit=math.inf, low=0)
+        check_sizes(self, "batch_size", "steps", limit=math.inf)
+
+
+def fit(params: dict, cfg: TrainConfig, n_items: int, step, history_hook=None) -> list:
+    """Train ``params`` with Adam for ``cfg.steps`` steps over ``n_items`` items.
+
+    ``step(k)`` draws batch k, accumulates its gradients into the parameters
+    and returns its loss components, ``total`` among them.  Returns one
+    ``{"step": k, **components}`` record per step; ``history_hook`` (if
+    given) is called with each record as it is produced.
+    """
+    if n_items < cfg.batch_size:
+        raise DegenerateBatch(f"{n_items} samples cannot fill batches of {cfg.batch_size}")
+    opt = Adam(params, cfg.lr, cfg.weight_decay, cfg.warmup)
+    history = []
+    for k in range(cfg.steps):
+        opt.zero_grad()
+        comps = step(k)
+        if not np.isfinite(comps["total"]):
+            raise DivergenceDetected(f"loss diverged at step {k}")
+        opt.step()
+        record = {"step": k, **comps}
+        history.append(record)
+        if history_hook is not None:
+            history_hook(record)
+    return history
 
 
 def finite_difference_grads(loss_fn, params: dict, h: float = 1e-5) -> dict:

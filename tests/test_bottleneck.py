@@ -20,7 +20,6 @@ from behavegen.bottleneck import (
     BottleneckConfig,
     BottleneckModel,
     Posterior,
-    TrainConfig,
     batch_from_samples,
     _chunks,
     contrastive_loss,
@@ -48,7 +47,7 @@ from behavegen.errors import (
     RangeError,
     ShapeMismatch,
 )
-from behavegen.nn import Segments, finite_difference_grads, relative_grad_error
+from behavegen.nn import Segments, TrainConfig, finite_difference_grads, relative_grad_error
 from behavegen.world import (
     DatasetSpec,
     ExtractionConfig,

@@ -539,6 +539,48 @@ class TestExitCodes:
                        "--out", str(tmp_path / "flow")])
         assert rc == 3
 
+    def test_diverging_bottleneck_exits_3(self, workdir, tmp_path, capsys):
+        # one step at this rate sends the logit scale's log to -1e300, so
+        # exp underflows to 0 while every parameter is still finite
+        cfg = dict(TINY_CONFIG)
+        cfg["vbb_train"] = {"steps": 40, "batch_size": 8, "lr": 1e300, "warmup": 0}
+        path = tmp_path / "hot.json"
+        path.write_text(json.dumps(cfg))
+        with np.errstate(all="ignore"):
+            rc = main(["train-vbb", "--config", str(path), "--data", workdir["data"],
+                       "--out", str(tmp_path / "vbb")])
+        err = capsys.readouterr().err
+        assert rc == 3 and len(err.splitlines()) == 1, err
+        assert err.startswith("numeric failure: "), err
+        assert not (tmp_path / "vbb.json").exists()
+
+    @pytest.mark.parametrize("section", ["vbb_train", "flow_train"])
+    @pytest.mark.parametrize("field,value", [("weight_decay", -1), ("warmup", -5), ("lr", 0)])
+    def test_bad_training_field_exits_2_naming_it(self, workdir, tmp_path, capsys,
+                                                  section, field, value):
+        cfg = dict(TINY_CONFIG, **{section: dict(TINY_CONFIG[section], **{field: value})})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        command = (["train-vbb"] if section == "vbb_train"
+                   else ["train-flow", "--vbb", workdir["vbb"]])
+        rc = main(command + ["--config", str(path), "--data", workdir["data"],
+                             "--out", str(tmp_path / "model")])
+        err = capsys.readouterr().err
+        assert rc == 2 and len(err.splitlines()) == 1, err
+        assert f"{section}: {field} = " in err, err
+        assert not (tmp_path / "model.json").exists()
+
+    def test_bottleneck_batch_of_one_exits_2(self, workdir, tmp_path, capsys):
+        # a valid training section, but the contrastive term needs two items
+        cfg = dict(TINY_CONFIG, vbb_train=dict(TINY_CONFIG["vbb_train"], batch_size=1))
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["train-vbb", "--config", str(path), "--data", workdir["data"],
+                   "--out", str(tmp_path / "vbb")])
+        err = capsys.readouterr().err
+        assert rc == 2 and len(err.splitlines()) == 1 and "at least 2" in err, err
+        assert not (tmp_path / "vbb.json").exists()
+
     def test_diverging_rollout_exits_3(self, tmp_path, capsys, monkeypatch):
         # no valid config makes a world expand, so the world is swapped for one
         # whose state map is scaled up by 1e100

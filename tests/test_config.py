@@ -5,10 +5,12 @@ checked, and the two model sections derive their data-dependent dimensions
 from the world/dataset sections rather than accepting them directly.
 """
 
+import dataclasses
 import json
 
 import pytest
 
+from behavegen.bottleneck import BottleneckConfig
 from behavegen.config import (
     SCHEMA_VERSION,
     GenerationConfig,
@@ -17,8 +19,11 @@ from behavegen.config import (
     load_run_config,
     run_config_from_dict,
 )
-from behavegen.errors import ConfigInvalid
-from behavegen.serialization import to_doc
+from behavegen.errors import ConfigInvalid, InvalidSpec
+from behavegen.flow import FlowConfig, SamplerConfig
+from behavegen.nn import TrainConfig
+from behavegen.serialization import from_doc, to_doc
+from behavegen.world import DatasetSpec, ExtractionConfig
 
 
 def minimal_doc(**overrides) -> dict:
@@ -35,6 +40,14 @@ class TestDefaults:
         assert cfg.generation == GenerationConfig()
         assert cfg.vbb_train.batch_size == 32
         assert cfg.sampler.steps == 16
+
+    def test_training_sections_share_one_schema(self):
+        # one class, two sets of defaults
+        cfg = RunConfig()
+        assert cfg.vbb_train == TrainConfig(lr=5e-5, weight_decay=5e-4, warmup=200,
+                                            batch_size=32, steps=1000)
+        assert cfg.flow_train == TrainConfig(lr=3e-5, weight_decay=5e-4, warmup=200,
+                                             batch_size=32, steps=2000)
 
     def test_schema_version_required_and_checked(self):
         with pytest.raises(ConfigInvalid):
@@ -90,6 +103,51 @@ class TestStrictness:
                     {"init_state_scale": -0.5}, {"init_state_scale": 1e308}):
             with pytest.raises(ConfigInvalid, match=next(iter(bad))):
                 run_config_from_dict(minimal_doc(generation=bad))
+
+
+# a default of every config class whose numeric fields carry range checks
+CHECKED_CONFIGS = (
+    WorldConfig(), ExtractionConfig(), DatasetSpec(), BottleneckConfig(d_z=4),
+    TrainConfig(), FlowConfig(d_m=4, d_e=4), SamplerConfig(), GenerationConfig(),
+)
+# numeric fields for which every finite value is valid
+UNCHECKED = {
+    (SamplerConfig, "guidance"): "negative guidance is a valid classifier-free guidance setting",
+    (BottleneckConfig, "logit_scale_init"): "the log of the logit scale, so any real is valid",
+}
+NUMERIC_FIELDS = [(default, f.name) for default in CHECKED_CONFIGS
+                  for f in dataclasses.fields(default) if f.type in (int, float)]
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize(
+        "default,name",
+        [(d, n) for d, n in NUMERIC_FIELDS if (type(d), n) not in UNCHECKED],
+        ids=lambda x: x if isinstance(x, str) else type(x).__name__)
+    def test_negative_value_is_rejected_by_name(self, default, name):
+        doc = {**to_doc(default), name: -1}
+        with pytest.raises(InvalidSpec) as info:
+            from_doc(type(default), doc, type(default).__name__)
+        assert name in str(info.value)
+
+    def test_unchecked_fields_take_any_value(self):
+        numeric = {(type(d), n): d for d, n in NUMERIC_FIELDS}
+        for key in UNCHECKED:
+            default = numeric[key]
+            from_doc(key[0], {**to_doc(default), key[1]: -1}, key[0].__name__)
+
+    def test_training_fields_name_their_range(self):
+        for field, value, message in (
+            ("lr", 0.0, "lr = 0.0 must be > 0"),
+            ("weight_decay", -1.0, r"weight_decay = -1.0 outside \[0, inf\]"),
+            ("warmup", -5, r"warmup = -5 outside \[0, inf\]"),
+            ("batch_size", 0, r"batch_size = 0 outside \[1, inf\]"),
+            ("steps", 0, r"steps = 0 outside \[1, inf\]"),
+        ):
+            with pytest.raises(ConfigInvalid, match=f"^vbb_train: {message}$"):
+                run_config_from_dict(minimal_doc(vbb_train={field: value}))
+        # no upper limit on steps: benchmarks run open-ended trainers
+        assert TrainConfig(steps=10 ** 9).steps == 10 ** 9
 
 
 class TestDerivedDims:

@@ -22,7 +22,6 @@ from behavegen.errors import (
 from behavegen.flow import (
     FlowConfig,
     FlowModel,
-    FlowTrainConfig,
     SamplerConfig,
     euler_sample,
     fm_grad,
@@ -32,7 +31,7 @@ from behavegen.flow import (
     time_embedding,
     train_flow,
 )
-from behavegen.nn import finite_difference_grads, relative_grad_error
+from behavegen.nn import TrainConfig, finite_difference_grads, relative_grad_error
 from behavegen.world import (
     DatasetSpec,
     ExtractionConfig,
@@ -542,7 +541,7 @@ def tiny_corpus():
 class TestTraining:
     def test_deterministic(self):
         bottleneck, vocab, samples = tiny_corpus()
-        cfg = FlowTrainConfig(lr=1e-3, warmup=5, batch_size=4, steps=12)
+        cfg = TrainConfig(lr=1e-3, warmup=5, batch_size=4, steps=12)
         model_a = FlowModel(FlowConfig(d_m=3, d_e=3, width=4, blocks=1, r_dim=4,
                                        cond_dropout=0.5), seed=50)
         hist_a = train_flow(model_a, bottleneck, vocab, samples, cfg, seed=51)
@@ -556,7 +555,7 @@ class TestTraining:
 
     def test_loss_decreases(self):
         bottleneck, vocab, samples = tiny_corpus()
-        cfg = FlowTrainConfig(lr=3e-3, warmup=10, batch_size=8, steps=150)
+        cfg = TrainConfig(lr=3e-3, warmup=10, batch_size=8, steps=150)
         model = FlowModel(FlowConfig(d_m=3, d_e=3, width=8, blocks=1, r_dim=4),
                           seed=52)
         hist = train_flow(model, bottleneck, vocab, samples, cfg, seed=53)
@@ -566,7 +565,7 @@ class TestTraining:
 
     def test_batch_larger_than_corpus(self):
         bottleneck, vocab, samples = tiny_corpus()
-        cfg = FlowTrainConfig(batch_size=100, steps=1)
+        cfg = TrainConfig(batch_size=100, steps=1)
         model = FlowModel(FlowConfig(d_m=3, d_e=3, width=4, blocks=1, r_dim=4))
         with pytest.raises(DegenerateBatch):
             train_flow(model, bottleneck, vocab, samples, cfg, seed=1)
@@ -580,7 +579,7 @@ class TestTraining:
             return fm_grad(model, program, *args, **kwargs)
 
         monkeypatch.setattr(flow_module, "fm_grad", counting_fm_grad)
-        cfg = FlowTrainConfig(lr=1e-3, warmup=2, batch_size=5, steps=3)
+        cfg = TrainConfig(lr=1e-3, warmup=2, batch_size=5, steps=3)
         model = FlowModel(FlowConfig(d_m=3, d_e=3, width=4, blocks=1, r_dim=4))
         train_flow(model, bottleneck, vocab, samples, cfg, seed=2)
         assert calls == [5, 5, 5]
@@ -603,7 +602,7 @@ class TestTraining:
 
         monkeypatch.setattr(flow_module, "encode_packed", counting_encode)
         monkeypatch.setattr(flow_module, "prepare_flow_targets", recording_targets)
-        cfg = FlowTrainConfig(lr=1e-3, warmup=2, batch_size=8, steps=9)
+        cfg = TrainConfig(lr=1e-3, warmup=2, batch_size=8, steps=9)
         model = FlowModel(FlowConfig(d_m=3, d_e=3, width=4, blocks=1, r_dim=4))
         train_flow(model, bottleneck, vocab, samples, cfg, seed=2)
         assert len(encodes) == 1 and len(epochs) == 3
@@ -618,7 +617,7 @@ class TestTraining:
 
     def test_history_hook(self):
         bottleneck, vocab, samples = tiny_corpus()
-        cfg = FlowTrainConfig(lr=1e-3, warmup=2, batch_size=4, steps=3)
+        cfg = TrainConfig(lr=1e-3, warmup=2, batch_size=4, steps=3)
         model = FlowModel(FlowConfig(d_m=3, d_e=3, width=4, blocks=1, r_dim=4))
         seen = []
         train_flow(model, bottleneck, vocab, samples, cfg, seed=2,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from behavegen.errors import ShapeMismatch
+from behavegen.errors import DegenerateBatch, DivergenceDetected, ShapeMismatch
 from behavegen.nn import (
     Adam,
     Conv1d,
@@ -20,8 +20,10 @@ from behavegen.nn import (
     ReLU,
     ResBlock,
     Segments,
+    TrainConfig,
     Upsample2,
     finite_difference_grads,
+    fit,
     relative_grad_error,
 )
 
@@ -323,3 +325,49 @@ class TestAdam:
             return p.value.copy()
 
         np.testing.assert_array_equal(run(), run())
+
+
+class TestFit:
+    def quadratic(self, totals=None):
+        """A one-parameter problem, loss p^2, and a step that logs its calls."""
+        p = Param(np.array([2.0]))
+        calls = []
+
+        def step(k):
+            calls.append(k)
+            p.grad += 2 * p.value
+            return {"total": float(p.value[0] ** 2) if totals is None else totals[k],
+                    "part": float(k)}
+
+        return {"p": p}, step, calls
+
+    def test_too_few_items_for_a_batch(self):
+        params, step, calls = self.quadratic()
+        with pytest.raises(DegenerateBatch, match="3 samples cannot fill batches of 4"):
+            fit(params, TrainConfig(batch_size=4, steps=2), 3, step)
+        assert calls == []
+
+    def test_non_finite_total_names_its_step(self):
+        params, step, calls = self.quadratic(totals=[1.0, 0.5, np.nan, 0.1])
+        with pytest.raises(DivergenceDetected, match="^loss diverged at step 2$"):
+            fit(params, TrainConfig(batch_size=1, steps=4), 1, step)
+        assert calls == [0, 1, 2]
+
+    def test_one_record_per_step_handed_over_in_order(self):
+        params, step, calls = self.quadratic()
+        seen = []
+        cfg = TrainConfig(lr=0.1, weight_decay=0.0, warmup=0, batch_size=1, steps=5)
+        history = fit(params, cfg, 1, step, history_hook=seen.append)
+        assert calls == list(range(5))
+        assert [h["step"] for h in history] == list(range(5))
+        assert [h["part"] for h in history] == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert seen == history
+        # the loop is the plain Adam loop: same bits as driving Adam by hand
+        q = Param(np.array([2.0]))
+        opt = Adam({"q": q}, lr=0.1)
+        for record in history:
+            opt.zero_grad()
+            assert record["total"] == float(q.value[0] ** 2)
+            q.grad += 2 * q.value
+            opt.step()
+        assert params["p"].value.tobytes() == q.value.tobytes()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from behavegen.bottleneck import BottleneckConfig, TrainConfig
+from behavegen.bottleneck import BottleneckConfig
 from behavegen.cli import BottleneckHyperparams, FlowHyperparams
 from behavegen.config import (
     BottleneckSection,
@@ -20,8 +20,9 @@ from behavegen.config import (
     run_config_from_dict,
 )
 from behavegen.errors import InvalidSpec, MissingArtifact, NonFiniteInput
-from behavegen.flow import FlowConfig, FlowTrainConfig, SamplerConfig
+from behavegen.flow import FlowConfig, SamplerConfig
 from behavegen.metrics import EvalReport
+from behavegen.nn import TrainConfig
 from behavegen.serialization import (
     canon_dumps,
     from_doc,
@@ -280,7 +281,7 @@ def instances(cls):
 
 CONFIG_CLASSES = (
     WorldConfig, ExtractionConfig, DatasetSpec, CorpusRecipe, BottleneckConfig,
-    TrainConfig, FlowConfig, FlowTrainConfig, SamplerConfig, GenerationConfig,
+    TrainConfig, FlowConfig, SamplerConfig, GenerationConfig,
     BottleneckSection, FlowSection, RunConfig, EvalReport,
     BottleneckHyperparams, FlowHyperparams,
 )
