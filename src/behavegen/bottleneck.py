@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     MAX_LEVELS,
+    MAX_SCALE,
     CountMismatch,
     DegenerateBatch,
     DimensionMismatch,
@@ -57,6 +58,8 @@ class BottleneckConfig:
         check_sizes(self, "d_z", "d_m", "d_e", "width", "d_text")
         check_sizes(self, "levels", limit=MAX_LEVELS)
         check_sizes(self, "beta", "lambda_pi", "lambda_sem", limit=math.inf, low=0)
+        # the logit scale starts at exp(logit_scale_init), which must be finite and nonzero
+        check_sizes(self, "logit_scale_init", limit=math.log(MAX_SCALE), low=-math.log(MAX_SCALE))
         for name in ("lambda_tok", "lambda_frm"):  # pooling temperatures
             if not getattr(self, name) > 0:
                 raise RangeError(f"{name} = {getattr(self, name)} must be > 0")

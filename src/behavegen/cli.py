@@ -559,7 +559,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # every stage checks its results for finiteness, so NumPy's
+        # floating-point warnings would only add stderr lines to its report
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

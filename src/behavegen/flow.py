@@ -9,6 +9,7 @@ the field with a fixed-step Euler scheme, optionally with classifier-free
 guidance against a learned null context.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,11 @@ def time_embedding(r, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
+# The rows that condition each program (``hr`` projects its path position, ``hy``
+# its context) and the caches of their backward pass
+Conditioning = namedtuple("Conditioning", "lengths starts null hr hy caches")
+
+
 class FlowModel(Module):
     """Velocity field v(m, r, y) for programs of arbitrary length."""
 
@@ -78,20 +84,12 @@ class FlowModel(Module):
         self.out_proj = self.add_child("out", Linear(rng, w, cfg.d_m))
         self.null_ctx = self.add_param("null_ctx", 0.1 * rng.normal(size=cfg.d_e))
 
-    def field(self, m: np.ndarray, r, y_vec=None, lengths=None):
-        """Velocity at every row of ``m``, which holds programs of ``lengths``
-        rows back to back (default: one program).  ``r`` and ``y_vec`` (None
-        for the null context) are shared, or are lists of one per program."""
-        v, _ = self._field_forward(m, r, y_vec, lengths)
-        return v
-
-    def _field_forward(self, m: np.ndarray, r, y_vec, lengths):
-        m = np.asarray(m, dtype=float)
-        if m.ndim != 2 or m.shape[1] != self.cfg.d_m:
-            raise ShapeMismatch(f"program shape {m.shape}, want [T, {self.cfg.d_m}]")
-        lengths = np.array([m.shape[0]] if lengths is None else lengths, dtype=int)
-        if lengths.size < 1 or lengths.min() < 1 or lengths.sum() != m.shape[0]:
-            raise ShapeMismatch(f"lengths {lengths.tolist()} do not split {m.shape[0]} rows")
+    def condition(self, lengths, r, y_vec=None) -> Conditioning:
+        """Check and project what conditions programs of ``lengths`` rows: ``r``
+        and ``y_vec`` (None for the null context) are shared, or one per program."""
+        lengths = np.array(lengths, dtype=int)
+        if lengths.ndim != 1 or lengths.size < 1 or lengths.min() < 1:
+            raise ShapeMismatch(f"lengths {lengths.tolist()} are not program lengths")
         n = lengths.size
         r = np.array(r if isinstance(r, list) else [r] * n, dtype=float)
         ctxs = y_vec if isinstance(y_vec, list) else [y_vec] * n
@@ -104,14 +102,20 @@ class FlowModel(Module):
             raise ShapeMismatch(f"context shape {bad[0]}, want ({self.cfg.d_e},)")
         null = np.array([c is None for c in ctxs])
         ctx = np.array([self.null_ctx.value if c is None else c for c in ctxs], dtype=float)
-
-        # one conditioning row per program: its mean frame, r and context
-        starts = np.cumsum(lengths) - lengths
-        h0, c_in = self.in_proj.forward(m)
-        hp, c_pool = self.pool_proj.forward(np.add.reduceat(m, starts) / lengths[:, None])
         hr, c_r = self.r_proj.forward(time_embedding(r, self.cfg.r_dim))
         hy, c_y = self.y_proj.forward(ctx)
-        x = h0 + np.repeat(hp + hr + hy, lengths, axis=0)
+        return Conditioning(lengths, np.cumsum(lengths) - lengths, null, hr, hy, (c_r, c_y))
+
+    def field(self, m: np.ndarray, cond: Conditioning):
+        """The per-frame trunk: velocity at every row of ``m``, which holds the
+        programs of ``cond`` back to back, and the cache of its backward pass."""
+        h0, c_in = self.in_proj.forward(m)
+        if len(c_in) != cond.starts[-1] + cond.lengths[-1]:
+            raise ShapeMismatch(f"lengths {cond.lengths.tolist()} do not split {len(c_in)} rows")
+        # one conditioning row per program: its mean frame, r and context
+        hp, c_pool = self.pool_proj.forward(np.add.reduceat(c_in, cond.starts)
+                                            / cond.lengths[:, None])
+        x = h0 + np.repeat(hp + cond.hr + cond.hy, cond.lengths, axis=0)
         block_caches = []
         for b1, relu, b2 in self.blocks:
             a, c1 = b1.forward(x)
@@ -120,23 +124,23 @@ class FlowModel(Module):
             x = x + a
             block_caches.append((c1, cr, c2))
         v, c_out = self.out_proj.forward(x)
-        return v, (starts, null, c_in, c_pool, c_r, c_y, block_caches, c_out)
+        return v, (c_in, c_pool, block_caches, c_out)
 
-    def _field_backward(self, dv: np.ndarray, cache):
+    def _field_backward(self, dv: np.ndarray, cond: Conditioning, cache):
         """Accumulate the parameter gradients of the rows' velocities."""
-        starts, null, c_in, c_pool, c_r, c_y, block_caches, c_out = cache
+        c_in, c_pool, block_caches, c_out = cache
         dx = self.out_proj.backward(dv, c_out)
         for (b1, relu, b2), (c1, cr, c2) in zip(reversed(self.blocks),
                                                 reversed(block_caches)):
             da = b2.backward(dx, c2)
             da = relu.backward(da, cr)
             dx = dx + b1.backward(da, c1)
-        dcond = np.add.reduceat(dx, starts)
+        dcond = np.add.reduceat(dx, cond.starts)
         self.in_proj.backward(dx, c_in)
         self.pool_proj.backward(dcond, c_pool)
-        self.r_proj.backward(dcond, c_r)
-        dctx = self.y_proj.backward(dcond, c_y)
-        self.null_ctx.grad += dctx[null].sum(axis=0)
+        self.r_proj.backward(dcond, cond.caches[0])
+        dctx = self.y_proj.backward(dcond, cond.caches[1])
+        self.null_ctx.grad += dctx[cond.null].sum(axis=0)
 
 
 def interpolate(noise: np.ndarray, program: np.ndarray, r) -> np.ndarray:
@@ -175,13 +179,14 @@ def _fm_step(model: FlowModel, program, noise, r, y_vec, scale):
     lengths = [len(p) for p in program]
     target, eps = np.concatenate(program), np.concatenate(noise)
     point = interpolate(eps, target, np.repeat(np.asarray(r, dtype=float), lengths)[:, None])
-    v, cache = model._field_forward(point, list(r), list(y_vec), lengths)
+    cond = model.condition(lengths, list(r), list(y_vec))
+    v, cache = model.field(point, cond)
     resid = v - (target - eps)
     # every program weighs the same, whatever its length
     weight = np.repeat(1.0 / (len(lengths) * np.array(lengths) * resid.shape[1]), lengths)
     loss = float(((resid * resid).sum(axis=1) * weight).sum())
     if scale is not None:
-        model._field_backward(scale * 2.0 * resid * weight[:, None], cache)
+        model._field_backward(scale * 2.0 * resid * weight[:, None], cond, cache)
     return loss
 
 
@@ -191,8 +196,9 @@ def euler_sample(model: FlowModel, noise, cfg: SamplerConfig, y_vec=None):
     ``noise`` is one [T, d_m] start with its context ``y_vec`` (None for the
     null context), or a list of starts with a list of contexts, returned as a
     list.  With guidance g != 1 a conditioned program moves with
-    v_null + g (v_cond - v_null); at g = 1 the null branch is skipped.  All
-    programs and null branches of a step share one call of the field.
+    v_null + g (v_cond - v_null); at g = 1 the null branch is skipped.  The
+    conditioning is projected once per call, and all programs and null
+    branches of a step share one call of the field's per-frame trunk.
     """
     single = isinstance(noise, np.ndarray)
     noises, ctxs = ([noise], [y_vec]) if single else (list(noise), list(y_vec))
@@ -202,14 +208,18 @@ def euler_sample(model: FlowModel, noise, cfg: SamplerConfig, y_vec=None):
         raise ShapeMismatch(f"noises must be [T, {model.cfg.d_m}] arrays")
     lengths = [len(e) for e in noises]
     guided = [c is not None and cfg.guidance != 1.0 for c in ctxs]
-    rows = np.repeat(guided, lengths)  # frames that also get a null branch
-    branch_lengths = lengths + [n for n, g in zip(lengths, guided) if g]
-    branch_ctxs = ctxs + [None] * sum(guided)
+    rows = np.flatnonzero(np.repeat(guided, lengths))  # frames that also get a null branch
+    cond = model.condition(lengths + [n for n, g in zip(lengths, guided) if g], 0.0,
+                           ctxs + [None] * sum(guided))
+    # one product projects each step's path position as a block of min(branches,
+    # 2) equal rows: BLAS rounds one row (gemv) unlike more (gemm), whose rows do
+    # not depend on the height, so a block's first row has the branches' bits
+    blocks = np.outer(np.arange(cfg.steps), np.ones(min(len(cond.lengths), 2))) / cfg.steps
+    hr, _ = model.r_proj.forward(time_embedding(blocks, model.cfg.r_dim))
     m = np.concatenate(noises, dtype=float)
     dt = 1.0 / cfg.steps
     for k in range(cfg.steps):
-        v = model.field(np.concatenate([m, m[rows]]), k / cfg.steps, branch_ctxs,
-                        branch_lengths)
+        v, _ = model.field(np.concatenate([m, m[rows]]), cond._replace(hr=hr[k, :1]))
         v, v_null = v[:m.shape[0]], v[m.shape[0]:]
         v[rows] = v_null + cfg.guidance * (v[rows] - v_null)
         m = m + dt * v

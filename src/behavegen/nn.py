@@ -229,7 +229,9 @@ class Conv1d(Module):
 
 
 class Linear(Module):
-    """Per-frame affine map on [T, c_in] rows."""
+    """Per-frame affine map on [T, c_in] rows.  ``forward`` also maps a stack
+    [S, T, c_in] of row blocks, each by a product of its own, so a block gets
+    the bits it would get alone; ``backward`` takes [T, c_in] rows."""
 
     def __init__(self, rng, c_in: int, c_out: int, gain: float = 1.0):
         super().__init__()
@@ -239,8 +241,8 @@ class Linear(Module):
 
     def forward(self, x: np.ndarray):
         x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.c_in:
-            raise ShapeMismatch(f"linear input {x.shape}, want [T, {self.c_in}]")
+        if x.ndim not in (2, 3) or x.shape[-1] != self.c_in:
+            raise ShapeMismatch(f"linear input {x.shape}, want [(S,) T, {self.c_in}]")
         return x @ self.W.value + self.b.value, x
 
     def backward(self, dy: np.ndarray, x):
@@ -374,7 +376,9 @@ def fit(params: dict, cfg: TrainConfig, n_items: int, step, history_hook=None) -
     ``step(k)`` draws batch k, accumulates its gradients into the parameters
     and returns its loss components, ``total`` among them.  Returns one
     ``{"step": k, **components}`` record per step; ``history_hook`` (if
-    given) is called with each record as it is produced.
+    given) is called with each record as it is produced.  A non-finite total,
+    or a ``DivergenceDetected`` that the step raises, ends the run with one
+    ``DivergenceDetected`` that names step k.
     """
     if n_items < cfg.batch_size:
         raise DegenerateBatch(f"{n_items} samples cannot fill batches of {cfg.batch_size}")
@@ -382,9 +386,12 @@ def fit(params: dict, cfg: TrainConfig, n_items: int, step, history_hook=None) -
     history = []
     for k in range(cfg.steps):
         opt.zero_grad()
-        comps = step(k)
-        if not np.isfinite(comps["total"]):
-            raise DivergenceDetected(f"loss diverged at step {k}")
+        try:
+            comps = step(k)
+            if not np.isfinite(comps["total"]):
+                raise DivergenceDetected("loss diverged")
+        except DivergenceDetected as exc:  # one report, naming the step
+            raise DivergenceDetected(f"{exc} at step {k}") from exc
         opt.step()
         record = {"step": k, **comps}
         history.append(record)

@@ -6,9 +6,15 @@ contract is tested exactly as a shell would see it.
 """
 
 import dataclasses
+import hashlib
 import json
+import os
+import re
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +44,22 @@ TINY_CONFIG = {
     "sampler": {"steps": 4, "guidance": 1.5},
     "generation": {"t_m": 2, "overlap": 1},
 }
+
+
+def run_cli_process(commands, threads=None):
+    """Run CLI commands, one after another, in a process of their own: stderr
+    then shows what a user sees (pytest records warnings instead), and BLAS
+    reads ``threads`` (``OPENBLAS_NUM_THREADS``) afresh, as it does only at
+    start-up.  Returns the finished process; its exit code is the largest."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    env.pop("BEHAVE_SEED", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    script = ("import json, sys\nfrom behavegen.cli import main\n"
+              "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    return subprocess.run([sys.executable, "-c", script, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 @pytest.fixture(scope="session")
@@ -554,6 +576,25 @@ class TestExitCodes:
         assert err.startswith("numeric failure: "), err
         assert not (tmp_path / "vbb.json").exists()
 
+    @pytest.mark.parametrize("section,lr", [("vbb_train", 1e300), ("flow_train", 1e9)])
+    def test_numeric_failure_is_one_line_naming_its_step(self, workdir, tmp_path,
+                                                         section, lr):
+        # a process of its own, where NumPy's warnings would reach stderr.  The
+        # bottleneck trains 3 steps; at 1e9 the flow loss overflows at its step 5,
+        # within the config's 25
+        cfg = dict(TINY_CONFIG, vbb_train=dict(TINY_CONFIG["vbb_train"], steps=3))
+        cfg[section] = dict(cfg[section], lr=lr)
+        path = tmp_path / "hot.json"
+        path.write_text(json.dumps(cfg))
+        command = (["train-vbb"] if section == "vbb_train"
+                   else ["train-flow", "--vbb", workdir["vbb"]])
+        proc = run_cli_process([command + ["--config", str(path), "--data", workdir["data"],
+                                           "--out", str(tmp_path / "model")]])
+        assert proc.returncode == 3, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert re.fullmatch(r"numeric failure: .* at step \d+\n", proc.stderr), proc.stderr
+        assert not (tmp_path / "model.json").exists()
+
     @pytest.mark.parametrize("section", ["vbb_train", "flow_train"])
     @pytest.mark.parametrize("field,value", [("weight_decay", -1), ("warmup", -5), ("lr", 0)])
     def test_bad_training_field_exits_2_naming_it(self, workdir, tmp_path, capsys,
@@ -830,6 +871,31 @@ class TestDeterminism:
                          "--emit-plot-data", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert len(a.read_text().splitlines()) == 61
+
+    def test_artifacts_do_not_depend_on_blas_threads(self, workdir, tmp_path):
+        # the sampler and the trainers rely on BLAS giving each row of a product
+        # the same bits however many threads share it
+        digests = []
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            out.mkdir()
+            model = ["--config", workdir["cfg"], "--vbb", str(out / "vbb")]
+            proc = run_cli_process([
+                ["gen-data", "--config", workdir["cfg"], "--out", str(out / "data.json")],
+                ["train-vbb", "--config", workdir["cfg"], "--data", str(out / "data.json"),
+                 "--out", str(out / "vbb"), "--history", str(out / "vbb.jsonl")],
+                ["train-flow", *model, "--data", str(out / "data.json"),
+                 "--out", str(out / "flow"), "--history", str(out / "flow.jsonl")],
+                ["generate", *model, "--flow", str(out / "flow"),
+                 "--prompt", "walk then turn", "--out", str(out / "gen.json")],
+                ["compose", *model, "--flow", str(out / "flow"),
+                 "--prompt", "walk then turn", "--out", str(out / "comp.json")],
+            ], threads=threads)
+            assert proc.returncode == 0, proc.stderr
+            digests.append({f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                            for f in sorted(out.iterdir())})
+        assert len(digests[0]) == 9
+        assert digests[0] == digests[1]
 
     def test_env_seed_changes_dataset(self, workdir, tmp_path, monkeypatch):
         monkeypatch.setenv("BEHAVE_SEED", "999")

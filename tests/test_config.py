@@ -7,6 +7,7 @@ from the world/dataset sections rather than accepting them directly.
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -19,7 +20,7 @@ from behavegen.config import (
     load_run_config,
     run_config_from_dict,
 )
-from behavegen.errors import ConfigInvalid, InvalidSpec
+from behavegen.errors import MAX_SCALE, ConfigInvalid, InvalidSpec
 from behavegen.flow import FlowConfig, SamplerConfig
 from behavegen.nn import TrainConfig
 from behavegen.serialization import from_doc, to_doc
@@ -110,10 +111,11 @@ CHECKED_CONFIGS = (
     WorldConfig(), ExtractionConfig(), DatasetSpec(), BottleneckConfig(d_z=4),
     TrainConfig(), FlowConfig(d_m=4, d_e=4), SamplerConfig(), GenerationConfig(),
 )
-# numeric fields for which every finite value is valid
+# numeric fields for which -1 is valid
 UNCHECKED = {
     (SamplerConfig, "guidance"): "negative guidance is a valid classifier-free guidance setting",
-    (BottleneckConfig, "logit_scale_init"): "the log of the logit scale, so any real is valid",
+    (BottleneckConfig, "logit_scale_init"): "the log of the logit scale, bounded by "
+                                            "|x| <= ln(MAX_SCALE), so -1 is in range",
 }
 NUMERIC_FIELDS = [(default, f.name) for default in CHECKED_CONFIGS
                   for f in dataclasses.fields(default) if f.type in (int, float)]
@@ -148,6 +150,16 @@ class TestRangeChecks:
                 run_config_from_dict(minimal_doc(vbb_train={field: value}))
         # no upper limit on steps: benchmarks run open-ended trainers
         assert TrainConfig(steps=10 ** 9).steps == 10 ** 9
+
+    def test_logit_scale_init_keeps_the_scale_finite(self):
+        bound = math.log(MAX_SCALE)
+        for value in (bound, -bound, math.log(1.0 / 0.07)):
+            cfg = run_config_from_dict(minimal_doc(bottleneck={"logit_scale_init": value}))
+            assert cfg.bottleneck_config().logit_scale_init == value
+        for value in (1e6, -1e6, 1.01 * bound):
+            cfg = run_config_from_dict(minimal_doc(bottleneck={"logit_scale_init": value}))
+            with pytest.raises(ConfigInvalid, match="^bottleneck: logit_scale_init = "):
+                cfg.bottleneck_config()
 
 
 class TestDerivedDims:

@@ -87,6 +87,30 @@ def euler_oracle(model, noise, steps, guidance, y_vec):
     return m
 
 
+def field(model, m, r, y_vec=None, lengths=None):
+    """The whole field: the conditioning pass, then the per-frame trunk."""
+    cond = model.condition([len(m)] if lengths is None else lengths, r, y_vec)
+    return model.field(m, cond)[0]
+
+
+def euler_reference(model, noises, steps, guidance, ctxs):
+    """The sampler's loop with the whole field at every step: a conditioning
+    pass for the step's path position, then the trunk."""
+    lengths = [len(e) for e in noises]
+    guided = [c is not None and guidance != 1.0 for c in ctxs]
+    rows = np.repeat(guided, lengths)
+    branch_lengths = lengths + [n for n, g in zip(lengths, guided) if g]
+    branch_ctxs = list(ctxs) + [None] * sum(guided)
+    m = np.concatenate(noises)
+    for k in range(steps):
+        cond = model.condition(branch_lengths, k / steps, branch_ctxs)
+        v, _ = model.field(np.concatenate([m, m[rows]]), cond)
+        v, v_null = v[:len(m)], v[len(m):]
+        v[rows] = v_null + guidance * (v[rows] - v_null)
+        m = m + (1.0 / steps) * v
+    return np.split(m, np.cumsum(lengths)[:-1])
+
+
 def per_item_fm(model, programs, noises, rs, ctxs):
     """The flow-matching loss and its gradients one program at a time.
 
@@ -211,7 +235,7 @@ class TestField:
             m = rng.normal(size=(t_len, 3))
             y = rng.normal(size=3)
             for r in (0.0, 0.31, 1.0):
-                got = model.field(m, r, y)
+                got = field(model, m, r, y)
                 want = field_oracle(model, m, r, y)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -219,7 +243,7 @@ class TestField:
         model = toy_flow(seed=12)
         rng = np.random.default_rng(6)
         m = rng.normal(size=(5, 3))
-        got = model.field(m, 0.5, None)
+        got = field(model, m, 0.5, None)
         want = field_oracle(model, m, 0.5, None)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -228,19 +252,19 @@ class TestField:
         model = toy_flow(seed=13)
         rng = np.random.default_rng(8)
         y = rng.normal(size=3)
-        short = model.field(rng.normal(size=(2, 3)), 0.4, y)
-        long = model.field(rng.normal(size=(17, 3)), 0.4, y)
+        short = field(model, rng.normal(size=(2, 3)), 0.4, y)
+        long = field(model, rng.normal(size=(17, 3)), 0.4, y)
         assert short.shape == (2, 3)
         assert long.shape == (17, 3)
 
     def test_validation(self):
         model = toy_flow()
         with pytest.raises(ShapeMismatch):
-            model.field(np.zeros((4, 5)), 0.5, None)
+            field(model, np.zeros((4, 5)), 0.5, None)
         with pytest.raises(RangeError):
-            model.field(np.zeros((4, 3)), 1.2, None)
+            field(model, np.zeros((4, 3)), 1.2, None)
         with pytest.raises(ShapeMismatch):
-            model.field(np.zeros((4, 3)), 0.5, np.zeros(7))
+            field(model, np.zeros((4, 3)), 0.5, np.zeros(7))
 
 
 class TestFlowLoss:
@@ -354,10 +378,9 @@ class TestSampler:
         nulls = []
         orig = model.field
 
-        def counting_field(m, r, y_vec=None, lengths=None):
-            ctxs = y_vec if isinstance(y_vec, list) else [y_vec]
-            nulls.append(sum(c is None for c in ctxs))
-            return orig(m, r, y_vec, lengths)
+        def counting_field(m, cond):
+            nulls.append(int(cond.null.sum()))
+            return orig(m, cond)
 
         model.field = counting_field
         noise = np.random.default_rng(15).normal(size=(4, 3))
@@ -486,6 +509,24 @@ class TestPacked:
             want = euler_oracle(model, noise, 3, guidance, y)
             np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
 
+    @given(st.lists(st.tuples(st.integers(1, 9), st.booleans()), min_size=1,
+                    max_size=6),
+           st.sampled_from([0.0, 1.0, 1.5, -2.0]), st.integers(1, 20),
+           st.sampled_from([(6, 4), (64, 16)]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_conditioning_once_keeps_every_bit(self, items, guidance, steps, dims, seed):
+        # conditioning once per call must give the bits of a full pass per step
+        lengths, null = zip(*items)
+        width, r_dim = dims
+        model = FlowModel(FlowConfig(d_m=3, d_e=3, width=width, blocks=2, r_dim=r_dim),
+                          seed=seed % 1000)
+        _, noises, _, ctxs = ragged_batch(lengths, null, seed)
+        got = euler_sample(model, noises, SamplerConfig(steps=steps, guidance=guidance),
+                           ctxs)
+        want = euler_reference(model, noises, steps, guidance, ctxs)
+        for out, ref in zip(got, want, strict=True):
+            assert np.array_equal(out, ref)
+
     def test_packed_field_matches_oracle_per_program(self):
         model = packing_flow(30)
         rng = np.random.default_rng(31)
@@ -493,7 +534,7 @@ class TestPacked:
         m = rng.normal(size=(8, 3))
         rs = [0.0, 0.5, 0.9]
         ctxs = [rng.normal(size=3), None, rng.normal(size=3)]
-        got = model.field(m, rs, ctxs, lengths)
+        got = field(model, m, rs, ctxs, lengths)
         for lo, n, r, y in zip((0, 3, 4), lengths, rs, ctxs):
             np.testing.assert_allclose(got[lo:lo + n], field_oracle(model, m[lo:lo + n], r, y),
                                        rtol=1e-12, atol=1e-12)
@@ -502,15 +543,15 @@ class TestPacked:
         model = toy_flow()
         m = np.zeros((5, 3))
         with pytest.raises(ShapeMismatch):
-            model.field(m, 0.5, None, [2, 2])
+            field(model, m, 0.5, None, [2, 2])
         with pytest.raises(ShapeMismatch):
-            model.field(m, 0.5, None, [5, 0])
+            field(model, m, 0.5, None, [5, 0])
         with pytest.raises(CountMismatch):
-            model.field(m, [0.5], None, [2, 3])
+            field(model, m, [0.5], None, [2, 3])
         with pytest.raises(CountMismatch):
-            model.field(m, 0.5, [None], [2, 3])
+            field(model, m, 0.5, [None], [2, 3])
         with pytest.raises(RangeError):
-            model.field(m, [0.5, 1.5], None, [2, 3])
+            field(model, m, [0.5, 1.5], None, [2, 3])
         with pytest.raises(CountMismatch):
             fm_loss(model, [m, m], [m], [0.5, 0.5], [None, None])
         with pytest.raises(ShapeMismatch):

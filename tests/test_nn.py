@@ -178,6 +178,19 @@ class TestOtherLayers:
         rng = np.random.default_rng(7)
         check_layer(Linear(rng, 5, 3), rng.normal(size=(6, 5)))
 
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_linear_stack_maps_each_block_alone(self, rows):
+        # one-row blocks go through another BLAS kernel than taller ones; a
+        # stack must give every block the bits of its own product
+        rng = np.random.default_rng(rows)
+        layer = Linear(rng, 16, 64)
+        stack = rng.normal(size=(7, rows, 16))
+        got, _ = layer.forward(stack)
+        for block, out in zip(stack, got, strict=True):
+            assert np.array_equal(out, layer.forward(block.copy())[0])
+        with pytest.raises(ShapeMismatch):
+            layer.forward(stack[None])
+
     def test_relu_gradients(self):
         rng = np.random.default_rng(9)
         check_layer(ReLU(), rng.normal(size=(10, 4)))
@@ -352,6 +365,21 @@ class TestFit:
         with pytest.raises(DivergenceDetected, match="^loss diverged at step 2$"):
             fit(params, TrainConfig(batch_size=1, steps=4), 1, step)
         assert calls == [0, 1, 2]
+
+    def test_divergence_raised_by_a_step_names_its_step(self):
+        params, step, calls = self.quadratic()
+
+        def diverging(k):
+            step(k)
+            if k == 3:
+                raise DivergenceDetected("logit scale diverged to 0.0")
+            return {"total": 1.0}
+
+        with pytest.raises(DivergenceDetected,
+                           match="^logit scale diverged to 0.0 at step 3$") as info:
+            fit(params, TrainConfig(batch_size=1, steps=5), 1, diverging)
+        assert calls == [0, 1, 2, 3]
+        assert "\n" not in str(info.value)
 
     def test_one_record_per_step_handed_over_in_order(self):
         params, step, calls = self.quadratic()
