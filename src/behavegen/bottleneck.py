@@ -34,7 +34,19 @@ from .errors import (
     ZeroNormInput,
     check_sizes,
 )
-from .nn import Conv1d, Linear, Module, ReLU, ResBlock, Segments, TrainConfig, Upsample2, fit
+from .nn import (
+    Conv1d,
+    Linear,
+    Module,
+    ReLU,
+    ResBlock,
+    Segments,
+    TrainConfig,
+    Upsample2,
+    chain_backward,
+    chain_forward,
+    fit,
+)
 
 
 @dataclass(frozen=True)
@@ -57,7 +69,8 @@ class BottleneckConfig:
     def __post_init__(self):
         check_sizes(self, "d_z", "d_m", "d_e", "width", "d_text")
         check_sizes(self, "levels", limit=MAX_LEVELS)
-        check_sizes(self, "beta", "lambda_pi", "lambda_sem", limit=math.inf, low=0)
+        # an unbounded weight overflows Adam's second moment, not the loss
+        check_sizes(self, "beta", "lambda_pi", "lambda_sem", limit=MAX_SCALE, low=0)
         # the logit scale starts at exp(logit_scale_init), which must be finite and nonzero
         check_sizes(self, "logit_scale_init", limit=math.log(MAX_SCALE), low=-math.log(MAX_SCALE))
         for name in ("lambda_tok", "lambda_frm"):  # pooling temperatures
@@ -87,12 +100,11 @@ class Encoder(Module):
     def __init__(self, rng, cfg: BottleneckConfig):
         super().__init__()
         self.cfg = cfg
-        self.in_proj = self.add_child("in", Linear(rng, cfg.d_z, cfg.width, gain=np.sqrt(2.0)))
-        self.levels = []
+        self.trunk = [self.add_child("in", Linear(rng, cfg.d_z, cfg.width, gain=np.sqrt(2.0)))]
         for i in range(cfg.levels):
-            down = self.add_child(f"down{i}", Conv1d(rng, cfg.width, cfg.width, stride=2, gain=np.sqrt(2.0)))
-            res = self.add_child(f"res{i}", ResBlock(rng, cfg.width))
-            self.levels.append((down, res, ReLU()))
+            self.trunk += [self.add_child(f"down{i}", Conv1d(rng, cfg.width, cfg.width, stride=2,
+                                                             gain=np.sqrt(2.0))),
+                           ReLU(), self.add_child(f"res{i}", ResBlock(rng, cfg.width))]
         self.mu_head = self.add_child("mu", Linear(rng, cfg.width, cfg.d_m))
         self.logvar_head = self.add_child("logvar", Linear(rng, cfg.width, cfg.d_m))
         # start the posterior tight so early reconstruction is not noise-bound
@@ -101,70 +113,36 @@ class Encoder(Module):
     def forward(self, z: np.ndarray, seg: Segments | None = None):
         """Posterior parameters of one sequence, or of packed ``seg`` segments
         whose lengths are multiples of the compression."""
-        seg = Segments.of(z, seg)
-        h, c_in = self.in_proj.forward(z)
-        caches = [c_in]
-        for down, res, relu in self.levels:
-            h, c_down = down.forward(h, seg)
-            seg = down.out_segments(seg)
-            h, c_relu = relu.forward(h)
-            h, c_res = res.forward(h, seg)
-            caches.append((c_down, c_relu, c_res))
+        h, caches = chain_forward(self.trunk, z, Segments.of(z, seg))
         mu, c_mu = self.mu_head.forward(h)
         log_var, c_lv = self.logvar_head.forward(h)
-        caches.append((c_mu, c_lv))
-        return mu, log_var, caches
+        return mu, log_var, (caches, c_mu, c_lv)
 
-    def backward(self, dmu: np.ndarray, dlog_var: np.ndarray, caches):
-        c_mu, c_lv = caches[-1]
+    def backward(self, dmu: np.ndarray, dlog_var: np.ndarray, cache):
+        caches, c_mu, c_lv = cache
         dh = self.mu_head.backward(dmu, c_mu)
         dh = dh + self.logvar_head.backward(dlog_var, c_lv)
-        for (down, res, relu), cache in zip(reversed(self.levels), reversed(caches[1:-1])):
-            c_down, c_relu, c_res = cache
-            dh = res.backward(dh, c_res)
-            dh = relu.backward(dh, c_relu)
-            dh = down.backward(dh, c_down)
-        return self.in_proj.backward(dh, caches[0])
+        return chain_backward(self.trunk, dh, caches)
 
 
 class Decoder(Module):
     def __init__(self, rng, cfg: BottleneckConfig):
         super().__init__()
         self.cfg = cfg
-        self.in_proj = self.add_child("in", Linear(rng, cfg.d_m, cfg.width, gain=np.sqrt(2.0)))
-        self.levels = []
+        self.trunk = [self.add_child("in", Linear(rng, cfg.d_m, cfg.width, gain=np.sqrt(2.0)))]
         for i in range(cfg.levels):
-            up = Upsample2()
-            conv = self.add_child(f"conv{i}", Conv1d(rng, cfg.width, cfg.width, gain=np.sqrt(2.0)))
-            res = self.add_child(f"res{i}", ResBlock(rng, cfg.width))
-            self.levels.append((up, conv, res, ReLU()))
-        self.out_head = self.add_child("out", Linear(rng, cfg.width, cfg.d_z))
+            self.trunk += [Upsample2(),
+                           self.add_child(f"conv{i}", Conv1d(rng, cfg.width, cfg.width,
+                                                             gain=np.sqrt(2.0))),
+                           ReLU(), self.add_child(f"res{i}", ResBlock(rng, cfg.width))]
+        self.trunk.append(self.add_child("out", Linear(rng, cfg.width, cfg.d_z)))
 
     def forward(self, m: np.ndarray, seg: Segments | None = None):
         """Latent frames of one compact program, or of packed ``seg`` segments."""
-        seg = Segments.of(m, seg)
-        h, c_in = self.in_proj.forward(m)
-        caches = [c_in]
-        for up, conv, res, relu in self.levels:
-            h, c_up = up.forward(h)
-            seg = up.out_segments(seg)
-            h, c_conv = conv.forward(h, seg)
-            h, c_relu = relu.forward(h)
-            h, c_res = res.forward(h, seg)
-            caches.append((c_up, c_conv, c_relu, c_res))
-        z_hat, c_out = self.out_head.forward(h)
-        caches.append(c_out)
-        return z_hat, caches
+        return chain_forward(self.trunk, m, Segments.of(m, seg))
 
     def backward(self, dz_hat: np.ndarray, caches):
-        dh = self.out_head.backward(dz_hat, caches[-1])
-        for (up, conv, res, relu), cache in zip(reversed(self.levels), reversed(caches[1:-1])):
-            c_up, c_conv, c_relu, c_res = cache
-            dh = res.backward(dh, c_res)
-            dh = relu.backward(dh, c_relu)
-            dh = conv.backward(dh, c_conv)
-            dh = up.backward(dh, c_up)
-        return self.in_proj.backward(dh, caches[0])
+        return chain_backward(self.trunk, dz_hat, caches)
 
 
 class BottleneckModel(Module):
@@ -350,18 +328,11 @@ def _normalize_rows(v: np.ndarray, floor: float = 1e-12):
     return v / norms[:, None], norms
 
 
-def project_program_frames(model: BottleneckModel, m) -> np.ndarray:
-    """Unit-norm alignment embeddings of program frames."""
-    v, _ = model.P_m.forward(np.asarray(m, dtype=float))
-    unit, _ = _normalize_rows(v)
-    return unit
-
-
-def project_text_tokens(model: BottleneckModel, y) -> np.ndarray:
-    """Unit-norm alignment embeddings of prompt token rows."""
-    v, _ = model.P_y.forward(np.asarray(y, dtype=float))
-    unit, _ = _normalize_rows(v)
-    return unit
+def align_rows(head: Linear, rows) -> np.ndarray:
+    """Unit-norm alignment embeddings of ``rows``: program frames through the
+    model's ``P_m``, prompt token rows through its ``P_y``."""
+    v, _ = head.forward(np.asarray(rows, dtype=float))
+    return _normalize_rows(v)[0]
 
 
 def _check_unit_rows(name: str, rows_list):
@@ -622,24 +593,22 @@ def _vbb_step(model: BottleneckModel, world, batch, noises, grad: bool):
 # embeddings reused by generation, metrics and retrieval
 # ---------------------------------------------------------------------------
 
-def embed_program(model: BottleneckModel, m) -> np.ndarray:
-    """Single unit vector for a whole program: normalised mean of frame embeddings."""
-    frames = project_program_frames(model, m)
-    mean = frames.mean(axis=0)
+def _pooled_unit(head: Linear, rows, what: str) -> np.ndarray:
+    """Single unit vector for a whole program or prompt: the normalised mean
+    of its rows' alignment embeddings."""
+    mean = align_rows(head, rows).mean(axis=0)
     norm = float(np.linalg.norm(mean))
     if norm < 1e-12:
-        raise ZeroNormInput("program embedding collapsed to zero")
+        raise ZeroNormInput(f"{what} embedding collapsed to zero")
     return mean / norm
+
+
+def embed_program(model: BottleneckModel, m) -> np.ndarray:
+    return _pooled_unit(model.P_m, m, "program")
 
 
 def embed_text(model: BottleneckModel, y) -> np.ndarray:
-    """Single unit vector for a prompt: normalised mean of token embeddings."""
-    tokens = project_text_tokens(model, y)
-    mean = tokens.mean(axis=0)
-    norm = float(np.linalg.norm(mean))
-    if norm < 1e-12:
-        raise ZeroNormInput("text embedding collapsed to zero")
-    return mean / norm
+    return _pooled_unit(model.P_y, y, "text")
 
 
 # ---------------------------------------------------------------------------

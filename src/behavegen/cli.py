@@ -25,11 +25,10 @@ import numpy as np
 from .bottleneck import (
     BottleneckConfig,
     BottleneckModel,
+    align_rows,
     decode_packed,
     embed_text,
     encode_packed,
-    project_program_frames,
-    project_text_tokens,
     similarity_matrix,
     train_bottleneck,
 )
@@ -294,9 +293,9 @@ def retrieval_scores(model: BottleneckModel, vocab, samples) -> np.ndarray:
     alignment objective trains, with posterior means as the program side.
     """
     post, starts = encode_packed(model, [s.latents for s in samples])
-    progs = np.split(project_program_frames(model, post.mu), starts[1:])
+    progs = np.split(align_rows(model.P_m, post.mu), starts[1:])
     tokens = vocab.embeddings[[t for s in samples for t in s.token_ids]]
-    texts = np.split(project_text_tokens(model, tokens),
+    texts = np.split(align_rows(model.P_y, tokens),
                      np.cumsum([len(s.token_ids) for s in samples])[:-1])
     return similarity_matrix(progs, texts, model.cfg.lambda_tok,
                              model.cfg.lambda_frm)
@@ -345,7 +344,7 @@ def generation_study(flow, bottleneck, vocab, world, spec, sampler, t_m: int,
             expected.append(k)
     programs = euler_sample(flow, noises, sampler, contexts)
     mean_latents = [z.mean(axis=0) for z in decode_packed(bottleneck, programs)]
-    frames = project_program_frames(bottleneck, np.concatenate(programs))
+    frames = align_rows(bottleneck.P_m, np.concatenate(programs))
     embeddings = frames.reshape(len(programs), t_m, -1).mean(axis=1)
     match = prototype_match_rate(np.stack(mean_latents), expected, protos)
     div = diversity(embeddings)

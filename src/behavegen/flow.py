@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatch,
     check_sizes,
 )
-from .nn import Linear, Module, ReLU, TrainConfig, fit
+from .nn import Linear, Module, ReLU, Residual, TrainConfig, chain_backward, chain_forward, fit
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,9 @@ def time_embedding(r, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
-# The rows that condition each program (``hr`` projects its path position, ``hy``
-# its context) and the caches of their backward pass
-Conditioning = namedtuple("Conditioning", "lengths starts null hr hy caches")
+# The programs' lengths and start rows, which of them take the null context,
+# their projected contexts ``hy`` and the cache of that projection
+Conditioning = namedtuple("Conditioning", "lengths starts null hy c_y")
 
 
 class FlowModel(Module):
@@ -76,71 +76,54 @@ class FlowModel(Module):
         self.pool_proj = self.add_child("pool", Linear(rng, cfg.d_m, w))
         self.r_proj = self.add_child("r", Linear(rng, cfg.r_dim, w))
         self.y_proj = self.add_child("y", Linear(rng, cfg.d_e, w))
-        self.blocks = []
-        for i in range(cfg.blocks):
-            b1 = self.add_child(f"b{i}.fc1", Linear(rng, w, w, gain=np.sqrt(2.0)))
-            b2 = self.add_child(f"b{i}.fc2", Linear(rng, w, w))
-            self.blocks.append((b1, ReLU(), b2))
-        self.out_proj = self.add_child("out", Linear(rng, w, cfg.d_m))
+        self.trunk = [self.add_child(f"b{i}", Residual({
+            "fc1": Linear(rng, w, w, gain=np.sqrt(2.0)), "relu": ReLU(), "fc2": Linear(rng, w, w),
+        })) for i in range(cfg.blocks)]
+        self.trunk.append(self.add_child("out", Linear(rng, w, cfg.d_m)))
         self.null_ctx = self.add_param("null_ctx", 0.1 * rng.normal(size=cfg.d_e))
 
-    def condition(self, lengths, r, y_vec=None) -> Conditioning:
-        """Check and project what conditions programs of ``lengths`` rows: ``r``
-        and ``y_vec`` (None for the null context) are shared, or one per program."""
+    def condition(self, lengths, y_vec=None) -> Conditioning:
+        """Check and project the contexts of programs of ``lengths`` rows:
+        ``y_vec`` (None for the null context) is shared, or one per program."""
         lengths = np.array(lengths, dtype=int)
         if lengths.ndim != 1 or lengths.size < 1 or lengths.min() < 1:
             raise ShapeMismatch(f"lengths {lengths.tolist()} are not program lengths")
-        n = lengths.size
-        r = np.array(r if isinstance(r, list) else [r] * n, dtype=float)
-        ctxs = y_vec if isinstance(y_vec, list) else [y_vec] * n
-        if r.shape != (n,) or len(ctxs) != n:
-            raise CountMismatch(f"{n} programs, {r.size} path positions, {len(ctxs)} contexts")
-        if not np.all((r >= 0.0) & (r <= 1.0)):
-            raise RangeError(f"path positions {r.tolist()} outside [0, 1]")
+        ctxs = y_vec if isinstance(y_vec, list) else [y_vec] * lengths.size
+        if len(ctxs) != lengths.size:
+            raise CountMismatch(f"{lengths.size} programs, {len(ctxs)} contexts")
         bad = [np.shape(c) for c in ctxs if c is not None and np.shape(c) != (self.cfg.d_e,)]
         if bad:
             raise ShapeMismatch(f"context shape {bad[0]}, want ({self.cfg.d_e},)")
         null = np.array([c is None for c in ctxs])
         ctx = np.array([self.null_ctx.value if c is None else c for c in ctxs], dtype=float)
-        hr, c_r = self.r_proj.forward(time_embedding(r, self.cfg.r_dim))
         hy, c_y = self.y_proj.forward(ctx)
-        return Conditioning(lengths, np.cumsum(lengths) - lengths, null, hr, hy, (c_r, c_y))
+        return Conditioning(lengths, np.cumsum(lengths) - lengths, null, hy, c_y)
 
-    def field(self, m: np.ndarray, cond: Conditioning):
+    def field(self, m: np.ndarray, cond: Conditioning, hr: np.ndarray):
         """The per-frame trunk: velocity at every row of ``m``, which holds the
-        programs of ``cond`` back to back, and the cache of its backward pass."""
+        programs of ``cond`` back to back, and the cache of its backward pass.
+        ``hr`` is the projected path position, one row per program or one
+        row for all."""
         h0, c_in = self.in_proj.forward(m)
         if len(c_in) != cond.starts[-1] + cond.lengths[-1]:
             raise ShapeMismatch(f"lengths {cond.lengths.tolist()} do not split {len(c_in)} rows")
         # one conditioning row per program: its mean frame, r and context
         hp, c_pool = self.pool_proj.forward(np.add.reduceat(c_in, cond.starts)
                                             / cond.lengths[:, None])
-        x = h0 + np.repeat(hp + cond.hr + cond.hy, cond.lengths, axis=0)
-        block_caches = []
-        for b1, relu, b2 in self.blocks:
-            a, c1 = b1.forward(x)
-            a, cr = relu.forward(a)
-            a, c2 = b2.forward(a)
-            x = x + a
-            block_caches.append((c1, cr, c2))
-        v, c_out = self.out_proj.forward(x)
-        return v, (c_in, c_pool, block_caches, c_out)
+        v, c_trunk = chain_forward(self.trunk, h0 + np.repeat(hp + hr + cond.hy, cond.lengths, 0))
+        return v, (c_in, c_pool, c_trunk)
 
-    def _field_backward(self, dv: np.ndarray, cond: Conditioning, cache):
-        """Accumulate the parameter gradients of the rows' velocities."""
-        c_in, c_pool, block_caches, c_out = cache
-        dx = self.out_proj.backward(dv, c_out)
-        for (b1, relu, b2), (c1, cr, c2) in zip(reversed(self.blocks),
-                                                reversed(block_caches)):
-            da = b2.backward(dx, c2)
-            da = relu.backward(da, cr)
-            dx = dx + b1.backward(da, c1)
+    def _field_backward(self, dv: np.ndarray, cond: Conditioning, cache) -> np.ndarray:
+        """Accumulate the parameter gradients of the rows' velocities; returns
+        the gradient of each program's conditioning row, for ``hr``."""
+        c_in, c_pool, c_trunk = cache
+        dx = chain_backward(self.trunk, dv, c_trunk)
         dcond = np.add.reduceat(dx, cond.starts)
         self.in_proj.backward(dx, c_in)
         self.pool_proj.backward(dcond, c_pool)
-        self.r_proj.backward(dcond, cond.caches[0])
-        dctx = self.y_proj.backward(dcond, cond.caches[1])
+        dctx = self.y_proj.backward(dcond, cond.c_y)
         self.null_ctx.grad += dctx[cond.null].sum(axis=0)
+        return dcond
 
 
 def interpolate(noise: np.ndarray, program: np.ndarray, r) -> np.ndarray:
@@ -177,16 +160,18 @@ def _fm_step(model: FlowModel, program, noise, r, y_vec, scale):
     if any(np.shape(p) != np.shape(e) for p, e in zip(program, noise)):
         raise ShapeMismatch("every program needs a noise of its own shape")
     lengths = [len(p) for p in program]
-    target, eps = np.concatenate(program), np.concatenate(noise)
-    point = interpolate(eps, target, np.repeat(np.asarray(r, dtype=float), lengths)[:, None])
-    cond = model.condition(lengths, list(r), list(y_vec))
-    v, cache = model.field(point, cond)
+    target, eps, r = np.concatenate(program), np.concatenate(noise), np.asarray(r, dtype=float)
+    point = interpolate(eps, target, np.repeat(r, lengths)[:, None])
+    hr, c_r = model.r_proj.forward(time_embedding(r, model.cfg.r_dim))
+    cond = model.condition(lengths, list(y_vec))
+    v, cache = model.field(point, cond, hr)
     resid = v - (target - eps)
     # every program weighs the same, whatever its length
     weight = np.repeat(1.0 / (len(lengths) * np.array(lengths) * resid.shape[1]), lengths)
     loss = float(((resid * resid).sum(axis=1) * weight).sum())
     if scale is not None:
-        model._field_backward(scale * 2.0 * resid * weight[:, None], cond, cache)
+        dcond = model._field_backward(scale * 2.0 * resid * weight[:, None], cond, cache)
+        model.r_proj.backward(dcond, c_r)
     return loss
 
 
@@ -209,7 +194,7 @@ def euler_sample(model: FlowModel, noise, cfg: SamplerConfig, y_vec=None):
     lengths = [len(e) for e in noises]
     guided = [c is not None and cfg.guidance != 1.0 for c in ctxs]
     rows = np.flatnonzero(np.repeat(guided, lengths))  # frames that also get a null branch
-    cond = model.condition(lengths + [n for n, g in zip(lengths, guided) if g], 0.0,
+    cond = model.condition(lengths + [n for n, g in zip(lengths, guided) if g],
                            ctxs + [None] * sum(guided))
     # one product projects each step's path position as a block of min(branches,
     # 2) equal rows: BLAS rounds one row (gemv) unlike more (gemm), whose rows do
@@ -219,7 +204,7 @@ def euler_sample(model: FlowModel, noise, cfg: SamplerConfig, y_vec=None):
     m = np.concatenate(noises, dtype=float)
     dt = 1.0 / cfg.steps
     for k in range(cfg.steps):
-        v, _ = model.field(np.concatenate([m, m[rows]]), cond._replace(hr=hr[k, :1]))
+        v, _ = model.field(np.concatenate([m, m[rows]]), cond, hr[k, :1])
         v, v_null = v[:m.shape[0]], v[m.shape[0]:]
         v[rows] = v_null + cfg.guidance * (v[rows] - v_null)
         m = m + dt * v

@@ -1,9 +1,18 @@
 """Hand-written neural network layers on numpy.
 
-Every layer exposes ``forward(x) -> (y, cache)`` and
-``backward(dy, cache) -> dx``; backward accumulates parameter gradients into
-``Param.grad``.  Caches are explicit so one layer instance can serve a whole
-batch of variable-length sequences before any backward pass runs.
+Every layer is a ``Module`` with three methods:
+
+- ``forward(x, seg) -> (y, cache)``, where ``seg`` is the ``Segments`` that
+  ``x`` is packed in, or None for one sequence;
+- ``backward(dy, cache) -> dx``, which also accumulates parameter gradients
+  into ``Param.grad``;
+- ``out_segments(seg)``, the segments of the output: ``seg`` itself unless
+  the layer changes the sequence lengths.
+
+``chain_forward`` and ``chain_backward`` run a list of layers, and every
+stack of layers in the package is such a chain.  Caches are explicit so one
+layer instance can serve a whole batch of variable-length sequences before
+any backward pass runs.
 
 Sequences are time-major ``[T, channels]`` float64 arrays.  Convolutions use
 replicate padding so edge frames are extended, not zero-filled.
@@ -82,6 +91,27 @@ class Module:
 
     def export_values(self) -> dict:
         return {name: p.value.copy() for name, p in self.params().items()}
+
+    def out_segments(self, seg):
+        return seg
+
+
+def chain_forward(layers, x: np.ndarray, seg=None):
+    """Run ``layers`` in order, each on its predecessor's output and the
+    segments that output is packed in; returns the output and the caches."""
+    caches = []
+    for layer in layers:
+        x, cache = layer.forward(x, seg)
+        seg = layer.out_segments(seg)
+        caches.append(cache)
+    return x, caches
+
+
+def chain_backward(layers, dy: np.ndarray, caches) -> np.ndarray:
+    """dL/dx of ``chain_forward``: the layers' backward passes in reverse."""
+    for layer, cache in zip(reversed(layers), reversed(caches)):
+        dy = layer.backward(dy, cache)
+    return dy
 
 
 def replicate_pad(x: np.ndarray, pad: int) -> np.ndarray:
@@ -186,6 +216,8 @@ class Conv1d(Module):
         return (length + 2 * self.pad - self.kernel) // self.stride + 1
 
     def out_segments(self, seg: Segments) -> Segments:
+        if self.stride == 1:
+            return seg
         return Segments((self.out_length(n) for n in seg.lengths), seg.layouts)
 
     def forward(self, x: np.ndarray, seg: Segments | None = None):
@@ -239,7 +271,7 @@ class Linear(Module):
         self.W = self.add_param("W", rng.normal(size=(c_in, c_out)) * gain / np.sqrt(c_in))
         self.b = self.add_param("b", np.zeros(c_out))
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, seg=None):
         x = np.asarray(x, dtype=float)
         if x.ndim not in (2, 3) or x.shape[-1] != self.c_in:
             raise ShapeMismatch(f"linear input {x.shape}, want [(S,) T, {self.c_in}]")
@@ -254,7 +286,7 @@ class Linear(Module):
 
 
 class ReLU(Module):
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, seg=None):
         mask = x > 0
         return x * mask, mask
 
@@ -272,7 +304,7 @@ class Upsample2(Module):
     def out_segments(self, seg: Segments) -> Segments:
         return Segments((2 * n for n in seg.lengths), seg.layouts)
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, seg=None):
         return np.repeat(x, 2, axis=0), x.shape[0]
 
     def backward(self, dy: np.ndarray, cache):
@@ -280,27 +312,28 @@ class Upsample2(Module):
         return dy[0::2][:length] + dy[1::2][:length]
 
 
-class ResBlock(Module):
-    """x + conv_b(relu(conv_a(x))); stride 1, width preserved."""
+class Residual(Module):
+    """x + the chain of ``layers`` over x; the chain keeps x's shape and
+    segments.  ``layers`` maps child names to layers, in chain order."""
 
-    def __init__(self, rng, width: int, kernel: int = 3):
+    def __init__(self, layers: dict):
         super().__init__()
-        self.conv_a = self.add_child("a", Conv1d(rng, width, width, kernel, gain=np.sqrt(2.0)))
-        self.relu = ReLU()
-        self.conv_b = self.add_child("b", Conv1d(rng, width, width, kernel))
+        self.layers = [self.add_child(name, layer) for name, layer in layers.items()]
 
     def forward(self, x: np.ndarray, seg: Segments | None = None):
-        h, ca = self.conv_a.forward(x, seg)
-        a, cr = self.relu.forward(h)
-        r, cb = self.conv_b.forward(a, seg)
-        return x + r, (ca, cr, cb)
+        r, caches = chain_forward(self.layers, x, seg)
+        return x + r, caches
 
-    def backward(self, dy: np.ndarray, cache):
-        ca, cr, cb = cache
-        da = self.conv_b.backward(dy, cb)
-        dh = self.relu.backward(da, cr)
-        dx_inner = self.conv_a.backward(dh, ca)
-        return dy + dx_inner
+    def backward(self, dy: np.ndarray, caches):
+        return dy + chain_backward(self.layers, dy, caches)
+
+
+class ResBlock(Residual):
+    """x + b(relu(a(x))), with a and b kernel-3 stride-1 convolutions."""
+
+    def __init__(self, rng, width: int):
+        super().__init__({"a": Conv1d(rng, width, width, gain=np.sqrt(2.0)), "relu": ReLU(),
+                          "b": Conv1d(rng, width, width)})
 
 
 class Adam:

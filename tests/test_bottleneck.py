@@ -20,6 +20,7 @@ from behavegen.bottleneck import (
     BottleneckConfig,
     BottleneckModel,
     Posterior,
+    align_rows,
     batch_from_samples,
     _chunks,
     contrastive_loss,
@@ -32,8 +33,6 @@ from behavegen.bottleneck import (
     kl_prior_loss,
     make_noises,
     pad_to_multiple,
-    project_program_frames,
-    project_text_tokens,
     reconstruction_loss,
     sample_posterior,
     similarity_matrix,
@@ -601,9 +600,9 @@ class TestEmbeddings:
     def test_projected_frames_unit_rows(self):
         _, model = toy_setup(seed=21)
         rng = np.random.default_rng(22)
-        frames = project_program_frames(model, rng.normal(size=(5, 3)))
+        frames = align_rows(model.P_m, rng.normal(size=(5, 3)))
         np.testing.assert_allclose(np.linalg.norm(frames, axis=1), 1.0, rtol=1e-12)
-        tokens = project_text_tokens(model, unit_rows(rng, 2, 4))
+        tokens = align_rows(model.P_y, unit_rows(rng, 2, 4))
         np.testing.assert_allclose(np.linalg.norm(tokens, axis=1), 1.0, rtol=1e-12)
 
 

@@ -611,6 +611,20 @@ class TestExitCodes:
         assert f"{section}: {field} = " in err, err
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize("field", ["beta", "lambda_pi", "lambda_sem"])
+    def test_unbounded_loss_weight_exits_2_naming_it(self, workdir, tmp_path, field):
+        # at 1e300 Adam's second moment overflows; a process of its own shows
+        # every line that reaches stderr
+        cfg = dict(TINY_CONFIG, bottleneck=dict(TINY_CONFIG["bottleneck"], **{field: 1e300}))
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(cfg))
+        proc = run_cli_process([["train-vbb", "--config", str(path), "--data", workdir["data"],
+                                 "--out", str(tmp_path / "vbb")]])
+        assert proc.returncode == 2, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert f"bottleneck: {field} = " in proc.stderr, proc.stderr
+        assert not (tmp_path / "vbb.json").exists()
+
     def test_bottleneck_batch_of_one_exits_2(self, workdir, tmp_path, capsys):
         # a valid training section, but the contrastive term needs two items
         cfg = dict(TINY_CONFIG, vbb_train=dict(TINY_CONFIG["vbb_train"], batch_size=1))

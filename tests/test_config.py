@@ -8,6 +8,7 @@ from the world/dataset sections rather than accepting them directly.
 import dataclasses
 import json
 import math
+import warnings
 
 import pytest
 
@@ -119,6 +120,11 @@ UNCHECKED = {
 }
 NUMERIC_FIELDS = [(default, f.name) for default in CHECKED_CONFIGS
                   for f in dataclasses.fields(default) if f.type in (int, float)]
+# values at the edges of each numeric type, which every field must take or refuse by name
+EXTREMES = {float: (1e300, 1e-300, 0.0, -0.0), int: (2 ** 62, 0, -1)}
+EXTREME_CASES = [(default, f.name, value) for default in CHECKED_CONFIGS
+                 for f in dataclasses.fields(default) if f.type in EXTREMES
+                 for value in EXTREMES[f.type]]
 
 
 class TestRangeChecks:
@@ -131,6 +137,19 @@ class TestRangeChecks:
         with pytest.raises(InvalidSpec) as info:
             from_doc(type(default), doc, type(default).__name__)
         assert name in str(info.value)
+
+    @pytest.mark.parametrize(
+        "default,name,value", EXTREME_CASES,
+        ids=lambda x: x if isinstance(x, str) else repr(x) if isinstance(x, (int, float))
+        else type(x).__name__)
+    def test_extreme_value_constructs_or_is_rejected_by_name(self, default, name, value):
+        doc = {**to_doc(default), name: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning escaping is a failure too
+            try:
+                from_doc(type(default), doc, type(default).__name__)
+            except InvalidSpec as exc:
+                assert name in str(exc)
 
     def test_unchecked_fields_take_any_value(self):
         numeric = {(type(d), n): d for d, n in NUMERIC_FIELDS}

@@ -88,14 +88,17 @@ def euler_oracle(model, noise, steps, guidance, y_vec):
 
 
 def field(model, m, r, y_vec=None, lengths=None):
-    """The whole field: the conditioning pass, then the per-frame trunk."""
-    cond = model.condition([len(m)] if lengths is None else lengths, r, y_vec)
-    return model.field(m, cond)[0]
+    """The whole field: the path position and conditioning passes, then the
+    per-frame trunk.  ``r`` is shared, or one per program."""
+    cond = model.condition([len(m)] if lengths is None else lengths, y_vec)
+    r = np.array(r if isinstance(r, list) else [r] * len(cond.lengths), dtype=float)
+    hr, _ = model.r_proj.forward(time_embedding(r, model.cfg.r_dim))
+    return model.field(m, cond, hr)[0]
 
 
 def euler_reference(model, noises, steps, guidance, ctxs):
     """The sampler's loop with the whole field at every step: a conditioning
-    pass for the step's path position, then the trunk."""
+    pass and a projection of the step's path position, then the trunk."""
     lengths = [len(e) for e in noises]
     guided = [c is not None and guidance != 1.0 for c in ctxs]
     rows = np.repeat(guided, lengths)
@@ -103,8 +106,10 @@ def euler_reference(model, noises, steps, guidance, ctxs):
     branch_ctxs = list(ctxs) + [None] * sum(guided)
     m = np.concatenate(noises)
     for k in range(steps):
-        cond = model.condition(branch_lengths, k / steps, branch_ctxs)
-        v, _ = model.field(np.concatenate([m, m[rows]]), cond)
+        cond = model.condition(branch_lengths, branch_ctxs)
+        hr, _ = model.r_proj.forward(time_embedding(np.full(len(branch_lengths), k / steps),
+                                                    model.cfg.r_dim))
+        v, _ = model.field(np.concatenate([m, m[rows]]), cond, hr)
         v, v_null = v[:len(m)], v[len(m):]
         v[rows] = v_null + guidance * (v[rows] - v_null)
         m = m + (1.0 / steps) * v
@@ -120,6 +125,7 @@ def per_item_fm(model, programs, noises, rs, ctxs):
     """
     cfg = model.cfg
     b = len(programs)
+    blocks, out_proj = [res.layers for res in model.trunk[:-1]], model.trunk[-1]
     total = 0.0
     for program, noise, r, y in zip(programs, noises, rs, ctxs):
         point = (1 - r) * noise + r * program
@@ -130,17 +136,17 @@ def per_item_fm(model, programs, noises, rs, ctxs):
         hy, c_y = model.y_proj.forward(ctx[None, :])
         x = h0 + (hp + hr + hy)
         caches = []
-        for b1, relu, b2 in model.blocks:
+        for b1, relu, b2 in blocks:
             a, c1 = b1.forward(x)
             a, cr = relu.forward(a)
             a, c2 = b2.forward(a)
             x = x + a
             caches.append((c1, cr, c2))
-        v, c_out = model.out_proj.forward(x)
+        v, c_out = out_proj.forward(x)
         resid = v - (program - noise)
         total += float((resid * resid).mean()) / b
-        dx = model.out_proj.backward(2.0 * resid / (resid.size * b), c_out)
-        for (b1, relu, b2), (c1, cr, c2) in zip(reversed(model.blocks), reversed(caches)):
+        dx = out_proj.backward(2.0 * resid / (resid.size * b), c_out)
+        for (b1, relu, b2), (c1, cr, c2) in zip(reversed(blocks), reversed(caches)):
             dx = dx + b1.backward(relu.backward(b2.backward(dx, c2), cr), c1)
         dcond = dx.sum(axis=0, keepdims=True)
         model.in_proj.backward(dx, c_in)
@@ -261,8 +267,8 @@ class TestField:
         model = toy_flow()
         with pytest.raises(ShapeMismatch):
             field(model, np.zeros((4, 5)), 0.5, None)
-        with pytest.raises(RangeError):
-            field(model, np.zeros((4, 3)), 1.2, None)
+        with pytest.raises(RangeError):  # the path position is checked where the path is made
+            fm_loss(model, np.zeros((4, 3)), np.zeros((4, 3)), 1.2, None)
         with pytest.raises(ShapeMismatch):
             field(model, np.zeros((4, 3)), 0.5, np.zeros(7))
 
@@ -378,9 +384,9 @@ class TestSampler:
         nulls = []
         orig = model.field
 
-        def counting_field(m, cond):
+        def counting_field(m, cond, hr):
             nulls.append(int(cond.null.sum()))
-            return orig(m, cond)
+            return orig(m, cond, hr)
 
         model.field = counting_field
         noise = np.random.default_rng(15).normal(size=(4, 3))
@@ -547,11 +553,13 @@ class TestPacked:
         with pytest.raises(ShapeMismatch):
             field(model, m, 0.5, None, [5, 0])
         with pytest.raises(CountMismatch):
-            field(model, m, [0.5], None, [2, 3])
-        with pytest.raises(CountMismatch):
             field(model, m, 0.5, [None], [2, 3])
+        # path positions are counted and range-checked where the path is made
+        pair = [m[:2], m[2:]]
+        with pytest.raises(CountMismatch):
+            fm_loss(model, pair, pair, [0.5], [None, None])
         with pytest.raises(RangeError):
-            field(model, m, [0.5, 1.5], None, [2, 3])
+            fm_loss(model, pair, pair, [0.5, 1.5], [None, None])
         with pytest.raises(CountMismatch):
             fm_loss(model, [m, m], [m], [0.5, 0.5], [None, None])
         with pytest.raises(ShapeMismatch):

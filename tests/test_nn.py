@@ -210,7 +210,7 @@ class TestOtherLayers:
     def test_resblock_is_identity_plus_residual(self):
         rng = np.random.default_rng(11)
         block = ResBlock(rng, 3)
-        for p in block.conv_b.params().values():
+        for p in block.params()["b.W"], block.params()["b.b"]:
             p.value[...] = 0.0
         x = rng.normal(size=(5, 3))
         y, _ = block.forward(x)

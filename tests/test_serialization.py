@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from behavegen.bottleneck import BottleneckConfig
+from behavegen.bottleneck import BottleneckConfig, BottleneckModel
 from behavegen.cli import BottleneckHyperparams, FlowHyperparams
 from behavegen.config import (
     BottleneckSection,
@@ -20,7 +20,7 @@ from behavegen.config import (
     run_config_from_dict,
 )
 from behavegen.errors import InvalidSpec, MissingArtifact, NonFiniteInput
-from behavegen.flow import FlowConfig, SamplerConfig
+from behavegen.flow import FlowConfig, FlowModel, SamplerConfig
 from behavegen.metrics import EvalReport
 from behavegen.nn import TrainConfig
 from behavegen.serialization import (
@@ -181,6 +181,32 @@ class TestCanonJson:
 
 
 class TestCheckpoints:
+    def test_parameter_names_are_pinned(self):
+        # checkpoint keys; a change in how layers nest must not rename them
+        conv, vec = (3, 4, 4), (4,)
+        res = {f"{c}.{r}.{n}": conv if n == "W" else vec
+               for c in ("enc", "dec") for r in ("res0.a", "res0.b", "res1.a", "res1.b")
+               for n in "Wb"}
+        bottleneck = BottleneckModel(BottleneckConfig(d_z=2, d_m=3, d_e=3, width=4, levels=2,
+                                                      d_text=4))
+        assert {k: p.value.shape for k, p in bottleneck.params().items()} == {
+            "alpha": (), "pm.W": (3, 3), "pm.b": (3,), "py.W": (4, 3), "py.b": (3,),
+            "enc.in.W": (2, 4), "enc.in.b": vec, "enc.down0.W": conv, "enc.down0.b": vec,
+            "enc.down1.W": conv, "enc.down1.b": vec, "enc.mu.W": (4, 3), "enc.mu.b": (3,),
+            "enc.logvar.W": (4, 3), "enc.logvar.b": (3,),
+            "dec.in.W": (3, 4), "dec.in.b": vec, "dec.conv0.W": conv, "dec.conv0.b": vec,
+            "dec.conv1.W": conv, "dec.conv1.b": vec, "dec.out.W": (4, 2), "dec.out.b": (2,),
+            **res,
+        }
+        flow = FlowModel(FlowConfig(d_m=3, d_e=3, width=4, blocks=2, r_dim=4))
+        assert {k: p.value.shape for k, p in flow.params().items()} == {
+            "null_ctx": (3,), "in.W": (3, 4), "in.b": vec, "pool.W": (3, 4), "pool.b": vec,
+            "r.W": (4, 4), "r.b": vec, "y.W": (3, 4), "y.b": vec,
+            "b0.fc1.W": (4, 4), "b0.fc1.b": vec, "b0.fc2.W": (4, 4), "b0.fc2.b": vec,
+            "b1.fc1.W": (4, 4), "b1.fc1.b": vec, "b1.fc2.W": (4, 4), "b1.fc2.b": vec,
+            "out.W": (4, 3), "out.b": (3,),
+        }
+
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(5)
         params = {
