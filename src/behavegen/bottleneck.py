@@ -525,12 +525,11 @@ def _vbb_step(model: BottleneckModel, world, batch, noises, grad: bool):
     for lo, hi in _chunks(t_m * c, cfg.width):
         padded, t_chunk = t_m[lo:hi] * c, t_m[lo:hi]
         z = _pack(zs[lo:hi], c)
-        seg = Segments(padded)
-        mu, log_var, enc_cache = model.encoder.forward(z, seg)
+        mu, log_var, enc_cache = model.encoder.forward(z, Segments(padded))
         noise = np.concatenate(noises[lo:hi])
         sigma = np.exp(0.5 * log_var)
         m = mu + sigma * noise
-        z_hat, dec_cache = model.decoder.forward(m, Segments(t_chunk, seg.layouts))
+        z_hat, dec_cache = model.decoder.forward(m, Segments(t_chunk))
         programs.append(m)
 
         # reconstruction over real frames only; the policy term is teacher-forced

@@ -3,11 +3,12 @@
 A multi-clause prompt ("walk then jump then sit") is split at the separator;
 each clause conditions its own program sample, the decoded latent stages are
 joined with a linear crossfade at every junction, and the stitched latent
-trajectory drives a single rollout.  The default junction rule consumes the
-frames it blends: the last O frames of one stage and the first O of the next
-are replaced by O crossfaded frames, so N stages of lengths T_n yield
-sum(T_n) - (N - 1) * O frames.  An alternate in-place mode keeps every frame
-and only smooths the 2O frames around each junction.
+trajectory drives a single rollout.  The junction rule consumes the frames
+it blends: the last O frames of one stage and the first O of the next are
+replaced by O crossfaded frames, so N stages of lengths T_n yield
+sum(T_n) - (N - 1) * O frames.  The in-place mode holds each stage's end
+frame O more times on both sides of a junction before blending, so it keeps
+every frame and only smooths the 2O frames around each junction.
 """
 
 from dataclasses import dataclass
@@ -65,6 +66,8 @@ def compose_latents(segments, overlap: int = DEFAULT_OVERLAP,
                     in_place: bool = False):
     """Stitch latent stages; returns (latents, boundaries).
 
+    In place, each side of a junction holds its end frame ``overlap`` times,
+    so the blend is 2O frames long and replaces the 2O it consumes.
     ``boundaries`` holds one index per junction, placed at the midpoint of the
     blended window, so slicing at the boundaries recovers per-stage spans.
     """
@@ -72,67 +75,29 @@ def compose_latents(segments, overlap: int = DEFAULT_OVERLAP,
     n = len(arrs)
     if n == 1:
         return arrs[0].copy(), ()
-    if in_place:
-        return _compose_in_place(arrs, overlap)
+    hold = overlap if in_place else 0
     for i, a in enumerate(arrs):
-        # a stage gives up `overlap` frames per junction it touches and must
-        # keep at least one frame of its own
-        junctions = 2 if 0 < i < n - 1 else 1
-        need = junctions * overlap + 1
+        # a stage gives up `overlap` frames per junction it touches; unless
+        # they are held, it must keep at least one frame of its own
+        need = max(((i > 0) + (i < n - 1)) * overlap + (not in_place), 1)
         if a.shape[0] < need:
-            raise OverlapTooLarge(
-                f"stage {i} has {a.shape[0]} frames; overlap {overlap} needs "
-                f">= {need}"
-            )
-    pieces = []
-    boundaries = []
-    pos = 0
+            raise OverlapTooLarge(f"stage {i} has {a.shape[0]} frames; "
+                                  f"overlap {overlap} needs >= {need}")
+    pieces, boundaries, pos = [], [], 0
     for i, a in enumerate(arrs):
         lo = overlap if i > 0 else 0
         hi = a.shape[0] - (overlap if i < n - 1 else 0)
-        core = a[lo:hi]
-        pieces.append(core)
-        pos += core.shape[0]
+        pieces.append(a[lo:hi])
+        pos += hi - lo
         if i < n - 1:
+            boundaries.append(pos + (overlap + hold) // 2)
             if overlap > 0:
-                blend = blend_overlap(a[hi:], arrs[i + 1][:overlap])
-                pieces.append(blend)
-                boundaries.append(pos + overlap // 2)
-                pos += overlap
-            else:
-                boundaries.append(pos)
+                nxt = arrs[i + 1]
+                pieces.append(blend_overlap(
+                    np.concatenate([a[hi:], np.repeat(a[-1:], hold, axis=0)]),
+                    np.concatenate([np.repeat(nxt[:1], hold, axis=0), nxt[:overlap]])))
+                pos += overlap + hold
     return np.concatenate(pieces, axis=0), tuple(boundaries)
-
-
-def _compose_in_place(arrs, overlap: int):
-    """Keep every frame; crossfade the 2O frames straddling each junction.
-
-    Within a junction window the departing stage is extended by holding its
-    last frame and the arriving stage by holding its first, and the window
-    fades linearly between the two.
-    """
-    n = len(arrs)
-    for i, a in enumerate(arrs):
-        need = 2 * overlap if 0 < i < n - 1 else overlap
-        if a.shape[0] < max(need, 1):
-            raise OverlapTooLarge(
-                f"stage {i} has {a.shape[0]} frames; in-place overlap "
-                f"{overlap} needs >= {max(need, 1)}"
-            )
-    out = np.concatenate(arrs, axis=0)
-    lengths = [a.shape[0] for a in arrs]
-    cuts = np.cumsum(lengths)
-    if overlap > 0:
-        for i in range(n - 1):
-            cut = cuts[i]
-            prev, nxt = arrs[i], arrs[i + 1]
-            window = 2 * overlap
-            rho = np.arange(1, window + 1) / (window + 1)
-            for j in range(window):
-                a_frame = prev[-overlap + j] if j < overlap else prev[-1]
-                b_frame = nxt[0] if j < overlap else nxt[j - overlap]
-                out[cut - overlap + j] = (1 - rho[j]) * a_frame + rho[j] * b_frame
-    return out, tuple(int(c) for c in cuts[:-1])
 
 
 def stage_slices(total: int, boundaries):

@@ -17,6 +17,7 @@ import numpy as np
 from .bottleneck import embed_text, encode_packed, sample_posterior
 from .errors import (
     MAX_COUNT,
+    MAX_SCALE,
     CountMismatch,
     DivergenceDetected,
     RangeError,
@@ -50,6 +51,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         check_sizes(self, "steps", limit=MAX_COUNT)
+        check_sizes(self, "guidance", limit=MAX_SCALE, low=-MAX_SCALE)
 
 
 def time_embedding(r, dim: int) -> np.ndarray:

@@ -14,14 +14,17 @@ stack of layers in the package is such a chain.  Caches are explicit so one
 layer instance can serve a whole batch of variable-length sequences before
 any backward pass runs.
 
-Sequences are time-major ``[T, channels]`` float64 arrays.  Convolutions use
-replicate padding so edge frames are extended, not zero-filled.
+Sequences are time-major ``[T, channels]`` float64 arrays.  Convolutions
+have kernel 3 and stride 1 or 2, and use replicate padding so edge frames
+are extended, not zero-filled.
 
 Several sequences can be packed back to back along time and described by a
 ``Segments``.  A convolution then runs over a gapped copy of the buffer in
 which every segment carries its own replicate padding, so one call gives
-what one call per sequence would.  A single sequence is the one-segment
-case and is padded at its two ends only, with no index arrays.
+what one call per sequence would.  The layout is built from the segment
+edges: each row is copied once, plus once for each edge it lies on.  A
+single sequence is the one-segment case and is padded at its two ends
+only, with no index arrays.
 """
 
 import math
@@ -114,39 +117,33 @@ def chain_backward(layers, dy: np.ndarray, caches) -> np.ndarray:
     return dy
 
 
-def replicate_pad(x: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
-        return x
-    top = np.repeat(x[:1], pad, axis=0)
-    bottom = np.repeat(x[-1:], pad, axis=0)
-    return np.concatenate([top, x, bottom], axis=0)
+def replicate_pad(x: np.ndarray) -> np.ndarray:
+    return np.concatenate([x[:1], x, x[-1:]], axis=0)
 
 
-def replicate_unpad_grad(dxp: np.ndarray, pad: int, length: int) -> np.ndarray:
-    if pad == 0:
-        return dxp
-    dx = dxp[pad:pad + length].copy()
-    dx[0] += dxp[:pad].sum(axis=0)
-    dx[-1] += dxp[pad + length:].sum(axis=0)
+def replicate_unpad_grad(dxp: np.ndarray) -> np.ndarray:
+    dx = dxp[1:-1].copy()
+    dx[0] += dxp[0]
+    dx[-1] += dxp[-1]
     return dx
 
 
 class Segments:
     """Lengths of sequences packed back to back along time.
 
-    A convolution over packed segments runs on a gapped copy of the buffer,
-    in which every segment carries its own ``pad`` replicate rows on each
-    side, so every output row is computed from its own segment alone.  The
-    gapped layout depends only on the lengths, the kernel and the stride, so
-    it is built once and kept in ``layouts``, which the segments derived from
-    one another share: every resolution of one pack builds each layout once.
+    A kernel-3 convolution of stride 1 or 2 over packed segments runs on a
+    gapped copy of the buffer, in which every segment carries one replicate
+    row on each side, so every output row is computed from its own segment
+    alone.  Each ``Segments`` builds the layout for a stride once, from the
+    segment edges, and keeps it.  A single sequence needs no layout: it is
+    padded at its two ends, with no index arrays.
     """
 
-    __slots__ = ("lengths", "layouts")
+    __slots__ = ("lengths", "_cache")
 
-    def __init__(self, lengths, layouts: dict | None = None):
+    def __init__(self, lengths):
         self.lengths = tuple(int(n) for n in lengths)
-        self.layouts = {} if layouts is None else layouts
+        self._cache = {}
 
     @staticmethod
     def of(x: np.ndarray, seg: "Segments | None") -> "Segments":
@@ -157,68 +154,57 @@ class Segments:
     def total(self) -> int:
         return sum(self.lengths)
 
-    def gapped(self, kernel: int, stride: int):
-        """``(take, keep, first, folds)`` of the gapped layout, or None for one segment.
+    def gapped(self, stride: int):
+        """``(take, keep, first, copies)`` of the gapped layout for a kernel-3
+        convolution of stride 1 or 2, or None for one segment.
 
-        ``x[take]`` is the gapped buffer; ``keep`` lists the outputs of a
-        convolution over it whose window stays inside one segment.  ``take``
-        is sorted, so input row ``r``'s copies are the gapped rows from
-        ``first[r]`` on; ``folds`` pairs, for each further copy ``j``, the
-        input rows with more than ``j`` copies and their ``j``-th copies.
+        ``x[take]`` is the gapped buffer: input row ``r`` appears ``copies[r]``
+        times from gapped row ``first[r]`` on, once more for each segment edge
+        it lies on.  ``keep`` lists the outputs of a convolution over the
+        gapped buffer whose window stays inside one segment.
         """
-        key = (self.lengths, kernel, stride)
-        if len(self.lengths) > 1 and key not in self.layouts:
+        if len(self.lengths) > 1 and stride not in self._cache:
             n = np.asarray(self.lengths)
             if np.any(n[:-1] % stride):
                 raise ShapeMismatch(f"segments {self.lengths} not aligned to stride {stride}")
-            pad = (kernel - 1) // 2
-            # a segment's block of gapped rows is a multiple of the stride
-            # long, so each block's first window starts on an output row
-            block = n + 2 * pad + (-2 * pad) % stride
-            start = np.cumsum(block) - block
-            seg = np.repeat(np.arange(n.size), block)
-            local = np.arange(block.sum()) - start[seg] - pad
-            take = (np.cumsum(n) - n)[seg] + np.clip(local, 0, n[seg] - 1)
-            t_out = (n + 2 * pad - kernel) // stride + 1
-            keep = np.repeat(start // stride - (np.cumsum(t_out) - t_out), t_out)
-            keep += np.arange(t_out.sum())
-            first = np.searchsorted(take, np.arange(n.sum()))
-            copies = np.diff(first, append=take.size)
-            more = [np.flatnonzero(copies > j) for j in range(1, copies.max())]
-            folds = [(rows, first[rows] + j) for j, rows in enumerate(more, 1)]
-            self.layouts[key] = take, keep, first, folds
-        return self.layouts.get(key)
+            ends = np.cumsum(n)
+            copies = np.ones(ends[-1], dtype=np.intp)
+            copies[ends - n] += 1
+            copies[ends - 1] += 1
+            take = np.repeat(np.arange(ends[-1]), copies)
+            # each earlier segment adds two gapped rows, whose 2 // stride
+            # outputs straddle its edges
+            t_out = (n - 1) // stride + 1
+            keep = np.arange(t_out.sum()) + np.repeat(np.arange(n.size) * (2 // stride), t_out)
+            self._cache[stride] = take, keep, np.cumsum(copies) - copies, copies
+        return self._cache.get(stride)
 
 
 class Conv1d(Module):
-    """Temporal convolution with replicate padding.
+    """Kernel-3 temporal convolution of stride 1 or 2 with replicate padding.
 
-    With kernel 3 and pad 1 the output has ceil(T / stride) frames, so a
-    stride-2 level exactly halves even-length sequences.  Packed input
-    (``seg`` with several segments) runs over its gapped layout, which keeps
-    only the outputs whose window stays in one segment; every segment but the
-    last must be a multiple of the stride.
+    The output has ceil(T / stride) frames, so a stride-2 level exactly
+    halves even-length sequences.  Packed input (``seg`` with several
+    segments) runs over its gapped layout, which keeps only the outputs whose
+    window stays in one segment; every segment but the last must be a
+    multiple of the stride.
     """
 
-    def __init__(self, rng, c_in: int, c_out: int, kernel: int = 3, stride: int = 1,
-                 gain: float = 1.0):
-        super().__init__()
-        if kernel % 2 != 1:
-            raise ShapeMismatch("kernel must be odd for symmetric padding")
-        self.c_in, self.c_out = c_in, c_out
-        self.kernel, self.stride = kernel, stride
-        self.pad = (kernel - 1) // 2
-        scale = gain / np.sqrt(c_in * kernel)
-        self.W = self.add_param("W", rng.normal(size=(kernel, c_in, c_out)) * scale)
-        self.b = self.add_param("b", np.zeros(c_out))
+    KERNEL = 3
 
-    def out_length(self, length: int) -> int:
-        return (length + 2 * self.pad - self.kernel) // self.stride + 1
+    def __init__(self, rng, c_in: int, c_out: int, stride: int = 1, gain: float = 1.0):
+        super().__init__()
+        if stride not in (1, 2):
+            raise RangeError(f"stride {stride} must be 1 or 2")
+        self.c_in, self.c_out, self.stride = c_in, c_out, stride
+        scale = gain / np.sqrt(c_in * self.KERNEL)
+        self.W = self.add_param("W", rng.normal(size=(self.KERNEL, c_in, c_out)) * scale)
+        self.b = self.add_param("b", np.zeros(c_out))
 
     def out_segments(self, seg: Segments) -> Segments:
         if self.stride == 1:
             return seg
-        return Segments((self.out_length(n) for n in seg.lengths), seg.layouts)
+        return Segments((n + 1) // 2 for n in seg.lengths)
 
     def forward(self, x: np.ndarray, seg: Segments | None = None):
         if x.ndim != 2 or x.shape[1] != self.c_in:
@@ -226,18 +212,18 @@ class Conv1d(Module):
         seg = Segments.of(x, seg)
         if seg.total != x.shape[0]:
             raise ShapeMismatch(f"segments cover {seg.total} frames, input has {x.shape[0]}")
-        layout = seg.gapped(self.kernel, self.stride)
-        xp = replicate_pad(x, self.pad) if layout is None else x[layout[0]]
-        t_out = (xp.shape[0] - self.kernel) // self.stride + 1
+        layout = seg.gapped(self.stride)
+        xp = replicate_pad(x) if layout is None else x[layout[0]]
+        t_out = (xp.shape[0] - self.KERNEL) // self.stride + 1
         y = xp[:self.stride * t_out:self.stride] @ self.W.value[0]
         y += self.b.value  # p0 + b == b + p0, so the sum keeps its bits
-        for i in range(1, self.kernel):
+        for i in range(1, self.KERNEL):
             y += xp[i:i + self.stride * t_out:self.stride] @ self.W.value[i]
         return (y if layout is None else y[layout[1]]), (xp, t_out, layout)
 
     def backward(self, dy: np.ndarray, cache):
         """Accumulate the W and b gradients and return dL/dx.  On packed input
-        each gapped row's gradient is gathered back into the row it copies."""
+        each input row's gradient sums those of its copies, in gapped order."""
         xp, t_out, layout = cache
         self.b.grad += dy.sum(axis=0)
         if layout is not None:
@@ -248,15 +234,17 @@ class Conv1d(Module):
         dxp = np.zeros_like(xp)
         # contiguous, as in Linear.backward, against OpenBLAS's early thread split
         w_t = np.ascontiguousarray(self.W.value.transpose(0, 2, 1))
-        for i in range(self.kernel):
+        for i in range(self.KERNEL):
             sl = slice(i, i + self.stride * t_out, self.stride)
             self.W.grad[i] += xp[sl].T @ dy
             dxp[sl] += dy @ w_t[i]
         if layout is None:
-            return replicate_unpad_grad(dxp, self.pad, xp.shape[0] - 2 * self.pad)
-        dx = dxp[layout[2]]
-        for rows, src in layout[3]:
-            dx[rows] += dxp[src]
+            return replicate_unpad_grad(dxp)
+        _, _, first, copies = layout
+        dx = dxp[first]
+        for j in (1, 2):
+            more = copies > j
+            dx[more] += dxp[first[more] + j]
         return dx
 
 
@@ -302,7 +290,7 @@ class Upsample2(Module):
     """
 
     def out_segments(self, seg: Segments) -> Segments:
-        return Segments((2 * n for n in seg.lengths), seg.layouts)
+        return Segments(2 * n for n in seg.lengths)
 
     def forward(self, x: np.ndarray, seg=None):
         return np.repeat(x, 2, axis=0), x.shape[0]

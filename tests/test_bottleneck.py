@@ -537,26 +537,29 @@ class TestPackedStep:
         assert len(_chunks(padded, 6)) == 3
         assert _chunks([PACK_FRAMES + 8, 8, 8], 6) == [(0, 1), (1, 3)]
 
-    def test_each_layout_built_once_per_chunk(self, monkeypatch):
-        # the decoder's stride-1 layouts at the encoder's resolutions are the
-        # encoder's: 2 * levels + 1 distinct layouts per chunk of several items
-        stores = []
+    def test_each_segments_builds_each_layout_once(self, monkeypatch):
+        # every call of one Segments for one stride returns the layout its
+        # first call built
+        calls = []
+        gapped = Segments.gapped
 
-        class Recording(Segments):
-            __slots__ = ()
-
-            def __init__(self, lengths, layouts=None):
-                super().__init__(lengths, layouts)
-                if layouts is None:
-                    stores.append((self.lengths, self.layouts))
+        def recording(seg, stride):
+            layout = gapped(seg, stride)
+            calls.append((seg, stride, layout))  # holds seg, so no id is reused
+            return layout
 
         model, batch, noises = self._batch(*zip(*SEVERAL_CHUNKS), 7)
-        monkeypatch.setattr(bottleneck, "Segments", Recording)
+        monkeypatch.setattr(Segments, "gapped", recording)
         vbb_grad(model, self.world, batch, noises)
-        assert len(stores) == 3
-        for lengths, layouts in stores:
-            assert len(layouts) == (2 * self.cfg.levels + 1 if len(lengths) > 1 else 0)
-        assert any(len(lengths) > 1 for lengths, _ in stores)
+        built = {}
+        for seg, stride, layout in calls:
+            assert built.setdefault((id(seg), stride), layout) is layout
+        # per chunk of several items: a stride-2 and a stride-1 layout per
+        # encoder level, and a stride-1 layout per decoder level
+        padded = [-(-t_len // 8) * 8 for t_len, _ in SEVERAL_CHUNKS]
+        several = sum(hi - lo > 1 for lo, hi in _chunks(padded, self.cfg.width))
+        assert several > 0
+        assert sum(layout is not None for layout in built.values()) == 3 * self.cfg.levels * several
 
     def test_encode_packed_matches_encode(self):
         model, batch, _ = self._batch((13, 8, 1, 40, 90, 90, 90, 90), (1,) * 8, 5)

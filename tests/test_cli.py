@@ -625,6 +625,21 @@ class TestExitCodes:
         assert f"bottleneck: {field} = " in proc.stderr, proc.stderr
         assert not (tmp_path / "vbb.json").exists()
 
+    @pytest.mark.parametrize("guidance", [1e300, -1e308])
+    def test_unbounded_guidance_exits_2_naming_it(self, workdir, tmp_path, guidance):
+        # at 1e300 the sampler wrote latents near 1e300 and exited 0; at 1e308
+        # Euler integration overflowed and exited 3
+        cfg = dict(TINY_CONFIG, sampler=dict(TINY_CONFIG["sampler"], guidance=guidance))
+        path = tmp_path / "guided.json"
+        path.write_text(json.dumps(cfg))
+        proc = run_cli_process([["generate", "--config", str(path), "--vbb", workdir["vbb"],
+                                 "--flow", workdir["flow"], "--prompt", "walk then turn",
+                                 "--out", str(tmp_path / "gen.json")]])
+        assert proc.returncode == 2, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert "sampler: guidance = " in proc.stderr, proc.stderr
+        assert not (tmp_path / "gen.json").exists()
+
     def test_bottleneck_batch_of_one_exits_2(self, workdir, tmp_path, capsys):
         # a valid training section, but the contrastive term needs two items
         cfg = dict(TINY_CONFIG, vbb_train=dict(TINY_CONFIG["vbb_train"], batch_size=1))

@@ -3,6 +3,8 @@ splitting, and the staged-generation plumbing."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from behavegen.bottleneck import BottleneckConfig, BottleneckModel, decode, embed_text
 from behavegen.composition import (
@@ -29,22 +31,51 @@ from behavegen.world import make_world, make_vocabulary
 # ---------------------------------------------------------------------------
 
 def compose_oracle(segments, overlap):
-    """Pure-loop restatement of the consuming junction rule."""
+    """Pure-loop restatement of the consuming junction rule; returns the rows
+    and the junction boundaries."""
     segs = [np.asarray(s, dtype=float) for s in segments]
     n = len(segs)
-    rows = []
+    for i, seg in enumerate(segs):
+        need = ((i > 0) + (i < n - 1)) * overlap + 1
+        if seg.shape[0] < need:
+            raise OverlapTooLarge(f"stage {i} needs {need} frames")
+    rows, boundaries = [], []
     for i, seg in enumerate(segs):
         start = overlap if i > 0 else 0
         stop = seg.shape[0] - (overlap if i < n - 1 else 0)
         for t in range(start, stop):
             rows.append(seg[t])
         if i < n - 1:
+            boundaries.append(len(rows) + overlap // 2)
             tail = seg[stop:]
             head = segs[i + 1][:overlap]
             for o in range(1, overlap + 1):
                 rho = o / (overlap + 1)
                 rows.append((1 - rho) * tail[o - 1] + rho * head[o - 1])
-    return np.array(rows)
+    return np.array(rows), tuple(boundaries)
+
+
+def compose_in_place_oracle(segments, overlap):
+    """Pure-loop restatement of the in-place rule: every frame is kept, and
+    the 2O frames straddling each junction fade from the departing stage,
+    held at its last frame, to the arriving one, held at its first."""
+    segs = [np.asarray(s, dtype=float) for s in segments]
+    n = len(segs)
+    for i, seg in enumerate(segs):
+        need = max(((i > 0) + (i < n - 1)) * overlap, 1)
+        if seg.shape[0] < need:
+            raise OverlapTooLarge(f"stage {i} needs {need} frames")
+    out = np.concatenate(segs, axis=0)
+    cuts = np.cumsum([seg.shape[0] for seg in segs])
+    window = 2 * overlap
+    rho = np.arange(1, window + 1) / (window + 1)
+    for i in range(n - 1):
+        prev, nxt = segs[i], segs[i + 1]
+        for j in range(window):
+            a_frame = prev[-overlap + j] if j < overlap else prev[-1]
+            b_frame = nxt[0] if j < overlap else nxt[j - overlap]
+            out[cuts[i] - overlap + j] = (1 - rho[j]) * a_frame + rho[j] * b_frame
+    return out, tuple(int(c) for c in cuts[:-1])
 
 
 class TestSplitPrompt:
@@ -90,7 +121,7 @@ class TestComposeLatents:
             segs = [rng.normal(size=(int(rng.integers(2 * overlap + 1, 15)), 3))
                     for _ in range(n)]
             out, boundaries = compose_latents(segs, overlap)
-            want = compose_oracle(segs, overlap)
+            want, _ = compose_oracle(segs, overlap)
             np.testing.assert_allclose(out, want, rtol=0, atol=0)
             total = sum(s.shape[0] for s in segs) - (n - 1) * overlap
             assert out.shape[0] == total
@@ -146,6 +177,24 @@ class TestComposeLatents:
         held_b = np.stack([b[0], b[0], b[0], b[1]])
         want = (1 - rho)[:, None] * held_a + rho[:, None] * held_b
         np.testing.assert_allclose(out[4:8], want, rtol=0, atol=1e-15)
+
+    @given(st.lists(st.integers(1, 13), min_size=1, max_size=4), st.integers(0, 4),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_oracles(self, lengths, overlap, in_place, seed):
+        rng = np.random.default_rng(seed)
+        segs = [rng.normal(size=(n, 3)) for n in lengths]
+        oracle = compose_in_place_oracle if in_place else compose_oracle
+        try:
+            want, want_boundaries = ((segs[0], ()) if len(segs) == 1
+                                     else oracle(segs, overlap))
+        except OverlapTooLarge:
+            with pytest.raises(OverlapTooLarge):
+                compose_latents(segs, overlap, in_place=in_place)
+            return
+        out, boundaries = compose_latents(segs, overlap, in_place=in_place)
+        np.testing.assert_allclose(out, want, rtol=0, atol=0)
+        assert boundaries == want_boundaries
 
     def test_in_place_overlap_validation(self):
         with pytest.raises(OverlapTooLarge):

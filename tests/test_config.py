@@ -114,7 +114,8 @@ CHECKED_CONFIGS = (
 )
 # numeric fields for which -1 is valid
 UNCHECKED = {
-    (SamplerConfig, "guidance"): "negative guidance is a valid classifier-free guidance setting",
+    (SamplerConfig, "guidance"): "negative guidance is a valid classifier-free guidance setting, "
+                                 "bounded by |g| <= MAX_SCALE",
     (BottleneckConfig, "logit_scale_init"): "the log of the logit scale, bounded by "
                                             "|x| <= ln(MAX_SCALE), so -1 is in range",
 }

@@ -3,10 +3,11 @@ function and class it defines is used by the package or the benchmark.
 
 No linter ships with the package, so this walks each source file's syntax
 tree: deleting code must not leave its imports behind, and code that only
-tests call must be named below as such.
+tests call, down to class methods, must be named below as such.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,12 +15,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "behavegen"
 
-# Top-level names that only tests call: reference oracles the tests check the
-# batched code against, and metrics that no command reports yet.
+# Names that only tests call: reference oracles the tests check the batched
+# code against, metrics that no command reports yet, and the parameter count
+# that the acceptance tests report.
 TEST_ONLY = {
     "vbb_loss", "fm_loss", "reconstruction_loss", "kl_prior_loss", "contrastive_loss",
     "project_to_sphere", "finite_difference_grads", "relative_grad_error",
-    "order_accuracy", "transition_score", "paired_sign_test",
+    "order_accuracy", "transition_score", "paired_sign_test", "Module.param_count",
 }
 
 
@@ -65,31 +67,37 @@ def test_an_unused_import_is_found():
     assert set(imported_names(tree)) - used_names(tree) == {"os"}
 
 
-def referenced_names(node: ast.AST) -> set:
-    """Names a statement reads, plus the dotted parts of its strings, since
-    the benchmark's tracer names its targets as ``"module.function"``."""
-    names = set()
+def name_counts(node: ast.AST) -> Counter:
+    """How often a node names each name, counting the dotted parts of its
+    strings, since the benchmark's tracer names its targets as
+    ``"module.Class.method"``."""
+    names = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            names.add(n.id)
+            names[n.id] += 1
         elif isinstance(n, ast.Attribute):
-            names.add(n.attr)
+            names[n.attr] += 1
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
             names.update(n.value.split("."))
     return names
 
 
 def unreferenced(defining: list, others: list) -> set:
-    """Top-level functions and classes of the ``defining`` trees that no
-    other top-level statement of any tree refers to."""
-    defs = [node for tree in defining for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
-    refs = {}
-    for tree in defining + others:
+    """Top-level functions and classes of the ``defining`` trees, and the
+    methods of their classes (as ``Class.method``), that nothing outside
+    their own definition names in any tree.  Dunder methods are called
+    implicitly and are left out."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = []
+    for tree in defining:
         for node in tree.body:
-            for name in referenced_names(node):
-                refs.setdefault(name, []).append(node)
-    return {d.name for d in defs if all(n is d for n in refs.get(d.name, []))}
+            if isinstance(node, functions + (ast.ClassDef,)):
+                defs.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, functions) and not m.name.startswith("__")]
+    total = sum((name_counts(tree) for tree in defining + others), Counter())
+    return {name for name, d in defs if total[d.name] == name_counts(d)[d.name]}
 
 
 def parse_all(paths) -> list:
@@ -104,6 +112,12 @@ def test_no_test_only_code():
 
 def test_an_unreferenced_definition_is_found():
     lib = ast.parse("def used(): pass\ndef recursive(): return recursive()\n"
-                    "class Lone: pass\ndef traced(): pass\n")
-    bench = ast.parse("used()\nTARGETS = ('lib.traced',)\n")
-    assert unreferenced([lib], [bench]) == {"recursive", "Lone"}
+                    "class Lone: pass\ndef traced(): pass\n"
+                    "class Kept:\n"
+                    "    def __init__(self): self.helper()\n"
+                    "    def helper(self): pass\n"
+                    "    def loop(self): return self.loop()\n"
+                    "    def run(self): pass\n"
+                    "    def spare(self): pass\n")
+    bench = ast.parse("used()\nTARGETS = ('lib.traced', 'lib.Kept.run')\nKept()\n")
+    assert unreferenced([lib], [bench]) == {"recursive", "Lone", "Kept.loop", "Kept.spare"}

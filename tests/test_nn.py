@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from behavegen.errors import DegenerateBatch, DivergenceDetected, ShapeMismatch
+from behavegen.errors import DegenerateBatch, DivergenceDetected, RangeError, ShapeMismatch
 from behavegen.nn import (
     Adam,
     Conv1d,
@@ -57,11 +57,11 @@ def check_layer(layer, x, seed=0):
 class TestConv1d:
     def test_stride1_gradients(self):
         rng = np.random.default_rng(1)
-        check_layer(Conv1d(rng, 3, 4, kernel=3), rng.normal(size=(7, 3)))
+        check_layer(Conv1d(rng, 3, 4), rng.normal(size=(7, 3)))
 
     def test_stride2_gradients_even_length(self):
         rng = np.random.default_rng(2)
-        conv = Conv1d(rng, 3, 2, kernel=3, stride=2)
+        conv = Conv1d(rng, 3, 2, stride=2)
         x = rng.normal(size=(8, 3))
         y, _ = conv.forward(x)
         assert y.shape == (4, 2)
@@ -69,11 +69,11 @@ class TestConv1d:
 
     def test_short_input_gradients(self):
         rng = np.random.default_rng(3)
-        check_layer(Conv1d(rng, 2, 2, kernel=3), rng.normal(size=(2, 2)))
+        check_layer(Conv1d(rng, 2, 2), rng.normal(size=(2, 2)))
 
     def test_replicate_padding_value(self):
         rng = np.random.default_rng(4)
-        conv = Conv1d(rng, 1, 1, kernel=3)
+        conv = Conv1d(rng, 1, 1)
         x = np.array([[1.0], [2.0], [3.0]])
         y, _ = conv.forward(x)
         w = conv.W.value[:, 0, 0]
@@ -82,11 +82,17 @@ class TestConv1d:
 
     def test_halving_chain(self):
         rng = np.random.default_rng(5)
-        conv = Conv1d(rng, 2, 2, kernel=3, stride=2)
-        length = 48
+        conv = Conv1d(rng, 2, 2, stride=2)
+        seg = Segments((48, 7))
         for _ in range(3):
-            length = conv.out_length(length)
-        assert length == 6
+            seg = conv.out_segments(seg)
+        assert seg.lengths == (6, 1)
+
+    def test_stride_must_be_1_or_2(self):
+        rng = np.random.default_rng(7)
+        for stride in (0, 3, 4):
+            with pytest.raises(RangeError, match=f"stride {stride} must be 1 or 2"):
+                Conv1d(rng, 2, 2, stride=stride)
 
     def test_input_shape_check(self):
         rng = np.random.default_rng(6)
@@ -95,17 +101,46 @@ class TestConv1d:
             conv.forward(np.zeros((5, 2)))
 
 
+def reference_layout(lengths, stride):
+    """``(take, keep, first, copies)`` of a kernel-3 gapped layout, built row
+    by row from clipped segment positions, with each row's copies found by
+    search."""
+    kernel, pad = 3, 1
+    n = np.asarray(lengths)
+    block = n + 2 * pad + (-2 * pad) % stride
+    start = np.cumsum(block) - block
+    seg = np.repeat(np.arange(n.size), block)
+    local = np.arange(block.sum()) - start[seg] - pad
+    take = (np.cumsum(n) - n)[seg] + np.clip(local, 0, n[seg] - 1)
+    t_out = (n + 2 * pad - kernel) // stride + 1
+    keep = np.repeat(start // stride - (np.cumsum(t_out) - t_out), t_out) + np.arange(t_out.sum())
+    first = np.searchsorted(take, np.arange(n.sum()))
+    return take, keep, first, np.diff(first, append=take.size)
+
+
 class TestPackedConv1d:
     """One call on packed segments against one call per segment."""
 
-    @given(st.sampled_from([1, 2]), st.sampled_from([3, 5]),
+    @given(st.sampled_from([1, 2]), st.lists(st.integers(1, 9), min_size=2, max_size=14))
+    @settings(max_examples=200, deadline=None)
+    def test_layout_matches_reference(self, stride, lengths):
+        lengths = [stride * n for n in lengths[:-1]] + lengths[-1:]
+        got = Segments(lengths).gapped(stride)
+        for name, a, b in zip(("take", "keep", "first", "copies"), got,
+                              reference_layout(lengths, stride)):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+    def test_one_segment_has_no_layout(self):
+        assert Segments([7]).gapped(1) is None and Segments([7]).gapped(2) is None
+
+    @given(st.sampled_from([1, 2]),
            st.lists(st.integers(1, 9), min_size=1, max_size=6), st.integers(0, 10 ** 6))
     @settings(max_examples=60, deadline=None)
-    def test_matches_per_segment_calls(self, stride, kernel, lengths, seed):
+    def test_matches_per_segment_calls(self, stride, lengths, seed):
         # every segment but the last must be a multiple of the stride
         lengths = [stride * n for n in lengths[:-1]] + lengths[-1:]
         rng = np.random.default_rng(seed)
-        conv = Conv1d(rng, 3, 4, kernel=kernel, stride=stride)
+        conv = Conv1d(rng, 3, 4, stride=stride)
         xs = [rng.normal(size=(n, 3)) for n in lengths]
         y, cache = conv.forward(np.concatenate(xs), Segments(lengths))
         assert conv.out_segments(Segments(lengths)).total == y.shape[0]
@@ -127,13 +162,13 @@ class TestPackedConv1d:
             assert relative_grad_error({name: packed[name]},
                                        {name: conv.params()[name].grad}) <= 1e-12
 
-    @given(st.integers(1, 4), st.sampled_from([1, 3, 5, 7]),
+    @given(st.sampled_from([1, 2]),
            st.lists(st.integers(1, 9), min_size=2, max_size=6), st.integers(0, 10 ** 6))
     @settings(max_examples=80, deadline=None)
-    def test_gather_fold_matches_reduceat(self, stride, kernel, lengths, seed):
+    def test_gather_fold_matches_reduceat(self, stride, lengths, seed):
         lengths = [stride * n for n in lengths[:-1]] + lengths[-1:]
         rng = np.random.default_rng(seed)
-        conv = Conv1d(rng, 3, 4, kernel=kernel, stride=stride)
+        conv = Conv1d(rng, 3, 4, stride=stride)
         y, cache = conv.forward(rng.normal(size=(sum(lengths), 3)), Segments(lengths))
         dy = rng.normal(size=y.shape)
         # oracle: the gapped rows' gradients, summed per input row by reduceat
@@ -141,7 +176,7 @@ class TestPackedConv1d:
         dy_all = np.zeros((t_out, 4))
         dy_all[keep] = dy
         dxp = np.zeros_like(xp)
-        for i in range(kernel):
+        for i in range(3):
             dxp[i:i + stride * t_out:stride] += dy_all @ conv.W.value[i].T
         want = np.add.reduceat(dxp, first, axis=0)
         np.testing.assert_allclose(conv.backward(dy, cache), want, rtol=1e-13, atol=1e-15)
