@@ -109,6 +109,7 @@ def run_config_from_dict(doc: dict, env=None) -> RunConfig:
                 f"BEHAVE_SEED must be an integer, got {env['BEHAVE_SEED']!r}"
             ) from exc
     check_seed(cfg.seed)
+    cfg.flow_config()  # checks the bottleneck and flow sections at their default dims
     return cfg
 
 

@@ -6,7 +6,8 @@ shared conditioning vector (sinusoidal embedding of r, the mean-pooled
 program state, and the pooled text context) is added to every frame, which
 lets one parameter set handle programs of any length.  Sampling integrates
 the field with a fixed-step Euler scheme, optionally with classifier-free
-guidance against a learned null context.
+guidance against a learned null context.  Training draws each batch fresh,
+in a few calls, from the frozen bottleneck's posteriors, encoded once per run.
 """
 
 from collections import namedtuple
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bottleneck import embed_text, encode_packed, sample_posterior
+from .bottleneck import Posterior, embed_text, encode_packed, sample_posterior
 from .errors import (
     MAX_COUNT,
     MAX_SCALE,
@@ -140,36 +141,35 @@ def interpolate(noise: np.ndarray, program: np.ndarray, r) -> np.ndarray:
     return (1.0 - r) * noise + r * program
 
 
-def fm_loss(model: FlowModel, program, noise, r, y_vec=None) -> float:
+def fm_loss(model: FlowModel, program, noise, r, y_vec=None, lengths=None) -> float:
     """Squared error between the field and the path velocity (program - noise).
-    ``program`` may be a list of programs with lists of noises, path positions
-    and contexts: all share one call of the field, and the loss is the mean of
-    the per-program losses."""
-    return _fm_step(model, program, noise, r, y_vec, None)
+    ``program`` and ``noise`` pack programs of ``lengths`` rows, each with a
+    path position in ``r`` and a context in ``y_vec`` (None: the null context);
+    the loss is the mean of theirs.  ``lengths=None`` is one program."""
+    return _fm_step(model, program, noise, r, y_vec, None, lengths)
 
 
-def fm_grad(model: FlowModel, program, noise, r, y_vec=None,
-            scale: float = 1.0) -> float:
-    """fm_loss plus hand-derived parameter gradients (times ``scale``)."""
-    return _fm_step(model, program, noise, r, y_vec, scale)
+def fm_grad(model: FlowModel, program, noise, r, y_vec=None, scale=1.0, lengths=None) -> float:
+    """fm_loss plus hand-derived parameter gradients (times ``scale``), in one
+    backward pass of the field."""
+    return _fm_step(model, program, noise, r, y_vec, scale, lengths)
 
 
-def _fm_step(model: FlowModel, program, noise, r, y_vec, scale):
-    if isinstance(program, np.ndarray):
-        program, noise, r, y_vec = [program], [noise], [r], [y_vec]
-    if not len(program) == len(noise) == len(r) == len(y_vec) >= 1:
-        raise CountMismatch("need one noise, path position and context per program")
-    if any(np.shape(p) != np.shape(e) for p, e in zip(program, noise)):
-        raise ShapeMismatch("every program needs a noise of its own shape")
-    lengths = [len(p) for p in program]
-    target, eps, r = np.concatenate(program), np.concatenate(noise), np.asarray(r, dtype=float)
-    point = interpolate(eps, target, np.repeat(r, lengths)[:, None])
+def _fm_step(model: FlowModel, program, noise, r, y_vec, scale, lengths):
+    if lengths is None:  # one program
+        lengths, r, y_vec = [len(program)], [r], [y_vec]
+    cond = model.condition(lengths, None if y_vec is None else list(y_vec))
+    r = np.asarray(r, dtype=float)
+    if r.shape != cond.lengths.shape:
+        raise CountMismatch(f"{cond.lengths.size} programs, {r.size} path positions")
+    if len(program) != cond.lengths.sum():
+        raise ShapeMismatch(f"lengths {cond.lengths.tolist()} do not split {len(program)} rows")
+    point = interpolate(noise, program, np.repeat(r, cond.lengths)[:, None])
     hr, c_r = model.r_proj.forward(time_embedding(r, model.cfg.r_dim))
-    cond = model.condition(lengths, list(y_vec))
     v, cache = model.field(point, cond, hr)
-    resid = v - (target - eps)
+    resid = v - (program - noise)
     # every program weighs the same, whatever its length
-    weight = np.repeat(1.0 / (len(lengths) * np.array(lengths) * resid.shape[1]), lengths)
+    weight = np.repeat(1.0 / (cond.lengths.size * cond.lengths * resid.shape[1]), cond.lengths)
     loss = float(((resid * resid).sum(axis=1) * weight).sum())
     if scale is not None:
         dcond = model._field_backward(scale * 2.0 * resid * weight[:, None], cond, cache)
@@ -220,39 +220,36 @@ def euler_sample(model: FlowModel, noise, cfg: SamplerConfig, y_vec=None):
 # training
 # ---------------------------------------------------------------------------
 
-def prepare_flow_targets(post, starts, rng):
-    """Fresh posterior draws for every sample; called once per epoch.
-
-    ``post`` and ``starts`` are ``encode_packed`` of the samples, made once:
-    the bottleneck is frozen, so only the noise changes between epochs.  One
-    noise draw covers every sample's frames back to back, which is the same
-    stream as one draw per sample in order.
-    """
-    draws = sample_posterior(post, rng.standard_normal(post.mu.shape))
-    return np.split(draws, starts[1:])
+def prepare_flow_targets(post, rows, rng):
+    """Fresh posterior draws, in one call, at rows ``rows`` of ``post``: the
+    corpus's ``encode_packed`` by the frozen bottleneck, made once per run."""
+    return sample_posterior(Posterior(post.mu[rows], post.log_var[rows]),
+                            rng.standard_normal((len(rows), post.mu.shape[1])))
 
 
 def train_flow(model: FlowModel, bottleneck, vocab, samples,
                train_cfg: TrainConfig, seed: int, history_hook=None):
-    """Train the field against a frozen bottleneck with ``fit``; deterministic per seed."""
-    # frozen pooled text embedding per sample
-    contexts = [embed_text(bottleneck, vocab.embeddings[list(s.token_ids)]) for s in samples]
-    rng = np.random.default_rng(seed)
-    n = len(samples)
-    steps_per_epoch = max(1, n // train_cfg.batch_size)
+    """Train the field against a frozen bottleneck with ``fit``; deterministic per
+    seed.  A step draws its samples, path positions, null contexts, path noise
+    and targets from one generator, then makes one packed ``fm_grad`` call."""
+    contexts = np.array([embed_text(bottleneck, vocab.embeddings[list(s.token_ids)])
+                         for s in samples])  # frozen pooled text embeddings
     post, starts = encode_packed(bottleneck, [s.latents for s in samples])
-    targets = None
+    sizes = np.diff(starts, append=len(post.mu))
+    rng = np.random.default_rng(seed)
+    n, batch = len(samples), train_cfg.batch_size
 
     def step(k):
-        nonlocal targets
-        if k % steps_per_epoch == 0:
-            targets = prepare_flow_targets(post, starts, rng)
-        idx = rng.choice(n, size=train_cfg.batch_size, replace=False)
-        rs, noises, ctxs = [], [], []
-        for i in idx:  # per-item draws, in the order of one item at a time
-            rs.append(float(rng.uniform()))
-            noises.append(rng.standard_normal(targets[i].shape))
-            ctxs.append(None if rng.uniform() < model.cfg.cond_dropout else contexts[i])
-        return {"total": fm_grad(model, [targets[i] for i in idx], noises, rs, ctxs)}
+        idx = rng.choice(n, size=batch, replace=False)
+        r = rng.uniform(size=batch)
+        null = rng.uniform(size=batch) < model.cfg.cond_dropout
+        lengths = sizes[idx]
+        # one gather index: the drawn samples' rows of the packed posterior
+        shift = starts[idx] - np.cumsum(lengths) + lengths
+        rows = np.arange(lengths.sum()) + np.repeat(shift, lengths)
+        noise = rng.standard_normal((len(rows), model.cfg.d_m))
+        targets = prepare_flow_targets(post, rows, rng)
+        ctxs = [None if drop else c for drop, c in zip(null, contexts[idx])]
+        return {"total": fm_grad(model, targets, noise, r, ctxs, lengths=lengths)}
 
     return fit(model.params(), train_cfg, n, step, history_hook)

@@ -155,13 +155,14 @@ class Segments:
         return sum(self.lengths)
 
     def gapped(self, stride: int):
-        """``(take, keep, first, copies)`` of the gapped layout for a kernel-3
+        """``(take, keep, first, folds)`` of the gapped layout for a kernel-3
         convolution of stride 1 or 2, or None for one segment.
 
         ``x[take]`` is the gapped buffer: input row ``r`` appears ``copies[r]``
         times from gapped row ``first[r]`` on, once more for each segment edge
         it lies on.  ``keep`` lists the outputs of a convolution over the
-        gapped buffer whose window stays inside one segment.
+        gapped buffer whose window stays inside one segment.  ``folds`` gives
+        the rows with a second, then a third copy, and those copies' rows.
         """
         if len(self.lengths) > 1 and stride not in self._cache:
             n = np.asarray(self.lengths)
@@ -172,11 +173,13 @@ class Segments:
             copies[ends - n] += 1
             copies[ends - 1] += 1
             take = np.repeat(np.arange(ends[-1]), copies)
-            # each earlier segment adds two gapped rows, whose 2 // stride
-            # outputs straddle its edges
+            # each earlier segment adds two gapped rows; 2 // stride outputs straddle them
             t_out = (n - 1) // stride + 1
             keep = np.arange(t_out.sum()) + np.repeat(np.arange(n.size) * (2 // stride), t_out)
-            self._cache[stride] = take, keep, np.cumsum(copies) - copies, copies
+            first = np.cumsum(copies) - copies
+            more = [np.flatnonzero(copies > j) for j in (1, 2)]
+            folds = [(m, first[m] + j) for j, m in enumerate(more, 1)]
+            self._cache[stride] = take, keep, first, folds
         return self._cache.get(stride)
 
 
@@ -240,11 +243,10 @@ class Conv1d(Module):
             dxp[sl] += dy @ w_t[i]
         if layout is None:
             return replicate_unpad_grad(dxp)
-        _, _, first, copies = layout
+        _, _, first, folds = layout
         dx = dxp[first]
-        for j in (1, 2):
-            more = copies > j
-            dx[more] += dxp[first[more] + j]
+        for rows, sources in folds:
+            dx[rows] += dxp[sources]
         return dx
 
 

@@ -481,6 +481,22 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists() and not (tmp_path / "out.json").exists()
         assert elapsed < 1.0, f"{command} took {elapsed:.2f} s to refuse {key}"
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("flow", "cond_dropout", 1.0),
+        ("bottleneck", "lambda_tok", 0),
+    ])
+    def test_model_sections_checked_at_load(self, tmp_path, capsys, section, key, value):
+        # the bottleneck and flow sections are checked when the config loads,
+        # so gen-data refuses them, not the first command that builds them
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        cfg[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["gen-data", "--config", str(path), "--out", str(tmp_path / "data.json")])
+        err = capsys.readouterr().err
+        assert rc == 2 and len(err.splitlines()) == 1 and key in err, err
+        assert not (tmp_path / "data.json").exists()
+
     @pytest.mark.parametrize("sigma_pi", [1e-300, 1e-7])
     def test_tiny_policy_noise_exits_2(self, workdir, tmp_path, capsys, sigma_pi):
         # 2 sigma_pi^2 underflows to 0 at 1e-300, and the policy loss then

@@ -177,9 +177,8 @@ class TestRangeChecks:
             cfg = run_config_from_dict(minimal_doc(bottleneck={"logit_scale_init": value}))
             assert cfg.bottleneck_config().logit_scale_init == value
         for value in (1e6, -1e6, 1.01 * bound):
-            cfg = run_config_from_dict(minimal_doc(bottleneck={"logit_scale_init": value}))
             with pytest.raises(ConfigInvalid, match="^bottleneck: logit_scale_init = "):
-                cfg.bottleneck_config()
+                run_config_from_dict(minimal_doc(bottleneck={"logit_scale_init": value}))
 
 
 class TestDerivedDims:
@@ -204,10 +203,12 @@ class TestDerivedDims:
         f = cfg.flow_config()
         assert (f.d_m, f.d_e, f.width) == (10, 7, 8)
 
-    def test_bad_deferred_value_surfaces_at_materialization(self):
-        cfg = run_config_from_dict(minimal_doc(flow={"r_dim": 3}))
-        with pytest.raises(ConfigInvalid):
-            cfg.flow_config()
+    def test_bad_deferred_value_surfaces_at_load(self):
+        # the sections whose dims are derived are checked at the default dims
+        for doc, message in (({"flow": {"r_dim": 3}}, "^flow: r_dim"),
+                             ({"bottleneck": {"lambda_tok": 0.0}}, "^bottleneck: lambda_tok")):
+            with pytest.raises(ConfigInvalid, match=message):
+                run_config_from_dict(minimal_doc(**doc))
 
 
 class TestCoercionAndRoundTrip:

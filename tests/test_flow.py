@@ -11,7 +11,6 @@ from behavegen.bottleneck import (
     BottleneckConfig,
     BottleneckModel,
     encode_packed,
-    sample_posterior,
 )
 from behavegen.errors import (
     CountMismatch,
@@ -166,6 +165,29 @@ def ragged_batch(lengths, null, seed, d_m=3, d_e=3):
     rs = [float(r) for r in rng.uniform(size=len(lengths))]
     ctxs = [None if drop else rng.normal(size=d_e) for drop in null]
     return programs, noises, rs, ctxs
+
+
+def packed_fm(fn, model, batch, **kwargs):
+    """``fn`` (fm_loss or fm_grad) of a ragged batch, its programs and noises
+    packed back to back."""
+    programs, noises, rs, ctxs = batch
+    return fn(model, np.concatenate(programs), np.concatenate(noises), np.array(rs), ctxs,
+              lengths=[len(p) for p in programs], **kwargs)
+
+
+def assert_packed_matches(model, batch, reference):
+    """The packed fm_grad and fm_loss of ``batch`` match the loss that
+    ``reference()`` returns and the gradients it accumulates, at 1e-12."""
+    model.zero_grad()
+    want = reference()
+    oracle = {k: p.grad.copy() for k, p in model.params().items()}
+    model.zero_grad()
+    got = packed_fm(fm_grad, model, batch)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert packed_fm(fm_loss, model, batch) == got
+    for name, p in model.params().items():
+        err = relative_grad_error({name: p.grad}, {name: oracle[name]})
+        assert err <= 1e-12, f"{name}: relative error {err:.2e}"
 
 
 def toy_flow(seed=0):
@@ -472,33 +494,37 @@ class TestPacked:
         lengths, null = zip(*items)
         model = packing_flow(seed % 1000)
         batch = ragged_batch(lengths, null, seed)
-        model.zero_grad()
-        want = per_item_fm(model, *batch)
-        oracle = {k: p.grad.copy() for k, p in model.params().items()}
-        model.zero_grad()
-        got = fm_grad(model, *batch)
-        assert abs(got - want) <= 1e-12 * abs(want)
-        assert fm_loss(model, *batch) == got
-        for name, p in model.params().items():
-            err = relative_grad_error({name: p.grad}, {name: oracle[name]})
-            assert err <= 1e-12, f"{name}: relative error {err:.2e}"
+        assert_packed_matches(model, batch, lambda: per_item_fm(model, *batch))
+
+    @given(st.lists(st.tuples(st.integers(1, 6), st.booleans()), min_size=1,
+                    max_size=8),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_mean_of_one_program_calls(self, items, seed):
+        # one packed call is the mean of one-program calls, loss and gradients
+        lengths, null = zip(*items)
+        model = packing_flow(seed % 1000)
+        batch = ragged_batch(lengths, null, seed)
+        assert_packed_matches(model, batch, lambda: sum(
+            fm_grad(model, p, e, r, y, scale=1.0 / len(lengths))
+            for p, e, r, y in zip(*batch)) / len(lengths))
 
     def test_packed_gradients_match_finite_differences(self):
         model = toy_flow(seed=26)
         batch = ragged_batch((2, 5, 1), (False, True, False), seed=27)
         model.zero_grad()
-        fm_grad(model, *batch)
+        packed_fm(fm_grad, model, batch)
         analytic = {k: p.grad.copy() for k, p in model.params().items()}
-        numeric = finite_difference_grads(lambda: fm_loss(model, *batch),
+        numeric = finite_difference_grads(lambda: packed_fm(fm_loss, model, batch),
                                           model.params())
         assert np.any(analytic["null_ctx"] != 0.0)
         assert relative_grad_error(analytic, numeric) < GRAD_TOL
 
     def test_one_program_equals_lone_array(self):
         model = packing_flow(28)
-        programs, noises, rs, ctxs = ragged_batch((5,), (False,), seed=29)
-        lone = fm_loss(model, programs[0], noises[0], rs[0], ctxs[0])
-        assert fm_loss(model, programs, noises, rs, ctxs) == lone
+        batch = ragged_batch((5,), (False,), seed=29)
+        lone = fm_loss(model, *(part[0] for part in batch))
+        assert packed_fm(fm_loss, model, batch) == lone
 
     @given(st.lists(st.tuples(st.integers(1, 6), st.booleans()), min_size=1,
                     max_size=5),
@@ -554,16 +580,21 @@ class TestPacked:
             field(model, m, 0.5, None, [5, 0])
         with pytest.raises(CountMismatch):
             field(model, m, 0.5, [None], [2, 3])
-        # path positions are counted and range-checked where the path is made
-        pair = [m[:2], m[2:]]
-        with pytest.raises(CountMismatch):
-            fm_loss(model, pair, pair, [0.5], [None, None])
-        with pytest.raises(RangeError):
-            fm_loss(model, pair, pair, [0.5, 1.5], [None, None])
-        with pytest.raises(CountMismatch):
-            fm_loss(model, [m, m], [m], [0.5, 0.5], [None, None])
+        # lengths, path positions and contexts are counted, and path
+        # positions range-checked, where the path is made
         with pytest.raises(ShapeMismatch):
-            fm_loss(model, [m], [np.zeros((4, 3))], [0.5], [None])
+            fm_loss(model, m, m, [0.5, 0.5], [None, None], lengths=[2, 2])
+        with pytest.raises(CountMismatch):
+            fm_loss(model, m, m, [0.5], [None, None], lengths=[2, 3])
+        with pytest.raises(CountMismatch):
+            fm_loss(model, m, m, [0.5, 0.5], [None], lengths=[2, 3])
+        with pytest.raises(RangeError):
+            fm_loss(model, m, m, [0.5, 1.5], [None, None], lengths=[2, 3])
+        with pytest.raises(ShapeMismatch):
+            fm_loss(model, np.concatenate([m, m]), m, [0.5, 0.5], [None, None],
+                    lengths=[5, 5])
+        with pytest.raises(ShapeMismatch):
+            fm_loss(model, m, np.zeros((4, 3)), [0.5], [None], lengths=[5])
         with pytest.raises(CountMismatch):
             euler_sample(model, [m, m], SamplerConfig(), [None])
 
@@ -623,9 +654,9 @@ class TestTraining:
         bottleneck, vocab, samples = tiny_corpus()
         calls = []
 
-        def counting_fm_grad(model, program, *args, **kwargs):
-            calls.append(len(program))
-            return fm_grad(model, program, *args, **kwargs)
+        def counting_fm_grad(*args, lengths=None, **kwargs):
+            calls.append(len(lengths))
+            return fm_grad(*args, lengths=lengths, **kwargs)
 
         monkeypatch.setattr(flow_module, "fm_grad", counting_fm_grad)
         cfg = TrainConfig(lr=1e-3, warmup=2, batch_size=5, steps=3)
@@ -633,36 +664,47 @@ class TestTraining:
         train_flow(model, bottleneck, vocab, samples, cfg, seed=2)
         assert calls == [5, 5, 5]
 
-    def test_corpus_encoded_once_with_unchanged_targets(self, monkeypatch):
-        # the frozen bottleneck encodes the corpus once per run, and every
-        # epoch's targets equal a fresh per-epoch encode given the same noise
+    def test_corpus_encoded_once_and_targets_drawn_per_step(self, monkeypatch):
+        # the frozen bottleneck encodes the corpus once per run, and each
+        # step's targets are fresh posterior draws of its programs' rows
         bottleneck, vocab, samples = tiny_corpus()
-        encodes, epochs = [], []
+        encodes, draws, calls = [], [], []
 
         def counting_encode(*args):
             encodes.append(args)
             return encode_packed(*args)
 
-        def recording_targets(post, starts, rng):
+        def recording_targets(post, rows, rng):
             state = rng.bit_generator.state
-            targets = prepare_flow_targets(post, starts, rng)
-            epochs.append((state, targets))
+            targets = prepare_flow_targets(post, rows, rng)
+            draws.append((rows, state, targets))
             return targets
+
+        def recording_fm_grad(model, program, *args, lengths=None, **kwargs):
+            calls.append((program, lengths))
+            return fm_grad(model, program, *args, lengths=lengths, **kwargs)
 
         monkeypatch.setattr(flow_module, "encode_packed", counting_encode)
         monkeypatch.setattr(flow_module, "prepare_flow_targets", recording_targets)
+        monkeypatch.setattr(flow_module, "fm_grad", recording_fm_grad)
         cfg = TrainConfig(lr=1e-3, warmup=2, batch_size=8, steps=9)
         model = FlowModel(FlowConfig(d_m=3, d_e=3, width=4, blocks=1, r_dim=4))
         train_flow(model, bottleneck, vocab, samples, cfg, seed=2)
-        assert len(encodes) == 1 and len(epochs) == 3
-        for state, targets in epochs:
+        assert len(encodes) == 1 and len(draws) == len(calls) == 9
+        post, starts = encode_packed(bottleneck, [s.latents for s in samples])
+        sizes = dict(zip(starts, np.diff(starts, append=len(post.mu))))
+        for (rows, state, targets), (program, lengths) in zip(draws, calls):
+            assert program is targets and len(lengths) == 8
+            # every program is one whole sample's rows, and no sample twice
+            blocks = np.split(rows, np.cumsum(lengths)[:-1])
+            assert len({b[0] for b in blocks}) == 8
+            for b in blocks:
+                assert b.tolist() == list(range(b[0], b[0] + sizes[b[0]]))
             rng = np.random.default_rng()
             rng.bit_generator.state = state
-            post, starts = encode_packed(bottleneck, [s.latents for s in samples])
-            draws = sample_posterior(post, rng.standard_normal(post.mu.shape))
-            oracle = np.split(draws, starts[1:])
-            assert len(targets) == len(samples) == len(oracle)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(targets, oracle))
+            z = rng.standard_normal((len(rows), post.mu.shape[1]))
+            want = post.mu[rows] + np.exp(post.log_var[rows] / 2) * z
+            assert targets.tobytes() == want.tobytes()
 
     def test_history_hook(self):
         bottleneck, vocab, samples = tiny_corpus()

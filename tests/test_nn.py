@@ -125,10 +125,17 @@ class TestPackedConv1d:
     @settings(max_examples=200, deadline=None)
     def test_layout_matches_reference(self, stride, lengths):
         lengths = [stride * n for n in lengths[:-1]] + lengths[-1:]
-        got = Segments(lengths).gapped(stride)
-        for name, a, b in zip(("take", "keep", "first", "copies"), got,
-                              reference_layout(lengths, stride)):
+        take, keep, first, folds = Segments(lengths).gapped(stride)
+        want = reference_layout(lengths, stride)
+        for name, a, b in zip(("take", "keep", "first"), (take, keep, first), want):
             np.testing.assert_array_equal(a, b, err_msg=name)
+        # the j-th extra copy of each row that has one, and where it sits
+        ref_first, copies = want[2:]
+        assert len(folds) == 2
+        for j, (rows, sources) in zip((1, 2), folds):
+            np.testing.assert_array_equal(rows, np.flatnonzero(copies > j), err_msg=f"rows {j}")
+            np.testing.assert_array_equal(sources, ref_first[copies > j] + j,
+                                          err_msg=f"sources {j}")
 
     def test_one_segment_has_no_layout(self):
         assert Segments([7]).gapped(1) is None and Segments([7]).gapped(2) is None

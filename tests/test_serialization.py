@@ -287,6 +287,9 @@ OVERRIDES = {
     TrainConfig: {"batch_size": st.integers(2, 64)},
     FlowConfig: {"r_dim": st.integers(1, 8).map(lambda n: 2 * n)},
 }
+# a run config checks its bottleneck and flow sections when it loads
+OVERRIDES[BottleneckSection] = OVERRIDES[BottleneckConfig]
+OVERRIDES[FlowSection] = OVERRIDES[FlowConfig]
 
 
 def field_values(tp):
