@@ -22,16 +22,7 @@ import sys
 
 import numpy as np
 
-from .bottleneck import (
-    BottleneckConfig,
-    BottleneckModel,
-    align_rows,
-    decode_packed,
-    embed_text,
-    encode_packed,
-    similarity_matrix,
-    train_bottleneck,
-)
+from .bottleneck import BottleneckConfig, BottleneckModel, train_bottleneck
 from .composition import generate_composed, generate_single_shot, split_prompt
 from .config import load_run_config
 from .errors import (
@@ -41,11 +32,19 @@ from .errors import (
     InvalidSpec,
     MissingArtifact,
     RangeError,
-    TooFewSamples,
     check_seed,
 )
-from .flow import FlowConfig, FlowModel, euler_sample, train_flow
-from .metrics import EvalReport, diversity, prototype_match_rate, retrieval_accuracy
+from .flow import FlowConfig, FlowModel, train_flow
+from .metrics import (
+    EvalReport,
+    compression_sweep,
+    distinct_prompt_subset,
+    generation_study,
+    reconstruction_mse,
+    retrieval_accuracy,
+    retrieval_scores,
+    training_prototypes,
+)
 from .nn import TrainConfig
 from .serialization import (
     from_doc,
@@ -54,6 +53,7 @@ from .serialization import (
     read_json,
     save_checkpoint,
     to_doc,
+    write_csv,
     write_json,
 )
 from .theory import run_suites, sweep_compression_grid
@@ -61,30 +61,12 @@ from .world import (
     DatasetSpec,
     ExtractionConfig,
     WorldConfig,
-    action_kl,
     dataset_from_dict,
     dataset_to_dict,
     generate_dataset,
     make_vocabulary,
     make_world,
 )
-
-
-def _fmt_cell(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
-def _write_csv(path: str, rows) -> None:
-    """One line per row dict under a header of the first row's keys."""
-    lines = [",".join(rows[0])]
-    for row in rows:
-        lines.append(",".join(_fmt_cell(v) for v in row.values()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _read_dataset(path: str):
@@ -174,6 +156,20 @@ def _train_split(samples, holdout: int):
     return samples[:len(samples) - holdout]
 
 
+def _eval_split(samples, n_eval: int):
+    if n_eval < 1 or n_eval > len(samples):
+        raise RangeError(f"n_eval {n_eval} out of range for {len(samples)} samples")
+    return samples[-n_eval:]
+
+
+def _check_vocabulary(data: str, data_vocab, vbb: str, vocab) -> None:
+    """A dataset's prompt tokens must mean the same words, with the same
+    embeddings, in the bottleneck's vocabulary."""
+    if data_vocab.words != vocab.words or not np.array_equal(data_vocab.embeddings,
+                                                             vocab.embeddings):
+        raise InvalidSpec(f"{data} and {vbb} use different vocabularies")
+
+
 def cmd_train_vbb(args) -> int:
     cfg = load_run_config(args.config)
     world, extraction, spec, vocab, _, samples = _read_dataset(args.data)
@@ -193,9 +189,10 @@ def cmd_train_vbb(args) -> int:
 
 def cmd_train_flow(args) -> int:
     cfg = load_run_config(args.config)
-    _, _, spec, vocab, _, samples = _read_dataset(args.data)
+    _, _, _, data_vocab, _, samples = _read_dataset(args.data)
     train_samples = _train_split(samples, args.holdout)
-    bottleneck, world, _, _, _ = _load_bottleneck(args.vbb)
+    bottleneck, world, spec, _, vocab = _load_bottleneck(args.vbb)
+    _check_vocabulary(args.data, data_vocab, args.vbb, vocab)
     fcfg = cfg.flow_config(d_z=world.d_z, d_text=spec.d_text)
     model = FlowModel(fcfg, seed=cfg.seed)
     with jsonl_appender(args.history) as hook:
@@ -244,126 +241,16 @@ def cmd_compose(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# evaluation
-# ---------------------------------------------------------------------------
-
-def _reconstructions(model: BottleneckModel, samples) -> list:
-    """Each sample decoded from its posterior mean, trimmed to its frames."""
-    post, starts = encode_packed(model, [s.latents for s in samples])
-    decoded = decode_packed(model, np.split(post.mu, starts[1:]))
-    return [z[:s.latents.shape[0]] for z, s in zip(decoded, samples)]
-
-
-def reconstruction_mse(model: BottleneckModel, samples) -> tuple:
-    """Mean squared latent reconstruction error through the posterior mean,
-    over all frames and per sample."""
-    errs = [(z - s.latents) ** 2 for z, s in zip(_reconstructions(model, samples), samples)]
-    pooled = sum(float(e.sum()) for e in errs) / sum(e.size for e in errs)
-    return pooled, [float(e.mean()) for e in errs]
-
-
-def distinct_prompt_subset(samples, limit: int):
-    """First ``limit`` samples with pairwise-distinct prompt multisets.
-
-    Mean-pooled text embeddings cannot tell apart two orderings of the same
-    words, so retrieval is scored over prompts that differ as bags of tokens.
-    """
-    seen = set()
-    out = []
-    for s in samples:
-        key = tuple(sorted(s.token_ids))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(s)
-        if len(out) == limit:
-            break
-    if len(out) < limit:
-        raise TooFewSamples(
-            f"only {len(out)} distinct prompts available, need {limit}"
-        )
-    return out
-
-
-def retrieval_scores(model: BottleneckModel, vocab, samples) -> np.ndarray:
-    """Pairwise program-text scores in the learned joint space.
-
-    Uses the same token-soft-max / frame-soft-max pooled similarity the
-    alignment objective trains, with posterior means as the program side.
-    """
-    post, starts = encode_packed(model, [s.latents for s in samples])
-    progs = np.split(align_rows(model.P_m, post.mu), starts[1:])
-    tokens = vocab.embeddings[[t for s in samples for t in s.token_ids]]
-    texts = np.split(align_rows(model.P_y, tokens),
-                     np.cumsum([len(s.token_ids) for s in samples])[:-1])
-    return similarity_matrix(progs, texts, model.cfg.lambda_tok,
-                             model.cfg.lambda_frm)
-
-
-def training_prototypes(samples, n_behaviors: int, d_z: int):
-    """Per-behavior reference directions: the normalised mean latent over each
-    behavior's single-stage training samples.
-
-    Returns the ids of the behaviors that have such a sample, in order, and
-    their prototypes.  A behavior without one drops out of the match; fewer
-    than two left leaves nothing to tell apart.
-    """
-    sums = np.zeros((n_behaviors, d_z))
-    counts = np.zeros(n_behaviors, dtype=int)
-    for s in samples:
-        if len(s.token_ids) == 1:
-            b = s.token_ids[0]
-            sums[b] += s.latents.mean(axis=0)
-            counts[b] += 1
-    ids = np.flatnonzero(counts)
-    if ids.size < 2:
-        raise TooFewSamples(f"single-stage training samples cover behaviors "
-                            f"{ids.tolist()}, need at least two")
-    sums = sums[ids]
-    norms = np.linalg.norm(sums, axis=1, keepdims=True)
-    if (norms < 1e-12).any():
-        raise TooFewSamples("a behavior's mean latent collapsed to zero")
-    return ids.tolist(), sums / norms
-
-
-def generation_study(flow, bottleneck, vocab, world, spec, sampler, t_m: int,
-                     seed: int, behavior_ids, protos: np.ndarray):
-    """Generate each single-behavior prompt in ``behavior_ids`` 16 times and
-    score how often the decoded latents' nearest prototype among ``protos``
-    (one per id) is the prompted one, plus the spread of the generations in
-    the joint embedding space."""
-    contexts, noises, expected = [], [], []
-    rng = np.random.default_rng(seed)
-    for k, b in enumerate(behavior_ids):
-        word = spec.behaviors[b]
-        y_vec = embed_text(bottleneck, vocab.embeddings[list(vocab.encode(word))])
-        for _ in range(16):
-            contexts.append(y_vec)
-            noises.append(rng.standard_normal((t_m, bottleneck.cfg.d_m)))
-            expected.append(k)
-    programs = euler_sample(flow, noises, sampler, contexts)
-    mean_latents = [z.mean(axis=0) for z in decode_packed(bottleneck, programs)]
-    frames = align_rows(bottleneck.P_m, np.concatenate(programs))
-    embeddings = frames.reshape(len(programs), t_m, -1).mean(axis=1)
-    match = prototype_match_rate(np.stack(mean_latents), expected, protos)
-    div = diversity(embeddings)
-    return match, div
-
-
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config)
     _, _, _, data_vocab, _, samples = _read_dataset(args.data)
-    bottleneck, world, spec, extraction, vocab = _load_bottleneck(args.vbb)
-    if data_vocab.words != vocab.words:
-        raise InvalidSpec(f"{args.data} and {args.vbb} use different vocabularies")
+    bottleneck, world, spec, _, vocab = _load_bottleneck(args.vbb)
+    _check_vocabulary(args.data, data_vocab, args.vbb, vocab)
     flow = _load_flow(args.flow)
 
-    if args.n_eval < 1 or args.n_eval > len(samples):
-        raise RangeError(f"n_eval {args.n_eval} out of range")
+    eval_samples = _eval_split(samples, args.n_eval)
     if args.retrieval_batch < 2:
         raise RangeError(f"retrieval batch {args.retrieval_batch} must be >= 2")
-    eval_samples = samples[-args.n_eval:]
     recon, recon_per_sample = reconstruction_mse(bottleneck, eval_samples)
     baseline_model = BottleneckModel(bottleneck.cfg, seed=cfg.seed)
     baseline, _ = reconstruction_mse(baseline_model, eval_samples)
@@ -375,9 +262,8 @@ def cmd_eval(args) -> int:
 
     ids, protos = training_prototypes(_train_split(samples, args.holdout),
                                       len(spec.behaviors), world.d_z)
-    match, div = generation_study(flow, bottleneck, vocab, world, spec,
-                                  cfg.sampler, cfg.generation.t_m, cfg.seed,
-                                  ids, protos)
+    match, div = generation_study(flow, bottleneck, vocab, cfg.sampler,
+                                  cfg.generation.t_m, cfg.seed, ids, protos)
 
     report = EvalReport(
         n_samples=len(eval_samples),
@@ -392,7 +278,7 @@ def cmd_eval(args) -> int:
     if args.emit_plot_data:
         rows = [{"index": i, "frames": s.latents.shape[0], "recon_mse": mse}
                 for i, (s, mse) in enumerate(zip(eval_samples, recon_per_sample))]
-        _write_csv(args.emit_plot_data, rows)
+        write_csv(args.emit_plot_data, rows)
     print(f"recon {recon:.5f} (baseline {baseline:.5f}), "
           f"top-1 {top1:.3f}, top-5 {top5:.3f}, "
           f"prototype match {match:.3f}, diversity {div:.4f}")
@@ -411,53 +297,24 @@ def cmd_verify_bounds(args) -> int:
         # the wall clock stays out of the file, so equal seeds give equal bytes
         write_json(args.out, {k: v for k, v in out.items() if k != "elapsed_seconds"})
     if args.emit_plot_data:
-        _write_csv(args.emit_plot_data, sweep_compression_grid(seed=args.seed))
+        write_csv(args.emit_plot_data, sweep_compression_grid(seed=args.seed))
     return 0 if out["ok"] else 4
-
-
-def compression_sweep(cfg, world, spec, vocab, train_samples, eval_samples,
-                      budgets):
-    """Train one bottleneck per compression factor under an identical budget
-    and measure the policy mismatch its reconstructions cause."""
-    bad = [c for c in budgets if c < 2 or c & (c - 1)]
-    if bad:
-        raise ConfigInvalid(f"compression {bad[0]} is not a power of two >= 2")
-    base = cfg.bottleneck_config(d_z=world.d_z, d_text=spec.d_text)
-    bcfgs = [dataclasses.replace(base, levels=c.bit_length() - 1) for c in budgets]
-    rows = []
-    for c, bcfg in zip(budgets, bcfgs):
-        model = BottleneckModel(bcfg, seed=cfg.seed)
-        history = train_bottleneck(model, world, vocab, train_samples,
-                                   cfg.vbb_train, seed=cfg.seed)
-        kls = [action_kl(world, s.states, s.latents, z_hat)
-               for s, z_hat in zip(eval_samples, _reconstructions(model, eval_samples))]
-        rows.append({
-            "compression": c,
-            "levels": bcfg.levels,
-            "mean_action_kl": float(np.mean(kls)),
-            "final_loss": history[-1]["total"],
-            "n_eval": len(kls),
-        })
-    return rows
 
 
 def cmd_sweep_compression(args) -> int:
     cfg = load_run_config(args.config)
-    world, extraction, spec, vocab, _, samples = _read_dataset(args.data)
+    world, _, spec, vocab, _, samples = _read_dataset(args.data)
     budgets = []
     for tok in args.budgets.split(","):
         try:
             budgets.append(int(tok))
         except ValueError as exc:
             raise ConfigInvalid(f"bad compression budget {tok!r}") from exc
-    train_samples = _train_split(samples, args.holdout)
-    if args.n_eval < 1 or args.n_eval > len(samples):
-        raise RangeError(f"n_eval {args.n_eval} out of range")
-    rows = compression_sweep(cfg, world, spec, vocab, train_samples,
-                             samples[-args.n_eval:], budgets)
+    rows = compression_sweep(cfg, world, spec, vocab, _train_split(samples, args.holdout),
+                             _eval_split(samples, args.n_eval), budgets)
     write_json(args.out, {"budgets": budgets, "rows": rows})
     if args.emit_plot_data:
-        _write_csv(args.emit_plot_data, rows)
+        write_csv(args.emit_plot_data, rows)
     for row in rows:
         print(f"compression {row['compression']:3d}: "
               f"action KL {row['mean_action_kl']:.6f}")

@@ -1,25 +1,40 @@
-"""Evaluation metrics for generated behavior.
+"""Evaluation metrics for generated behavior, and the studies that run the
+models to report them.
 
 Everything here is deterministic given its inputs: segment order accuracy
 against the prompt, junction smoothness of rollouts, prompt-to-program
-retrieval, sample diversity, and an exact paired sign test used to compare
-generation strategies.
+retrieval, sample diversity, an exact paired sign test used to compare
+generation strategies, latent reconstruction, prototype references, the
+generation study and the compression sweep.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
 
-from .bottleneck import embed_program, embed_text, encode
+from .bottleneck import (
+    BottleneckModel,
+    align_rows,
+    decode_packed,
+    embed_program,
+    embed_text,
+    encode,
+    encode_packed,
+    similarity_matrix,
+    train_bottleneck,
+)
 from .composition import stage_slices
 from .errors import (
     BoundaryOutOfRange,
+    ConfigInvalid,
     CountMismatch,
     RangeError,
     ShapeMismatch,
     TooFewSamples,
 )
+from .flow import euler_sample
+from .world import action_kl
 
 
 def embed_latent_segment(bottleneck, z_segment) -> np.ndarray:
@@ -140,12 +155,9 @@ def prototype_match_rate(mean_latents, expected_ids, prototypes) -> float:
         raise CountMismatch(f"{m.shape[0]} trajectories, {len(ids)} labels")
     if m.shape[0] == 0:
         raise TooFewSamples("no trajectories to match")
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    norms = np.maximum(norms, 1e-12)
-    sims = (m / norms) @ (protos / np.linalg.norm(protos, axis=1,
-                                                  keepdims=True)).T
-    picked = np.argmax(sims, axis=1)
-    return float(np.mean(picked == np.asarray(ids)))
+    norms = np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
+    picked = classify_segments(m / norms, protos / np.linalg.norm(protos, axis=1, keepdims=True))
+    return float(np.mean(np.asarray(picked) == np.asarray(ids)))
 
 
 def sign_test_p(wins: int, losses: int) -> float:
@@ -192,3 +204,123 @@ class EvalReport:
     retrieval_top5: float
     prototype_match: float
     diversity: float
+
+
+def _reconstructions(model: BottleneckModel, samples) -> list:
+    """Each sample decoded from its posterior mean, trimmed to its frames."""
+    post, starts = encode_packed(model, [s.latents for s in samples])
+    decoded = decode_packed(model, np.split(post.mu, starts[1:]))
+    return [z[:s.latents.shape[0]] for z, s in zip(decoded, samples)]
+
+
+def reconstruction_mse(model: BottleneckModel, samples) -> tuple:
+    """Mean squared latent reconstruction error through the posterior mean,
+    over all frames and per sample."""
+    errs = [(z - s.latents) ** 2 for z, s in zip(_reconstructions(model, samples), samples)]
+    pooled = sum(float(e.sum()) for e in errs) / sum(e.size for e in errs)
+    return pooled, [float(e.mean()) for e in errs]
+
+
+def distinct_prompt_subset(samples, limit: int):
+    """First ``limit`` samples with pairwise-distinct prompt multisets.
+
+    Mean-pooled text embeddings cannot tell apart two orderings of the same
+    words, so retrieval is scored over prompts that differ as bags of tokens.
+    """
+    first = {}  # prompt bag -> its first sample, in the order first seen
+    for s in samples:
+        if len(first) == limit:
+            break
+        first.setdefault(tuple(sorted(s.token_ids)), s)
+    if len(first) < limit:
+        raise TooFewSamples(f"only {len(first)} distinct prompts available, need {limit}")
+    return list(first.values())
+
+
+def retrieval_scores(model: BottleneckModel, vocab, samples) -> np.ndarray:
+    """Pairwise program-text scores in the learned joint space.
+
+    Uses the same token-soft-max / frame-soft-max pooled similarity the
+    alignment objective trains, with posterior means as the program side.
+    """
+    post, starts = encode_packed(model, [s.latents for s in samples])
+    progs = np.split(align_rows(model.P_m, post.mu), starts[1:])
+    tokens = vocab.embeddings[[t for s in samples for t in s.token_ids]]
+    texts = np.split(align_rows(model.P_y, tokens),
+                     np.cumsum([len(s.token_ids) for s in samples])[:-1])
+    return similarity_matrix(progs, texts, model.cfg.lambda_tok,
+                             model.cfg.lambda_frm)
+
+
+def training_prototypes(samples, n_behaviors: int, d_z: int):
+    """Per-behavior reference directions: the normalised mean latent over each
+    behavior's single-stage training samples.
+
+    Returns the ids of the behaviors that have such a sample, in order, and
+    their prototypes.  A behavior without one drops out of the match; fewer
+    than two left leaves nothing to tell apart.
+    """
+    sums = np.zeros((n_behaviors, d_z))
+    counts = np.zeros(n_behaviors, dtype=int)
+    for s in samples:
+        if len(s.token_ids) == 1:
+            b = s.token_ids[0]
+            sums[b] += s.latents.mean(axis=0)
+            counts[b] += 1
+    ids = np.flatnonzero(counts)
+    if ids.size < 2:
+        raise TooFewSamples(f"single-stage training samples cover behaviors "
+                            f"{ids.tolist()}, need at least two")
+    sums = sums[ids]
+    norms = np.linalg.norm(sums, axis=1, keepdims=True)
+    if (norms < 1e-12).any():
+        raise TooFewSamples("a behavior's mean latent collapsed to zero")
+    return ids.tolist(), sums / norms
+
+
+def generation_study(flow, bottleneck, vocab, sampler, t_m: int, seed: int,
+                     behavior_ids, protos: np.ndarray):
+    """Generate each single-behavior prompt in ``behavior_ids`` 16 times and
+    score how often the decoded latents' nearest prototype among ``protos``
+    (one per id) is the prompted one, plus the spread of the generations in
+    the joint embedding space.
+
+    Behavior ``b`` is word ``b`` of ``vocab``, whose words start with the
+    behaviors.  All 16 noises of every behavior come from one draw.
+    """
+    n = 16 * len(behavior_ids)
+    y_vecs = [embed_text(bottleneck, vocab.embeddings[[b]]) for b in behavior_ids]
+    noise = np.random.default_rng(seed).standard_normal((n * t_m, bottleneck.cfg.d_m))
+    programs = euler_sample(flow, np.split(noise, n), sampler, np.repeat(y_vecs, 16, axis=0))
+    mean_latents = [z.mean(axis=0) for z in decode_packed(bottleneck, programs)]
+    frames = align_rows(bottleneck.P_m, np.concatenate(programs))
+    embeddings = frames.reshape(n, t_m, -1).mean(axis=1)
+    match = prototype_match_rate(np.stack(mean_latents),
+                                 np.repeat(np.arange(len(behavior_ids)), 16), protos)
+    return match, diversity(embeddings)
+
+
+def compression_sweep(cfg, world, spec, vocab, train_samples, eval_samples,
+                      budgets):
+    """Train one bottleneck per compression factor under an identical budget
+    and measure the policy mismatch its reconstructions cause."""
+    bad = [c for c in budgets if c < 2 or c & (c - 1)]
+    if bad:
+        raise ConfigInvalid(f"compression {bad[0]} is not a power of two >= 2")
+    base = cfg.bottleneck_config(d_z=world.d_z, d_text=spec.d_text)
+    bcfgs = [replace(base, levels=c.bit_length() - 1) for c in budgets]
+    rows = []
+    for c, bcfg in zip(budgets, bcfgs):
+        model = BottleneckModel(bcfg, seed=cfg.seed)
+        history = train_bottleneck(model, world, vocab, train_samples,
+                                   cfg.vbb_train, seed=cfg.seed)
+        kls = [action_kl(world, s.states, s.latents, z_hat)
+               for s, z_hat in zip(eval_samples, _reconstructions(model, eval_samples))]
+        rows.append({
+            "compression": c,
+            "levels": bcfg.levels,
+            "mean_action_kl": float(np.mean(kls)),
+            "final_loss": history[-1]["total"],
+            "n_eval": len(kls),
+        })
+    return rows

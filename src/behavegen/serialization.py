@@ -116,6 +116,21 @@ def write_json(path: str, obj) -> None:
         fh.write(text)
 
 
+def write_csv(path: str, rows) -> None:
+    """One line per row dict under a header of the first row's keys; floats
+    with 17 significant digits, booleans as 1/0."""
+    def cell(v) -> str:
+        if isinstance(v, bool):
+            return "1" if v else "0"
+        return format(v, ".17g") if isinstance(v, float) else str(v)
+
+    lines = [",".join(rows[0])]
+    for row in rows:
+        lines.append(",".join(cell(v) for v in row.values()))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def read_json(path: str):
     if not os.path.exists(path):
         raise MissingArtifact(f"no such file: {path}")

@@ -370,9 +370,7 @@ def run_suites(seed: int = 0, n_compression: int = 500, n_smoothing: int = 200,
             if rep["ok"]:
                 passed += 1
             elif len(failures) < 5:
-                failures.append({"instance": i, **{
-                    k: v for k, v in rep.items() if not isinstance(v, np.ndarray)
-                }})
+                failures.append({"instance": i, **rep})
         results[name] = {"passed": passed, "total": count, "failures": failures}
     results["elapsed_seconds"] = time.perf_counter() - t0
     results["ok"] = all(

@@ -380,9 +380,6 @@ class Vocabulary:
             raise UnknownToken("empty prompt")
         return tuple(ids)
 
-    def decode(self, ids) -> str:
-        return " ".join(self.words[i] for i in ids)
-
 
 def make_vocabulary(behaviors, separator: str = "then", d_text: int = 32,
                     embed_seed: int = 1234) -> Vocabulary:

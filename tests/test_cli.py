@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import behavegen.cli as cli
-from behavegen import errors
+from behavegen import errors, metrics
 from behavegen.cli import main, training_prototypes
 from behavegen.errors import InputError, TooFewSamples
 from behavegen.serialization import read_json
@@ -199,8 +199,8 @@ class TestEval:
             decoded.append(len(programs))
             return decode_packed(model, programs)
 
-        decode_packed = cli.decode_packed
-        monkeypatch.setattr(cli, "decode_packed", spy)
+        decode_packed = metrics.decode_packed
+        monkeypatch.setattr(metrics, "decode_packed", spy)
         rc = main(["eval", "--config", workdir["cfg"],
                    "--data", workdir["data"], "--vbb", workdir["vbb"],
                    "--flow", workdir["flow"], "--out", str(tmp_path / "e.json"),
@@ -288,8 +288,8 @@ class TestEvalPrototypes:
             scored.append((list(expected_ids), prototypes.shape))
             return match_rate(mean_latents, expected_ids, prototypes)
 
-        match_rate = cli.prototype_match_rate
-        monkeypatch.setattr(cli, "prototype_match_rate", spy)
+        match_rate = metrics.prototype_match_rate
+        monkeypatch.setattr(metrics, "prototype_match_rate", spy)
         rc, out = self._eval(three_behaviors, tmp_path, drop=(2,))
         assert rc == 0
         # 16 generations for each of the two behaviors that have a prototype
@@ -386,7 +386,7 @@ class TestSweep:
         assert not out.exists()
 
     def test_too_many_levels_exits_2_before_training(self, workdir, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "train_bottleneck", None)  # never reached
+        monkeypatch.setattr(metrics, "train_bottleneck", None)  # never reached
         rc = main(["sweep-compression", "--config", workdir["cfg"],
                    "--data", workdir["data"], "--budgets", "2,2048",
                    "--out", str(tmp_path / "x.json")])
@@ -405,6 +405,27 @@ class TestExitCodes:
         rc = main(["gen-data", "--config", str(cfg),
                    "--out", str(tmp_path / "d.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["train-flow", "eval"])
+    @pytest.mark.parametrize("dataset", [{"embed_seed": 8}, {"behaviors": ["turn", "walk"]}],
+                             ids=["embeddings", "words"])
+    def test_dataset_of_another_vocabulary_exits_2(self, workdir, tmp_path, capsys, command,
+                                                   dataset):
+        # the bottleneck embeds "walk" as token 0 with the table of embed_seed 7
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG,
+                                   "dataset": {**TINY_CONFIG["dataset"], **dataset}}))
+        data = tmp_path / "data.json"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
+        capsys.readouterr()
+        extra = {"train-flow": [], "eval": ["--flow", workdir["flow"]]}[command]
+        out = tmp_path / "out"
+        rc = main([command, "--config", workdir["cfg"], "--data", str(data),
+                   "--vbb", workdir["vbb"], *extra, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and len(err.splitlines()) == 1, err
+        assert str(data) in err and workdir["vbb"] in err, err
+        assert not list(tmp_path.glob("out*"))
 
     def test_wrong_checkpoint_kind(self, workdir, tmp_path):
         # handing the flow checkpoint where a bottleneck is expected

@@ -16,12 +16,13 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "behavegen"
 
 # Names that only tests call: reference oracles the tests check the batched
-# code against, metrics that no command reports yet, and the parameter count
-# that the acceptance tests report.
+# code against, metrics that no command reports yet and what only they reach,
+# and the parameter count that the acceptance tests report.
 TEST_ONLY = {
     "vbb_loss", "fm_loss", "reconstruction_loss", "kl_prior_loss", "contrastive_loss",
     "project_to_sphere", "finite_difference_grads", "relative_grad_error",
     "order_accuracy", "transition_score", "paired_sign_test", "Module.param_count",
+    "embed_latent_segment", "embed_program", "sign_test_p", "BoundaryOutOfRange",
 }
 
 
@@ -84,9 +85,15 @@ def name_counts(node: ast.AST) -> Counter:
 
 def unreferenced(defining: list, others: list) -> set:
     """Top-level functions and classes of the ``defining`` trees, and the
-    methods of their classes (as ``Class.method``), that nothing outside
-    their own definition names in any tree.  Dunder methods are called
-    implicitly and are left out."""
+    methods of their classes (as ``Class.method``), that nothing names in any
+    tree outside their own definition and the definitions found so: code
+    that only test-only code reaches is test-only too.  Dunder methods are
+    called implicitly and are left out.
+
+    A name counts wherever it appears, whatever it refers to, so a method
+    whose name another definition shares stays invisible: ``Vocabulary.decode``
+    was never called, but ``bottleneck.decode`` is named.
+    """
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defs = []
     for tree in defining:
@@ -97,7 +104,17 @@ def unreferenced(defining: list, others: list) -> set:
                 defs += [(f"{node.name}.{m.name}", m) for m in node.body
                          if isinstance(m, functions) and not m.name.startswith("__")]
     total = sum((name_counts(tree) for tree in defining + others), Counter())
-    return {name for name, d in defs if total[d.name] == name_counts(d)[d.name]}
+    found = set()
+    while True:
+        # a method of a found class was counted out with its class
+        inside = {name: name.split(".")[0] in found - {name} for name, _ in defs}
+        live = total - sum((name_counts(d) for name, d in defs
+                            if name in found and not inside[name]), Counter())
+        new = {name for name, d in defs if name not in found
+               and live[d.name] == (0 if inside[name] else name_counts(d)[d.name])}
+        if not new:
+            return found
+        found |= new
 
 
 def parse_all(paths) -> list:
@@ -111,13 +128,21 @@ def test_no_test_only_code():
 
 
 def test_an_unreferenced_definition_is_found():
-    lib = ast.parse("def used(): pass\ndef recursive(): return recursive()\n"
-                    "class Lone: pass\ndef traced(): pass\n"
+    lib = ast.parse("def used(): return shared()\n"
+                    "def recursive(): return recursive() + chained() + shared()\n"
+                    "def chained(): return Lone()\ndef shared(): pass\n"
+                    "class Lone:\n"
+                    "    def lonely(self): return shared()\n"
+                    "def traced(): pass\n"
                     "class Kept:\n"
                     "    def __init__(self): self.helper()\n"
                     "    def helper(self): pass\n"
                     "    def loop(self): return self.loop()\n"
                     "    def run(self): pass\n"
-                    "    def spare(self): pass\n")
+                    "    def spare(self): return self.spare_part()\n"
+                    "    def spare_part(self): pass\n")
     bench = ast.parse("used()\nTARGETS = ('lib.traced', 'lib.Kept.run')\nKept()\n")
-    assert unreferenced([lib], [bench]) == {"recursive", "Lone", "Kept.loop", "Kept.spare"}
+    # chained, Lone and Kept.spare_part are named only from code found unreferenced;
+    # shared is named from used, which is live, though Lone and Lone.lonely name it too
+    assert unreferenced([lib], [bench]) == {"recursive", "chained", "Lone", "Lone.lonely",
+                                            "Kept.loop", "Kept.spare", "Kept.spare_part"}

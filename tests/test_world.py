@@ -587,7 +587,6 @@ class TestVocabulary:
         assert v.words[v.separator_id] == "then"
         ids = v.encode("walk then run")
         assert ids == (0, 2, 1)
-        assert v.decode(ids) == "walk then run"
 
     def test_unknown_word_raises(self):
         v = make_vocabulary(("walk",), d_text=8)
