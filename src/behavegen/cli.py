@@ -280,7 +280,7 @@ def cmd_eval(args) -> int:
                 for i, (s, mse) in enumerate(zip(eval_samples, recon_per_sample))]
         write_csv(args.emit_plot_data, rows)
     print(f"recon {recon:.5f} (baseline {baseline:.5f}), "
-          f"top-1 {top1:.3f}, top-5 {top5:.3f}, "
+          f"retrieval (fit) top-1 {top1:.3f}, top-5 {top5:.3f}, "
           f"prototype match {match:.3f}, diversity {div:.4f}")
     return 0
 

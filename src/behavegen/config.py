@@ -119,6 +119,6 @@ def load_run_config(path: str, env=None) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigInvalid(f"config {path} is not valid JSON: {exc}") from exc
     return run_config_from_dict(doc, env=env)

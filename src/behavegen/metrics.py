@@ -242,6 +242,8 @@ def retrieval_scores(model: BottleneckModel, vocab, samples) -> np.ndarray:
 
     Uses the same token-soft-max / frame-soft-max pooled similarity the
     alignment objective trains, with posterior means as the program side.
+    ``eval`` scores the first distinct prompts of the whole dataset, training
+    samples included, so its retrieval figures measure fit.
     """
     post, starts = encode_packed(model, [s.latents for s in samples])
     progs = np.split(align_rows(model.P_m, post.mu), starts[1:])

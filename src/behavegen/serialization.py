@@ -6,13 +6,17 @@ significant digits so the decimal text round-trips to the exact same bits.
 A float array is written in one pass: one finiteness check, one ``%`` format.
 
 Config dataclasses map to JSON documents through one codec, ``to_doc`` and
-``from_doc``, so every reader checks a document the same way.
+``from_doc``, so every reader checks a document the same way.  An ``F8Matrix``
+field is stored as ``{"shape": [rows, cols], "f8": base64 of its row-major
+little-endian float64 bytes}``, exact to the bit and cheap to parse.  Every
+artifact goes to a temp file beside its path, then moves into place.
 
 Checkpoints are a JSON manifest next to a flat binary blob.  The blob holds
 every parameter tensor as little-endian float64 in sorted-name order, the
 manifest records shapes and hyperparameters.
 """
 
+import base64
 import contextlib
 import dataclasses
 import json
@@ -25,6 +29,8 @@ import numpy as np
 from .errors import BehavegenError, InvalidSpec, MissingArtifact, NonFiniteInput
 
 SCHEMA_VERSION = 1
+
+F8Matrix = typing.Annotated[np.ndarray, "f8"]
 
 
 def canon_dumps(obj, indent: int = 2) -> str:
@@ -110,10 +116,21 @@ def _scalar(v) -> str:
     raise TypeError(f"unsupported JSON value type {type(v)}")
 
 
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then move it into place."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_json(path: str, obj) -> None:
-    text = canon_dumps(obj)
-    with open(path, "w") as fh:
-        fh.write(text)
+    _write_atomic(path, canon_dumps(obj).encode("utf-8"))
 
 
 def write_csv(path: str, rows) -> None:
@@ -127,17 +144,16 @@ def write_csv(path: str, rows) -> None:
     lines = [",".join(rows[0])]
     for row in rows:
         lines.append(",".join(cell(v) for v in row.values()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_json(path: str):
     if not os.path.exists(path):
         raise MissingArtifact(f"no such file: {path}")
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise MissingArtifact(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -156,10 +172,11 @@ def jsonl_appender(path: str | None):
 
 def to_doc(obj):
     """The JSON document of a dataclass: one key per field (the field name,
-    or ``metadata["key"]``), nested dataclasses as objects, tuples as lists;
-    arrays and scalars pass through."""
+    or ``metadata["key"]``), nested dataclasses as objects, tuples as lists,
+    ``F8Matrix`` fields as shape and base64; arrays and scalars pass through."""
     if dataclasses.is_dataclass(obj):
-        return {_key(f): to_doc(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {_key(f): _f8_doc(getattr(obj, f.name)) if f.type is F8Matrix
+                else to_doc(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, tuple):
         return [to_doc(v) for v in obj]
     return obj
@@ -169,8 +186,8 @@ def from_doc(cls, doc, where: str):
     """Build dataclass ``cls`` from ``doc``, the inverse of ``to_doc``.
 
     Every field must be present with a value of its annotated type: ``int``
-    (not bool), ``float`` (int accepted), ``bool``, ``str``, ``np.ndarray``
-    (a finite float array), ``tuple[T, ...]`` or a nested dataclass.
+    (not bool), ``float`` (int accepted), ``bool``, ``str``, ``F8Matrix``
+    (a finite float matrix), ``tuple[T, ...]`` or a nested dataclass.
     ``where`` is the dotted path of ``doc``; the first fault raises
     InvalidSpec with a one-line message naming the path, e.g.
     ``spec.world.d_z must be int, got str``.
@@ -214,20 +231,42 @@ def _value(tp, v, where: str):
         if tp is float and not abs(v) <= sys.float_info.max:  # NaN fails too
             raise InvalidSpec(f"{where} must be finite, got {v}")
         return tp(v)
-    if tp is np.ndarray:
-        try:
-            arr = np.asarray(v, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InvalidSpec(f"{where} is not a numeric array: {exc}") from exc
-        if not np.isfinite(arr).all():
-            raise InvalidSpec(f"{where} holds a non-finite value")
-        return arr
+    if tp is F8Matrix:
+        return _f8_array(v, where)
     if typing.get_origin(tp) is tuple:
         if not isinstance(v, (list, tuple)):
             raise InvalidSpec(f"{where} must be a list, got {_kind(v)}")
         elem = typing.get_args(tp)[0]
         return tuple(_value(elem, x, f"{where}[{i}]") for i, x in enumerate(v))
     return from_doc(tp, v, where)
+
+
+def _f8_doc(arr) -> dict:
+    if not np.isfinite(arr).all():
+        raise NonFiniteInput("cannot serialise non-finite float")
+    raw = np.ascontiguousarray(arr, "<f8").tobytes()
+    return {"shape": list(arr.shape), "f8": base64.b64encode(raw).decode("ascii")}
+
+
+def _f8_array(v, where: str) -> np.ndarray:
+    """The finite float64 matrix of an ``F8Matrix`` document."""
+    if not isinstance(v, dict) or set(v) != {"shape", "f8"}:
+        hint = "; nested lists are the old form, re-run gen-data" if isinstance(v, list) else ""
+        raise InvalidSpec(f"{where} must be an object with keys f8 and shape, got {_kind(v)}{hint}")
+    shape = v["shape"]
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(n) is int and 0 <= n < 2 ** 31 for n in shape)):
+        raise InvalidSpec(f"{where}.shape must be two non-negative ints below 2^31, got {shape!r}")
+    try:
+        raw = base64.b64decode(v["f8"], validate=True)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"{where}.f8 is not base64 text: {exc}") from exc
+    if len(raw) != 8 * shape[0] * shape[1]:
+        raise InvalidSpec(f"{where}.f8 holds {len(raw)} bytes, not 8 x {shape[0]} x {shape[1]}")
+    arr = np.frombuffer(raw, "<f8").reshape(shape).copy()
+    if not np.isfinite(arr).all():
+        raise InvalidSpec(f"{where} holds a non-finite value")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +286,9 @@ def save_checkpoint(prefix: str, params: dict, hyperparams: dict) -> None:
         "shapes": shapes,
         "hyperparams": hyperparams,
     }
+    blob = b"".join(np.ascontiguousarray(params[name], dtype="<f8").tobytes() for name in names)
     write_json(prefix + ".json", manifest)
-    with open(prefix + ".bin", "wb") as fh:
-        for name in names:
-            arr = np.ascontiguousarray(params[name], dtype="<f8")
-            fh.write(arr.tobytes())
+    _write_atomic(prefix + ".bin", blob)
 
 
 def load_checkpoint(prefix: str):

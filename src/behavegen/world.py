@@ -31,7 +31,7 @@ from .errors import (
     check_sizes,
 )
 from .geometry import project_rows
-from .serialization import from_doc, to_doc
+from .serialization import F8Matrix, from_doc, to_doc
 
 
 def operator_norm(mat):
@@ -445,8 +445,8 @@ class Sample:
     """One corpus entry: prompt token ids, rolled states, extracted latents."""
 
     token_ids: tuple[int, ...] = field(metadata={"key": "prompt_tokens"})
-    states: np.ndarray
-    latents: np.ndarray
+    states: F8Matrix
+    latents: F8Matrix
 
     def __post_init__(self):
         if self.states.ndim != 2 or self.latents.ndim != 2:

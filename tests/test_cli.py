@@ -27,6 +27,7 @@ from behavegen.cli import main, training_prototypes
 from behavegen.errors import InputError, TooFewSamples
 from behavegen.serialization import read_json
 from behavegen.world import Sample
+from test_serialization import f8, unf8
 
 TINY_CONFIG = {
     "schema_version": 1,
@@ -85,8 +86,12 @@ class TestArtifacts:
     def test_dataset_file_round_trips(self, workdir):
         doc = read_json(workdir["data"])
         assert len(doc["samples"]) == 24
-        s = doc["samples"][0]
-        assert len(s["states"]) == len(s["latents"]) + 1
+        world = TINY_CONFIG["world"]
+        for s in doc["samples"]:
+            (rows, width), (frames, d_z) = s["states"]["shape"], s["latents"]["shape"]
+            assert rows == frames + 1 and (width, d_z) == (world["state_dim"], world["d_z"])
+            assert unf8(s["states"]).shape == (rows, width)
+            assert unf8(s["latents"]).shape == (frames, d_z)
 
     def test_checkpoints_carry_their_kind(self, workdir):
         vbb = read_json(workdir["vbb"] + ".json")
@@ -454,7 +459,23 @@ class TestExitCodes:
             assert len(err.splitlines()) == 1 and path[-1] in err, err
 
     def test_malformed_dataset_values_exit_2(self, workdir, tmp_path, capsys):
-        for where, value in (("states", [[0.0, 1.0], [2.0]]), ("seed", "eleven")):
+        states = unf8(read_json(workdir["data"])["samples"][0]["states"])
+        poisoned = states.copy()
+        poisoned[1, 2] = np.inf
+        stored = f8(states)
+        cases = {
+            "old nested lists": ("states", states.tolist(), "re-run gen-data"),
+            "ragged lists": ("states", [[0.0, 1.0], [2.0]], "re-run gen-data"),
+            "bad base64": ("states", {**stored, "f8": "*" + stored["f8"][1:]}, "base64"),
+            "byte count": ("states", {**stored, "f8": stored["f8"][:-12]}, "bytes"),
+            "non-finite": ("states", f8(poisoned), "non-finite"),
+            "one-int shape": ("states", {**stored, "shape": [states.size]}, "shape"),
+            "negative shape": ("states", {**stored, "shape": [-len(states), -3]}, "shape"),
+            "float shape": ("states", {**stored, "shape": [float(len(states)), 3.0]}, "shape"),
+            "width": ("states", f8(states[:, :2]), "want \\[T\\+1, 3\\]"),
+            "seed": ("seed", "eleven", "seed must be int"),
+        }
+        for name, (where, value, message) in cases.items():
             doc = read_json(workdir["data"])
             if where == "seed":
                 doc["seed"] = value
@@ -465,8 +486,28 @@ class TestExitCodes:
             rc = main(["train-vbb", "--config", workdir["cfg"], "--data", str(bad),
                        "--out", str(tmp_path / "out")])
             err = capsys.readouterr().err
-            assert rc == 2, (where, err)
-            assert len(err.splitlines()) == 1, err
+            assert rc == 2, (name, err)
+            assert len(err.splitlines()) == 1, (name, err)
+            assert re.search(message, err) and str(bad) in err, (name, err)
+            if where == "states":
+                assert "samples[0]" in err, (name, err)
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("kind", ["config", "dataset", "manifest"])
+    def test_undecodable_bytes_exit_2(self, workdir, tmp_path, capsys, kind):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"a": "\xff"}')
+        paths = {"cfg": workdir["cfg"], "data": workdir["data"], "vbb": workdir["vbb"]}
+        if kind == "manifest":
+            shutil.copyfile(workdir["vbb"] + ".bin", tmp_path / "bad.bin")
+            paths["vbb"] = str(tmp_path / "bad")
+        else:
+            paths[{"config": "cfg", "dataset": "data"}[kind]] = str(bad)
+        rc = main(["train-flow", "--config", paths["cfg"], "--data", paths["data"],
+                   "--vbb", paths["vbb"], "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2 and len(err.splitlines()) == 1, err
+        assert str(bad) in err, err
 
     @pytest.mark.parametrize("section, key, command", [
         ("world", "state_dim", "gen-data"),

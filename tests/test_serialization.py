@@ -1,7 +1,10 @@
 """Round-trip and determinism tests for artifact serialization."""
 
+import base64
+import builtins
 import dataclasses
 import json
+import os
 import typing
 
 import numpy as np
@@ -23,7 +26,9 @@ from behavegen.errors import InvalidSpec, MissingArtifact, NonFiniteInput
 from behavegen.flow import FlowConfig, FlowModel, SamplerConfig
 from behavegen.metrics import EvalReport
 from behavegen.nn import TrainConfig
+import behavegen.serialization as serialization
 from behavegen.serialization import (
+    F8Matrix,
     canon_dumps,
     from_doc,
     jsonl_appender,
@@ -31,9 +36,24 @@ from behavegen.serialization import (
     read_json,
     save_checkpoint,
     to_doc,
+    write_csv,
     write_json,
 )
-from behavegen.world import CorpusRecipe, DatasetSpec, ExtractionConfig, WorldConfig
+from behavegen.world import CorpusRecipe, DatasetSpec, ExtractionConfig, Sample, WorldConfig
+
+
+def f8(arr) -> dict:
+    """The stored form of a float64 matrix, written out independently of the
+    codec: its shape and the base64 of its row-major little-endian bytes.
+    Non-finite values pass, so tests can plant them."""
+    arr = np.asarray(arr, dtype=float)
+    return {"shape": list(arr.shape),
+            "f8": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")}
+
+
+def unf8(doc) -> np.ndarray:
+    """The matrix of a stored form, read without the codec's checks."""
+    return np.frombuffer(base64.b64decode(doc["f8"]), "<f8").reshape(doc["shape"]).copy()
 
 
 def reference_dumps(obj, indent: int = 2) -> str:
@@ -96,8 +116,10 @@ def _reference_scalar(v) -> str:
     raise TypeError(f"unsupported JSON value type {type(v)}")
 
 
-# integral floats take the .0 rule; the rest are extremes of the format
+# integral floats take the .0 rule; the rest are extremes of the format,
+# subnormals among them
 EDGE_FLOATS = [0.0, -0.0, 1.0, -7.0, 1e16, -1e16, 1e17, 5e-324, -5e-324, 0.1,
+               2.225073858507201e-308, -1e-310,
                1.7976931348623157e308, -1.7976931348623157e308]
 finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
                           st.floats(allow_nan=False, allow_infinity=False),
@@ -372,3 +394,156 @@ class TestCodec:
             with pytest.raises(InvalidSpec, match=message) as info:
                 from_doc(CorpusRecipe, bad, "")
             assert "\n" not in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# float64 matrices as base64
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class Matrix:
+    m: F8Matrix
+
+
+matrices = arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(0, 4)) | st.just((1, 3)),
+                  elements=finite_floats)
+
+
+class TestF8Matrix:
+    @settings(max_examples=200, deadline=None)
+    @given(matrices)
+    def test_round_trip_is_bit_exact(self, arr):
+        doc = to_doc(Matrix(arr))
+        assert doc["m"] == f8(arr)
+        for stored in (doc, json.loads(canon_dumps(doc))):
+            back = from_doc(Matrix, stored, "").m
+            assert back.shape == arr.shape and back.flags.writeable
+            assert np.array_equal(back.view("<u8"), arr.view("<u8"))
+
+    def test_edge_values_keep_their_bits(self):
+        arr = np.array([EDGE_FLOATS])
+        back = from_doc(Matrix, json.loads(canon_dumps(to_doc(Matrix(arr)))), "").m
+        assert np.array_equal(back.view("<u8"), arr.view("<u8"))
+        assert np.signbit(back[0, 1]) and back[0, 7] == 5e-324
+
+    def test_any_layout_is_stored_row_major(self):
+        arr = np.arange(6.0).reshape(2, 3)
+        for view in (arr.T, np.asfortranarray(arr), arr.astype(">f8"), arr[:, ::2]):
+            assert to_doc(Matrix(view))["m"] == f8(np.ascontiguousarray(view, float))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_on_write(self, bad):
+        arr = np.zeros((3, 2))
+        arr[2, 1] = bad
+        with pytest.raises(NonFiniteInput):
+            to_doc(Matrix(arr))
+        with pytest.raises(NonFiniteInput):
+            to_doc(Sample(token_ids=(0,), states=arr, latents=np.zeros((2, 2))))
+
+    def test_malformed_forms_name_the_field(self):
+        good = f8(np.ones((2, 3)))
+        cases = [
+            ([[1.0, 1.0, 1.0]] * 2, "got list; nested lists are the old form, re-run gen-data"),
+            ("AAAA", "must be an object with keys f8 and shape, got str"),
+            ({"f8": good["f8"]}, "must be an object with keys f8 and shape"),
+            ({**good, "dtype": "f8"}, "must be an object with keys f8 and shape"),
+            ({**good, "f8": good["f8"][:-1]}, "f8 is not base64"),
+            ({**good, "f8": "!" + good["f8"][1:]}, "f8 is not base64"),
+            ({**good, "f8": good["f8"][:4] + "\n" + good["f8"][4:]}, "f8 is not base64"),
+            ({**good, "f8": good["f8"][:4] + "!!!!" + good["f8"][4:]}, "f8 is not base64"),
+            ({**good, "f8": "é" + good["f8"][1:]}, "f8 is not base64"),
+            ({**good, "f8": 17}, "f8 is not base64"),
+            ({**good, "shape": [3, 3]}, "f8 holds 48 bytes, not 8 x 3 x 3"),
+            ({**good, "shape": [6]}, "shape must be two non-negative ints"),
+            ({**good, "shape": [1, 2, 3]}, "shape must be two non-negative ints"),
+            ({**good, "shape": [-2, -3]}, "shape must be two non-negative ints"),
+            ({**good, "shape": [2.0, 3]}, "shape must be two non-negative ints"),
+            ({**good, "shape": [True, 6]}, "shape must be two non-negative ints"),
+            ({**good, "shape": "2\nx3"}, "shape must be two non-negative ints"),
+            ({"shape": [2 ** 40, 0], "f8": ""}, "shape must be two non-negative ints below 2"),
+            ({"shape": [0, 10 ** 30], "f8": ""}, "shape must be two non-negative ints below 2"),
+            (f8([[1.0, np.nan, 1.0], [1.0, 1.0, 1.0]]), "holds a non-finite value"),
+            (f8([[1.0, 1.0, 1.0], [1.0, 1.0, -np.inf]]), "holds a non-finite value"),
+        ]
+        for value, message in cases:
+            with pytest.raises(InvalidSpec, match="^outer.m.*" + message) as info:
+                from_doc(Matrix, {"m": value}, "outer")
+            assert "\n" not in str(info.value)
+        assert np.array_equal(from_doc(Matrix, {"m": good}, "outer").m, np.ones((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# atomic writes and undecodable files
+# ---------------------------------------------------------------------------
+
+def _fail_halfway(match: str):
+    """An ``open`` whose files at paths containing ``match`` write half of
+    what they are given, then raise, as a full disk would."""
+    def fake_open(path, mode="r", *args, **kwargs):
+        fh = builtins.open(path, mode, *args, **kwargs)
+        if match not in str(path):
+            return fh
+
+        class HalfWriter:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                fh.close()
+
+            def write(self, data):
+                fh.write(data[:len(data) // 2])
+                fh.flush()
+                raise OSError(28, "No space left on device")
+        return HalfWriter()
+    return fake_open
+
+
+WRITERS = {
+    "json": (lambda p, v: write_json(p, {"v": v}), "a.json"),
+    "csv": (lambda p, v: write_csv(p, [{"v": v}]), "a.csv"),
+    "blob": (lambda p, v: save_checkpoint(p, {"w": np.full(3, float(v))}, {}), "ck"),
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("kind", WRITERS)
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, kind):
+        write, name = WRITERS[kind]
+        path = str(tmp_path / name)
+        write(path, 1)
+        before = {f: (tmp_path / f).read_bytes() for f in os.listdir(tmp_path)}
+        target = ".bin." if kind == "blob" else name
+        monkeypatch.setattr(serialization, "open", _fail_halfway(target), raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write(path, 2)
+        assert {f: (tmp_path / f).read_bytes() for f in os.listdir(tmp_path)} == before
+        monkeypatch.undo()
+        write(path, 3)
+        assert sorted(os.listdir(tmp_path)) == sorted(before)
+        if kind == "blob":
+            assert load_checkpoint(path)[1]["w"].tolist() == [3.0] * 3
+
+    def test_failed_move_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.json"
+        write_json(str(path), {"v": 1})
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+        monkeypatch.setattr(serialization.os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            write_json(str(path), {"v": 2})
+        assert os.listdir(tmp_path) == ["a.json"]
+        assert json.loads(path.read_text()) == {"v": 1}
+
+    def test_unwritable_directory_leaves_nothing(self, tmp_path):
+        with pytest.raises(OSError):
+            write_json(str(tmp_path / "absent" / "a.json"), {"v": 1})
+        assert os.listdir(tmp_path) == []
+
+    def test_undecodable_bytes_are_malformed(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"a": "\xff"}')
+        with pytest.raises(MissingArtifact, match="bad.json") as info:
+            read_json(str(path))
+        assert "\n" not in str(info.value)

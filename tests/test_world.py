@@ -50,6 +50,7 @@ from behavegen.world import (
     rollout,
     rollouts,
 )
+from test_serialization import f8, unf8
 
 
 BASE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "base.json"
@@ -616,6 +617,7 @@ class TestDataset:
             assert sa.token_ids == sb.token_ids
             np.testing.assert_array_equal(sa.states, sb.states)
             np.testing.assert_array_equal(sa.latents, sb.latents)
+            np.testing.assert_array_equal(sa.latents, sb.latents)
 
     @pytest.mark.parametrize("case", ["base", "one_dim_long_lookahead"])
     def test_matches_per_sample_reference(self, case):
@@ -709,25 +711,35 @@ class TestDataset:
         for sa, sb in zip(samples, samples2):
             assert sa.token_ids == sb.token_ids
             np.testing.assert_array_equal(sa.states, sb.states)
+            np.testing.assert_array_equal(sa.latents, sb.latents)
 
     def test_samples_must_fit_world_and_vocabulary(self):
         samples = generate_dataset(self.world, self.extraction, self.spec, self.vocab, seed=12)
         good = json.loads(canon_dumps(
             dataset_to_dict(self.world, self.extraction, self.spec, 12, samples)))
         sep = self.vocab.separator_id
+
+        def poisoned(z):
+            z[0, 0] = np.nan
+            return z
         edits = {
-            "narrow states": lambda s: s.update(states=[r[:-1] for r in s["states"]]),
-            "no frames": lambda s: s.update(states=s["states"][:1], latents=[]),
+            "narrow states": lambda s: s.update(states=f8(unf8(s["states"])[:, :-1])),
+            "narrow latents": lambda s: s.update(latents=f8(unf8(s["latents"])[:, :-1])),
+            "no frames": lambda s: s.update(states=f8(unf8(s["states"])[:1]),
+                                            latents=f8(np.zeros((0, self.world.d_z)))),
+            "one state too few": lambda s: s.update(states=f8(unf8(s["states"])[:-1])),
             "token out of range": lambda s: s.update(prompt_tokens=[sep + 1]),
             "separator alone": lambda s: s.update(prompt_tokens=[sep]),
             "negative token": lambda s: s.update(prompt_tokens=[-1]),
-            "non-finite latent": lambda s: s["latents"][0].__setitem__(0, float("nan")),
+            "non-finite latent": lambda s: s.update(latents=f8(poisoned(unf8(s["latents"])))),
+            "old nested lists": lambda s: s.update(states=unf8(s["states"]).tolist()),
         }
         for name, edit in edits.items():
             doc = json.loads(json.dumps(good))
             edit(doc["samples"][3])
-            with pytest.raises(InvalidSpec, match=r"samples\[3\]"):
+            with pytest.raises(InvalidSpec, match=r"samples\[3\]") as info:
                 dataset_from_dict(doc)
+            assert "\n" not in str(info.value), name
         dataset_from_dict(good)
 
     def test_spec_validation(self):
