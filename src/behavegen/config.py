@@ -10,7 +10,9 @@ variable overrides the document seed.
 
 import dataclasses
 import json
+import math
 import os
+import sys
 
 from .bottleneck import BottleneckConfig
 from .errors import MAX_COUNT, MAX_SCALE, BehavegenError, ConfigInvalid, check_seed, check_sizes
@@ -110,6 +112,17 @@ def run_config_from_dict(doc: dict, env=None) -> RunConfig:
             ) from exc
     check_seed(cfg.seed)
     cfg.flow_config()  # checks the bottleneck and flow sections at their default dims
+    # A feature averages B s, so its norm is at most L_B max ||s||; with the script on the
+    # sqrt(d_z) sphere, ||s|| <= ||s_1|| + L_z sqrt(d_z) / (1 - L_s), and ||s_1|| exceeds init_state_scale
+    # (sqrt(state_dim) + 10) with odds below e^-50.  Row norms lose features below sqrt(tiny).
+    w = cfg.world
+    bound = (cfg.dataset.init_state_scale * (math.sqrt(w.state_dim) + 10)
+             + w.target_L_z * math.sqrt(w.d_z) / (1 - w.target_L_s))
+    floor = max(cfg.extraction.norm_floor, math.sqrt(sys.float_info.min)) / bound
+    if w.target_L_B < floor:
+        raise ConfigInvalid(f"world.target_L_B = {w.target_L_B} is below {floor:.3e}: no feature "
+                            f"reaches norm_floor at the scale target_L_z, target_L_s and "
+                            f"init_state_scale give the states")
     return cfg
 
 

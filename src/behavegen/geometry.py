@@ -43,13 +43,16 @@ def project_to_sphere(u, norm_floor: float = DEFAULT_NORM_FLOOR) -> np.ndarray:
     return np.sqrt(vec.size) * vec / norm
 
 
-def project_rows(z, norm_floor: float = DEFAULT_NORM_FLOOR) -> np.ndarray:
-    """Row-wise sphere projection of a [T x d] array."""
+def project_rows(z, norm_floor: float = DEFAULT_NORM_FLOOR, lengths=None) -> np.ndarray:
+    """Row-wise sphere projection of a [T x d] array.  A row below the floor is
+    named by its sample and row when the rows pack samples of ``lengths``."""
     arr = _as_traj(z)
     norms = np.linalg.norm(arr, axis=1)
     if np.any(norms < norm_floor):
         bad = int(np.argmin(norms))
-        raise ZeroNormInput(f"row {bad} has norm {norms[bad]:.3e} below floor")
+        k = 0 if lengths is None else int(np.searchsorted(np.cumsum(lengths), bad, side="right"))
+        where = f"row {bad}" if lengths is None else f"sample {k} row {bad - sum(lengths[:k])}"
+        raise ZeroNormInput(f"{where} has norm {norms[bad]:.3e} below floor")
     return np.sqrt(arr.shape[1]) * arr / norms[:, None]
 
 
@@ -95,21 +98,22 @@ def piecewise_constant_approx(z, m: int):
     hence by delta.  When m >= T every step can afford its own segment and the
     trajectory is reproduced exactly.
 
-    Returns (approximation [T x d], the tuple of segment start indices).
+    Returns (approximation [T x d], the tuple of segment start indices, TV(z)).
     """
     arr = _as_traj(z)
     n_steps = arr.shape[0]
     if int(m) != m or m < 2:
         raise RangeError(f"segment budget must be an integer >= 2, got {m}")
     m = int(m)
-
+    steps = np.linalg.norm(np.diff(arr, axis=0), axis=1)  # total_variation's steps
+    tv = float(steps.sum())
     if m >= n_steps:
-        return arr.copy(), tuple(range(n_steps))
+        return arr.copy(), tuple(range(n_steps)), tv
 
-    delta = total_variation(arr) / (m - 1)
+    delta = tv / (m - 1)
     starts = [0]
     acc = 0.0
-    for t, step in enumerate(np.linalg.norm(np.diff(arr, axis=0), axis=1).tolist(), 1):
+    for t, step in enumerate(steps.tolist(), 1):
         if acc + step > delta:
             starts.append(t)
             acc = 0.0
@@ -118,7 +122,7 @@ def piecewise_constant_approx(z, m: int):
 
     if len(starts) > m:
         raise RangeError(f"greedy pass used {len(starts)} segments for budget {m}")
-    return np.repeat(arr[starts], np.diff([*starts, n_steps]), axis=0), tuple(starts)
+    return np.repeat(arr[starts], np.diff([*starts, n_steps]), axis=0), tuple(starts), tv
 
 
 def blend_overlap(tail, head) -> np.ndarray:

@@ -85,14 +85,13 @@ def check_cases(cases) -> list:
 def compression_case(recipe: dict, z, m: int, s1) -> BoundCase:
     """A latent trajectory and its m-segment approximation, to be rolled out
     from ``s1`` and checked against the per-step and uniform error bounds."""
-    approx, starts = piecewise_constant_approx(z, m)
+    approx, starts, v_total = piecewise_constant_approx(z, m)
     return BoundCase(recipe, s1, (z, approx), partial(
-        _compression_report, z, approx, m, len(starts)))
+        _compression_report, z, approx, m, len(starts), v_total))
 
 
-def _compression_report(z, approx, m, segments, world, states) -> dict:
+def _compression_report(z, approx, m, segments, v_total, world, states) -> dict:
     states_ref, states_hat = states
-    v_total = total_variation(z)
     delta = v_total / (m - 1)
     dev = max_deviation(z, approx)
     errs = np.linalg.norm(states_ref - states_hat, axis=1)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     MAX_COUNT,
@@ -294,31 +294,39 @@ class ExtractionConfig:
             raise RangeError(f"norm_floor = {self.norm_floor} outside (0, 1]")
 
 
-def lookahead_averages(world: SyntheticWorld, cfg: ExtractionConfig, states) -> np.ndarray:
+def lookahead_averages(world: SyntheticWorld, cfg: ExtractionConfig, states,
+                       lengths=None) -> np.ndarray:
     """Pre-projection latent features: windowed averages of B s.
 
-    Row i (0-based) averages B s over states i+1 .. i+H with
-    H = min(lookahead, T - 1 - i); the final rows shrink their window so every
-    step gets a feature.  Returns [T - 1, d_z].
+    ``states`` packs sequences of ``lengths`` states (None: one sequence).  Row i
+    of a sequence of T states averages B s over its states i+1 .. i+H, H = min(lookahead,
+    T - 1 - i), so the final rows shrink their window; returns each one's T - 1 rows, packed.
     """
     s_arr = np.asarray(states, dtype=float)
     if s_arr.ndim != 2 or s_arr.shape[1] != world.state_dim:
         raise DimensionMismatch(f"states have shape {s_arr.shape}")
-    n_states = s_arr.shape[0]
-    if n_states < 2:
-        raise ShapeMismatch("need at least two states to extract a latent")
+    lengths = np.array([len(s_arr)] if lengths is None else lengths, dtype=np.intp)
+    if lengths.sum() != len(s_arr) or not lengths.size or lengths.min() < 2:
+        raise ShapeMismatch(f"lengths {lengths.tolist()} do not split {len(s_arr)} states "
+                            f"into sequences of at least two")
     feats = s_arr @ world.B_mat.T
-    out = np.empty((n_states - 1, world.d_z))
-    span = min(cfg.lookahead, n_states - 1)
-    out[:n_states - span] = sliding_window_view(feats[1:], span, axis=0).mean(axis=-1)
-    for i in range(n_states - span, n_states - 1):  # the windows cut short by the end
-        out[i] = feats[i + 1:].mean(axis=0)
-    return out
+    top = min(cfg.lookahead, len(feats) - 1)
+    # avg[p]: the window after packed state p; those a sequence's end cuts short are gathered per span
+    avg = np.empty_like(feats)
+    avg[:len(feats) - top] = np.add.reduce(as_strided(
+        feats[1:], (len(feats) - top, world.d_z, top), feats.strides + feats.strides[:1],
+        writeable=False), axis=-1) / top
+    last = np.cumsum(lengths) - 1  # each sequence's last packed state
+    for span in range(1, min(top, lengths.max())):
+        at = last[lengths > span] - span
+        avg[at] = np.add.reduce(feats[at[:, None] + np.arange(1, span + 1)], axis=1) / span
+    return np.delete(avg, last, axis=0)
 
 
-def extract_latents(world: SyntheticWorld, cfg: ExtractionConfig, states) -> np.ndarray:
-    """Sphere-projected latent commands for each step of a state trajectory."""
-    return project_rows(lookahead_averages(world, cfg, states), cfg.norm_floor)
+def extract_latents(world: SyntheticWorld, cfg: ExtractionConfig, states, lengths=None):
+    """Sphere-projected latent commands of the packed sequences' steps."""
+    rows = None if lengths is None else np.asarray(lengths) - 1
+    return project_rows(lookahead_averages(world, cfg, states, lengths), cfg.norm_floor, rows)
 
 
 def action_kl(world: SyntheticWorld, states, z_ref, z_hat) -> float:
@@ -473,10 +481,9 @@ def prototype_directions(n_behaviors: int, d_z: int, seed: int) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=1)[:, None]
 
 
-def draw_sample(spec: DatasetSpec, protos: np.ndarray, state_dim: int, seed_seq):
-    """One sample's behavior ids, latent script and initial state, drawn from
-    the sample's own rng.  The script holds a noisy sphere-projected
-    prototype per stage frame."""
+def draw_sample(spec: DatasetSpec, state_dim: int, d_z: int, seed_seq):
+    """One sample's behavior ids, stage durations, script noise [sum of
+    durations, d_z] and initial state, drawn from the sample's own rng."""
     rng = np.random.default_rng(seed_seq)
     n_stages = int(rng.choice(len(spec.stage_probs), p=np.asarray(spec.stage_probs))) + 1
     n_beh = len(spec.behaviors)
@@ -485,32 +492,34 @@ def draw_sample(spec: DatasetSpec, protos: np.ndarray, state_dim: int, seed_seq)
         nxt = int(rng.integers(n_beh - 1))
         ids.append(nxt + (nxt >= ids[-1]))  # no immediate repeats
     durations = rng.integers(spec.dur_min, spec.dur_max + 1, size=n_stages)
-    script = project_rows(np.vstack([
-        protos[b] + spec.script_noise * rng.normal(size=(int(dur), protos.shape[1]))
-        for b, dur in zip(ids, durations)]))
+    noise = rng.normal(size=(int(durations.sum()), d_z))
     s1 = spec.init_state_scale * rng.normal(size=state_dim)
-    return ids, script, s1
+    return ids, durations, noise, s1
 
 
-def generate_sample(world: SyntheticWorld, extraction: ExtractionConfig,
-                    vocab: Vocabulary, ids, states) -> Sample:
-    """The corpus entry of a rolled-out script: its extracted latents and its
-    prompt, the behavior ids with the separator between them."""
+def generate_sample(vocab: Vocabulary, ids, states, latents) -> Sample:
+    """The corpus entry of a rolled-out script: its prompt, the behavior ids
+    with the separator between them, its states and its latents."""
     tokens = [vocab.separator_id] * (2 * len(ids) - 1)
     tokens[::2] = ids
-    return Sample(token_ids=tuple(tokens), states=states,
-                  latents=extract_latents(world, extraction, states))
+    return Sample(token_ids=tuple(tokens), states=states, latents=latents)
 
 
 def generate_dataset(world: SyntheticWorld, extraction: ExtractionConfig,
                      spec: DatasetSpec, vocab: Vocabulary, seed: int):
-    """Deterministic corpus: per-sample RNGs are spawned from the master seed,
-    and every sample's script is rolled out in one batch."""
+    """Deterministic corpus from per-sample RNGs spawned from the master seed.  Each script,
+    a noisy sphere-projected prototype per stage frame, is projected, rolled out and
+    extracted in one pass over every sample, with the bits of a sample drawn alone."""
     protos = prototype_directions(len(spec.behaviors), world.d_z, spec.embed_seed)
-    seeds = np.random.SeedSequence(seed).spawn(spec.n_samples)
-    ids, scripts, s1s = zip(*(draw_sample(spec, protos, world.state_dim, sq) for sq in seeds))
-    return [generate_sample(world, extraction, vocab, b, states)
-            for b, states in zip(ids, rollouts(world, s1s, scripts))]
+    ids, durations, noises, s1s = zip(*(draw_sample(spec, world.state_dim, world.d_z, sq)
+                                        for sq in np.random.SeedSequence(seed).spawn(spec.n_samples)))
+    lengths = [len(n) for n in noises]
+    stages = np.repeat(protos[np.concatenate(ids)], np.concatenate(durations), axis=0)
+    scripts = project_rows(stages + spec.script_noise * np.concatenate(noises), lengths=lengths)
+    cuts = np.cumsum(lengths)[:-1]
+    states = rollouts(world, s1s, np.split(scripts, cuts))
+    latents = extract_latents(world, extraction, np.concatenate(states), [n + 1 for n in lengths])
+    return [generate_sample(vocab, b, s, z) for b, s, z in zip(ids, states, np.split(latents, cuts))]
 
 
 # ---------------------------------------------------------------------------

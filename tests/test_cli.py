@@ -718,6 +718,26 @@ class TestExitCodes:
         assert "sampler: guidance = " in proc.stderr, proc.stderr
         assert not (tmp_path / "gen.json").exists()
 
+    def test_tiny_feature_map_exits_2_naming_it(self, tmp_path):
+        # below the floor no latent feature reaches extraction.norm_floor:
+        # gen-data exited 3 with "row 0 has norm 0.000e+00 below floor"; a
+        # tiny latent gain still leaves the initial state to extract from
+        commands = []
+        for name, value in (("target_L_B", 1e-300), ("target_L_B", 1e-200),
+                            ("target_L_B", 1e-160), ("target_L_z", 1e-300)):
+            cfg = dict(TINY_CONFIG, world=dict(TINY_CONFIG["world"], **{name: value}))
+            path = tmp_path / f"{name}_{value}.json"
+            path.write_text(json.dumps(cfg))
+            commands.append(["gen-data", "--config", str(path),
+                             "--out", str(tmp_path / f"data_{name}_{value}.json")])
+        proc = run_cli_process(commands)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 3 and all(
+            line.startswith(f"error: world.target_L_B = {v} is below ")
+            for line, v in zip(lines, ("1e-300", "1e-200", "1e-160"))), proc.stderr
+        assert [p.name for p in tmp_path.glob("data_*")] == ["data_target_L_z_1e-300.json"]
+
     def test_bottleneck_batch_of_one_exits_2(self, workdir, tmp_path, capsys):
         # a valid training section, but the contrastive term needs two items
         cfg = dict(TINY_CONFIG, vbb_train=dict(TINY_CONFIG["vbb_train"], batch_size=1))

@@ -180,6 +180,22 @@ class TestRangeChecks:
             with pytest.raises(ConfigInvalid, match="^bottleneck: logit_scale_init = "):
                 run_config_from_dict(minimal_doc(bottleneck={"logit_scale_init": value}))
 
+    def test_feature_map_floor_follows_the_feature_scale(self):
+        # features are at most L_B (init_state_scale (sqrt(6) + 10) + L_z
+        # sqrt(d_z) / (1 - L_s)) = L_B * 26.2 at the defaults, so L_B below
+        # norm_floor / 26.2 leaves every feature under the floor
+        scale = 0.5 * (math.sqrt(6) + 10) + 1.0 * 2.0 / (1 - 0.9)
+        for norm_floor, lowest in ((1e-8, 1e-8 / scale),
+                                   (1e-300, math.sqrt(2.2250738585072014e-308) / scale)):
+            for value, ok in ((lowest * 1.001, True), (lowest * 0.999, False)):
+                doc = minimal_doc(world={"target_L_B": value},
+                                  extraction={"norm_floor": norm_floor})
+                if ok:
+                    assert run_config_from_dict(doc).world.target_L_B == value
+                else:
+                    with pytest.raises(ConfigInvalid, match=r"^world\.target_L_B = .* is below"):
+                        run_config_from_dict(doc)
+
 
 class TestDerivedDims:
     def test_bottleneck_dims_follow_world_and_dataset(self):

@@ -212,7 +212,7 @@ class TestRowNorms:
 class TestPiecewiseConstant:
     def test_constant_trajectory_single_segment(self):
         z = np.tile([1.0, -2.0], (9, 1))
-        approx, starts = piecewise_constant_approx(z, 3)
+        approx, starts, _ = piecewise_constant_approx(z, 3)
         np.testing.assert_array_equal(approx, z)
         assert len(starts) == 1
 
@@ -220,7 +220,7 @@ class TestPiecewiseConstant:
         rng = np.random.default_rng(2)
         z = rng.normal(size=(6, 4))
         for m in (6, 7, 20):
-            approx, starts = piecewise_constant_approx(z, m)
+            approx, starts, _ = piecewise_constant_approx(z, m)
             np.testing.assert_array_equal(approx, z)
             assert len(starts) == 6
 
@@ -232,7 +232,7 @@ class TestPiecewiseConstant:
             np.tile([10.0, 0.0], (2, 1)),
             np.tile([10.0, 1.0], (2, 1)),
         ])
-        approx, starts = piecewise_constant_approx(z, 3)
+        approx, starts, _ = piecewise_constant_approx(z, 3)
         assert starts == (0, 4)
         np.testing.assert_array_equal(approx[:4], np.tile([0.0, 0.0], (4, 1)))
         np.testing.assert_array_equal(approx[4:], np.tile([10.0, 0.0], (4, 1)))
@@ -241,7 +241,7 @@ class TestPiecewiseConstant:
         # total variation 10 with m = 2 gives delta = 10; the single step of
         # exactly 10 ties with the budget and must not split
         z = np.vstack([np.tile([0.0, 0.0], (4, 1)), np.tile([10.0, 0.0], (4, 1))])
-        approx, starts = piecewise_constant_approx(z, 2)
+        approx, starts, _ = piecewise_constant_approx(z, 2)
         assert len(starts) == 1
         assert max_deviation(z, approx) <= 10.0 + 1e-12
 
@@ -252,7 +252,7 @@ class TestPiecewiseConstant:
             n = int(rng.integers(4, 60))
             z = random_sphere_traj(rng, n, d_z, step_scale=float(rng.uniform(0.05, 1.5)))
             for m in (2, 4, 8):
-                approx, starts = piecewise_constant_approx(z, m)
+                approx, starts, _ = piecewise_constant_approx(z, m)
                 v = tv_oracle(z.tolist())
                 bound = v / (m - 1)
                 dev = max_dev_oracle(z.tolist(), approx.tolist())
@@ -265,7 +265,7 @@ class TestPiecewiseConstant:
         rng = np.random.default_rng(29)
         z = random_sphere_traj(rng, 50, 4)
         m = 5
-        approx, starts = piecewise_constant_approx(z, m)
+        approx, starts, _ = piecewise_constant_approx(z, m)
         delta = total_variation(z) / (m - 1)
         for seg in segment_slices(starts, 50):
             assert tv_oracle(z[seg].tolist()) <= delta + 1e-12
@@ -274,9 +274,9 @@ class TestPiecewiseConstant:
         # steps of length 1 each, V = 4, m = 5 -> delta = 1; a single step
         # exactly equals the budget and must not open a new segment
         z = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
-        approx, starts = piecewise_constant_approx(z, 5)
+        approx, starts, _ = piecewise_constant_approx(z, 5)
         # m >= T path reproduces exactly here, so force the greedy path with m=3
-        approx, starts = piecewise_constant_approx(z, 3)
+        approx, starts, _ = piecewise_constant_approx(z, 3)
         # delta = 4/2 = 2; steps accumulate 1,2 then a third would hit 3 > 2
         assert starts == (0, 3)
 
@@ -287,10 +287,11 @@ class TestPiecewiseConstant:
         rng = np.random.default_rng(seed)
         z = random_sphere_traj(rng, n_steps, d_z, step_scale=float(rng.uniform(0.01, 2.0)))
         z[rng.random(n_steps) < 0.2] = z[0]  # repeated frames make zero steps and ties
-        approx, starts = piecewise_constant_approx(z, m)
+        approx, starts, tv = piecewise_constant_approx(z, m)
         want, want_starts = loop_piecewise_constant(z, m)
         assert starts == want_starts
         assert approx.tobytes() == want.tobytes()
+        assert tv == total_variation(z)  # the same steps, summed once
 
     def test_budget_below_two_raises(self):
         z = np.zeros((4, 2))
@@ -300,7 +301,7 @@ class TestPiecewiseConstant:
     def test_partition_covers_everything_once(self):
         rng = np.random.default_rng(17)
         z = random_sphere_traj(rng, 33, 3)
-        _, starts = piecewise_constant_approx(z, 4)
+        _, starts, _ = piecewise_constant_approx(z, 4)
         covered = []
         for seg in segment_slices(starts, 33):
             covered.extend(range(seg.start, seg.stop))

@@ -305,6 +305,8 @@ OVERRIDES = {
         "stage_probs": st.lists(st.integers(1, 9), min_size=1, max_size=4).map(
             lambda w: tuple(x / sum(w) for x in w)),
     },
+    # below target_L_B times the feature scale (>= 1.2e-5 here), so every run config loads
+    ExtractionConfig: {"norm_floor": st.floats(1e-9, 1e-6)},
     BottleneckConfig: {"levels": st.integers(1, 10)},  # compression 2^levels <= 1024
     TrainConfig: {"batch_size": st.integers(2, 64)},
     FlowConfig: {"r_dim": st.integers(1, 8).map(lambda n: 2 * n)},

@@ -137,7 +137,7 @@ class TestCompressionBound:
         m = 5
         rep = compression_report(world, z, m, s1)
 
-        approx, _ = piecewise_constant_approx(z, m)
+        approx, _, _ = piecewise_constant_approx(z, m)
         sa = rollout(world, s1, z)
         sb = rollout(world, s1, approx)
         delta = total_variation(z) / (m - 1)

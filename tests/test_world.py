@@ -27,6 +27,7 @@ from behavegen.errors import (
     ShapeMismatch,
     UnknownToken,
     UnstableWorld,
+    ZeroNormInput,
 )
 from behavegen.config import load_run_config
 from behavegen.geometry import project_rows, project_to_sphere
@@ -141,7 +142,9 @@ def draw_and_roll_sample(world, extraction, spec, vocab, protos, seed_seq):
     script = project_rows(np.vstack(rows))
     states = loop_rollout(world, spec.init_state_scale * rng.normal(size=world.state_dim), script)
     tokens = sum(([vocab.separator_id, b] for b in ids[1:]), [ids[0]])
-    return tuple(tokens), states, extract_latents(world, extraction, states)
+    latents = project_rows(loop_lookahead_averages(world, extraction, states),
+                           extraction.norm_floor)
+    return tuple(tokens), states, latents
 
 
 def loop_lookahead_averages(world, cfg, states):
@@ -168,6 +171,30 @@ def small_world(seed=0, **kw):
                 target_L_z=1.2, target_L_B=1.0, sigma_pi=0.1, seed=seed)
     args.update(kw)
     return make_world(**args)
+
+
+def base_corpus_case():
+    """configs/base.json's world, extraction and dataset, cut to 40 samples at seed 5."""
+    cfg = load_run_config(str(BASE_CONFIG))
+    return to_doc(cfg.world), cfg.extraction, replace(cfg.dataset, n_samples=40), 5
+
+
+@st.composite
+def corpus_cases(draw):
+    """A world recipe, extraction, dataset spec and corpus seed for a small corpus."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    recipe = dict(state_dim=draw(st.integers(1, 6)), action_dim=draw(st.integers(1, 4)),
+                  d_z=draw(st.integers(1, 6)), seed=seed % 1000)
+    n_behaviors = draw(st.integers(1, 5))
+    # one behavior allows only single-stage scripts
+    n_stages = 1 if n_behaviors == 1 else draw(st.integers(1, 3))
+    dur_min = draw(st.integers(2, 9))
+    spec = DatasetSpec(n_samples=20,
+                       behaviors=("walk", "run", "turn", "sit", "jump")[:n_behaviors],
+                       dur_min=dur_min, dur_max=dur_min + draw(st.integers(0, 6)),
+                       stage_probs=(1.0 / n_stages,) * n_stages,
+                       script_noise=draw(st.sampled_from([0.0, 0.25, 1e3])))
+    return recipe, ExtractionConfig(lookahead=draw(st.integers(1, 40))), spec, seed
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +477,42 @@ class TestExtraction:
                     np.testing.assert_array_equal(lookahead_averages(w, cfg, states),
                                                   loop_lookahead_averages(w, cfg, states))
 
+    @given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(2, 60), min_size=1, max_size=12),
+           st.integers(1, 12), st.integers(1, 16))
+    @example(0, [2, 3, 2], 1, 16)  # every sequence shorter than the lookahead
+    @example(1, [60] * 12, 1, 9)  # one-column features over windows of 8 and more
+    @settings(max_examples=80, deadline=None)
+    def test_packed_matches_per_sequence_loop(self, seed, lengths, d_z, lookahead):
+        # each packed sequence has the bits of the row loop on it alone; -0.0
+        # and 0.0 differ as bytes, though assert_array_equal takes them as equal
+        rng = np.random.default_rng(seed)
+        w = small_world(seed=seed % 1000, d_z=d_z)
+        cfg = ExtractionConfig(lookahead=lookahead)
+        seqs = [rng.normal(size=(n, w.state_dim)) * 10 ** rng.uniform(-3, 3) for n in lengths]
+        cuts = np.cumsum(lengths)[:-1] - np.arange(1, len(lengths))  # T - 1 rows each
+        averages = np.split(lookahead_averages(w, cfg, np.concatenate(seqs), lengths), cuts)
+        latents = np.split(extract_latents(w, cfg, np.concatenate(seqs), lengths), cuts)
+        for states, avg, z in zip(seqs, averages, latents, strict=True):
+            want = loop_lookahead_averages(w, cfg, states)
+            np.testing.assert_array_equal(avg.view("<u8"), want.view("<u8"))
+            np.testing.assert_array_equal(z.view("<u8"),
+                                          project_rows(want, cfg.norm_floor).view("<u8"))
+
+    def test_packing_checks(self):
+        w = small_world()
+        cfg = ExtractionConfig()
+        states = np.ones((7, w.state_dim))
+        for lengths in ([3, 3], [3, 1, 3], [7, 0], []):
+            with pytest.raises(ShapeMismatch, match="do not split 7 states"):
+                lookahead_averages(w, cfg, states, lengths)
+        for few in (states[:1], states[:0]):
+            with pytest.raises(ShapeMismatch, match="at least two"):
+                lookahead_averages(w, cfg, few, None if len(few) else [])
+        # a zero feature row is named by its sequence and its own row
+        states[4] = 0.0
+        with pytest.raises(ZeroNormInput, match=r"^sample 1 row 0 has norm 0\.000e\+00"):
+            extract_latents(w, ExtractionConfig(lookahead=1), states, [3, 4])
+
     def test_constant_states_give_constant_latent(self):
         w = small_world(seed=19)
         s = np.random.default_rng(5).normal(size=w.state_dim)
@@ -619,26 +682,27 @@ class TestDataset:
             np.testing.assert_array_equal(sa.latents, sb.latents)
             np.testing.assert_array_equal(sa.latents, sb.latents)
 
-    @pytest.mark.parametrize("case", ["base", "one_dim_long_lookahead"])
+    @given(corpus_cases())
+    @example(base_corpus_case())
+    @example((dict(state_dim=1, action_dim=2, d_z=1, target_L_s=0.85, target_L_z=1.2,
+                   target_L_B=1.0, sigma_pi=0.1, seed=3),  # windows longer than every script
+              ExtractionConfig(lookahead=12),
+              DatasetSpec(n_samples=40, behaviors=("walk", "run", "turn"), dur_min=2,
+                          dur_max=4, stage_probs=(0.5, 0.5)), 5))
+    @settings(max_examples=40, deadline=None)
     def test_matches_per_sample_reference(self, case):
-        if case == "base":
-            cfg = load_run_config(str(BASE_CONFIG))
-            world = make_world(**to_doc(cfg.world))
-            extraction, spec = cfg.extraction, replace(cfg.dataset, n_samples=40)
-        else:  # windows longer than every script
-            world = small_world(seed=3, state_dim=1, action_dim=2, d_z=1)
-            extraction = ExtractionConfig(lookahead=12)
-            spec = DatasetSpec(n_samples=40, behaviors=("walk", "run", "turn"),
-                               dur_min=2, dur_max=4, stage_probs=(0.5, 0.5))
+        # every sample drawn, rolled and extracted alone by the loop oracles
+        recipe, extraction, spec, seed = case
+        world = make_world(**recipe)
         vocab = make_vocabulary(spec.behaviors, spec.separator, spec.d_text, spec.embed_seed)
         protos = prototype_directions(len(spec.behaviors), world.d_z, spec.embed_seed)
-        got = generate_dataset(world, extraction, spec, vocab, seed=5)
+        got = generate_dataset(world, extraction, spec, vocab, seed=seed)
         want = [draw_and_roll_sample(world, extraction, spec, vocab, protos, sq)
-                for sq in np.random.SeedSequence(5).spawn(spec.n_samples)]
+                for sq in np.random.SeedSequence(seed).spawn(spec.n_samples)]
         for sample, (tokens, states, latents) in zip(got, want, strict=True):
             assert sample.token_ids == tokens
-            np.testing.assert_array_equal(sample.states, states)
-            np.testing.assert_array_equal(sample.latents, latents)
+            assert sample.states.tobytes() == states.tobytes()
+            assert sample.latents.tobytes() == latents.tobytes()
 
     def test_diverging_sample_raises(self):
         # no valid recipe makes a world expand, so its state map is scaled up
