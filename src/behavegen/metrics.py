@@ -309,6 +309,9 @@ def compression_sweep(cfg, world, spec, vocab, train_samples, eval_samples,
     bad = [c for c in budgets if c < 2 or c & (c - 1)]
     if bad:
         raise ConfigInvalid(f"compression {bad[0]} is not a power of two >= 2")
+    twice = [c for i, c in enumerate(budgets) if c in budgets[:i]]
+    if twice:
+        raise ConfigInvalid(f"compression {twice[0]} is listed more than once")
     base = cfg.bottleneck_config(d_z=world.d_z, d_text=spec.d_text)
     bcfgs = [replace(base, levels=c.bit_length() - 1) for c in budgets]
     rows = []

@@ -73,10 +73,6 @@ class Module:
             out.update(child.params(prefix + name + "."))
         return out
 
-    def zero_grad(self):
-        for p in self.params().values():
-            p.grad[...] = 0.0
-
     def param_count(self) -> int:
         return sum(p.size for p in self.params().values())
 

@@ -3,7 +3,6 @@
 Two rules make artifacts byte-identical across runs with the same seed:
 keys are emitted in sorted order, and every float is written with 17
 significant digits so the decimal text round-trips to the exact same bits.
-A float array is written in one pass: one finiteness check, one ``%`` format.
 
 Config dataclasses map to JSON documents through one codec, ``to_doc`` and
 ``from_doc``, so every reader checks a document the same way.  An ``F8Matrix``
@@ -20,6 +19,7 @@ import base64
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
 import typing
@@ -43,9 +43,7 @@ def canon_dumps(obj, indent: int = 2) -> str:
 def _write(obj, out, indent, depth):
     pad = " " * (indent * depth)
     pad_in = " " * (indent * (depth + 1))
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
-        out.append(_float_text(obj, indent, depth))
-    elif isinstance(obj, np.ndarray):
+    if isinstance(obj, np.ndarray):
         _write(obj.tolist(), out, indent, depth)
     elif isinstance(obj, dict):
         if not obj:
@@ -79,36 +77,17 @@ def _write(obj, out, indent, depth):
         out.append(_scalar(obj))
 
 
-def _float_text(arr: np.ndarray, indent: int, depth: int) -> str:
-    """A float array as its nested lists: one finiteness check, one ``%``."""
-    if not np.isfinite(arr).all():
-        raise NonFiniteInput("cannot serialise non-finite float")
-    values = tuple(arr.ravel().tolist())
-    template = _template(arr.shape, indent, depth)
-    text = template % values
-    if text.count(".") != len(values):  # keep floats parseable: '1' -> '1.0', '-0' -> '-0.0'
-        text = template.replace("%.17g", "%s") % tuple(
-            t if "." in t or "e" in t else t + ".0" for t in ("%.17g" % v for v in values))
-    return text
-
-
-def _template(shape, indent: int, depth: int) -> str:
-    """Nested lists of ``shape`` with a ``%.17g`` slot for each value."""
-    if len(shape) < 2:
-        return "[" + ", ".join(["%.17g"] * shape[0]) + "]" if shape else "%.17g"
-    pad = " " * (indent * depth)
-    sep = ",\n" + pad + " " * indent
-    inner = sep.join([_template(shape[1:], indent, depth + 1)] * shape[0])
-    return "[" + sep[1:] + inner + "\n" + pad + "]" if shape[0] else "[]"
-
-
 def _scalar(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        if not math.isfinite(v):
+            raise NonFiniteInput("cannot serialise non-finite float")
+        text = "%.17g" % v
+        # keep floats parseable as floats: '1' -> '1.0', '-0' -> '-0.0'
+        return text if "." in text or "e" in text else text + ".0"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _float_text(np.asarray(v, dtype=float), 0, 0)
     if v is None:
         return "null"
     if isinstance(v, str):
@@ -123,9 +102,12 @@ def _write_atomic(path: str, data: bytes) -> None:
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            # name the destination, not the temp file whose name changes every run
+            raise type(exc)(exc.errno, exc.strerror, path) from exc
         raise
 
 

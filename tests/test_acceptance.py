@@ -53,6 +53,7 @@ from behavegen.world import (
     make_vocabulary,
     make_world,
 )
+from test_nn import zero_grads
 
 REPO = Path(__file__).resolve().parent.parent
 BASE_CONFIG = str(REPO / "configs" / "base.json")
@@ -150,7 +151,7 @@ def test_gradient_checks():
     rng = np.random.default_rng(11)
     noises = make_noises(model, batch, rng)
 
-    model.zero_grad()
+    zero_grads(model)
     vbb_grad(model, world, batch, noises)
     analytic = {k: p.grad.copy() for k, p in model.params().items()}
 
@@ -169,7 +170,7 @@ def test_gradient_checks():
     y_vec = rng.standard_normal(3)
     y_vec /= np.linalg.norm(y_vec)
 
-    fmodel.zero_grad()
+    zero_grads(fmodel)
     fm_grad(fmodel, program, noise, 0.37, y_vec=y_vec)
     analytic_f = {k: p.grad.copy() for k, p in fmodel.params().items()}
     numeric_f = finite_difference_grads(

@@ -54,6 +54,7 @@ from behavegen.world import (
     make_vocabulary,
     make_world,
 )
+from test_nn import zero_grads
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +458,7 @@ class TestVBBLoss:
             total, _ = vbb_loss(model, world, batch, noises)
             return total
 
-        model.zero_grad()
+        zero_grads(model)
         vbb_grad(model, world, batch, noises)
         analytic = {k: p.grad.copy() for k, p in model.params().items()}
         numeric = finite_difference_grads(loss_fn, model.params(), h=1e-5)
@@ -474,7 +475,7 @@ class TestVBBLoss:
         def loss_fn():
             return vbb_loss(model, world, batch, noises)[0]
 
-        model.zero_grad()
+        zero_grads(model)
         vbb_grad(model, world, batch, noises)
         analytic = {k: p.grad.copy() for k, p in model.params().items()}
         numeric = finite_difference_grads(loss_fn, model.params(), h=1e-5)
@@ -519,10 +520,10 @@ class TestPackedStep:
     def test_matches_per_item_oracle(self, shapes, seed):
         lengths, tokens = zip(*shapes)
         model, batch, noises = self._batch(lengths, tokens, seed)
-        model.zero_grad()
+        zero_grads(model)
         want = per_item_vbb(model, self.world, batch, noises, grad=True)
         oracle = {k: p.grad.copy() for k, p in model.params().items()}
-        model.zero_grad()
+        zero_grads(model)
         got, _ = vbb_grad(model, self.world, batch, noises)
         loss, _ = vbb_loss(model, self.world, batch, noises)
         assert abs(got - want) <= 1e-12 * abs(want)

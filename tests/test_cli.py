@@ -5,14 +5,18 @@ tests; each subcommand is exercised through ``main(argv)`` so the exit-code
 contract is tested exactly as a shell would see it.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -27,7 +31,7 @@ from behavegen.cli import main, training_prototypes
 from behavegen.errors import InputError, TooFewSamples
 from behavegen.serialization import read_json
 from behavegen.world import Sample
-from test_serialization import f8, unf8
+from test_serialization import f8, reference_dumps, unf8
 
 TINY_CONFIG = {
     "schema_version": 1,
@@ -398,6 +402,18 @@ class TestSweep:
         assert rc == 2
 
 
+    def test_repeated_budget_exits_2_before_training(self, workdir, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(metrics, "train_bottleneck", None)  # never reached
+        out = tmp_path / "x.json"
+        rc = main(["sweep-compression", "--config", workdir["cfg"],
+                   "--data", workdir["data"], "--budgets", "2,4,2", "--n-eval", "6",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: compression 2 is listed more than once\n"
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         rc = main(["gen-data", "--config", str(tmp_path / "absent.json"),
@@ -626,6 +642,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2 and len(err.splitlines()) == 1 and "one behavior" in err, err
         assert not out.exists()
+
+    def test_failed_write_names_the_out_path(self, workdir, tmp_path, capsys):
+        out = str(tmp_path / "absent" / "single.json")
+        rc = main(["generate", "--config", workdir["cfg"], "--vbb", workdir["vbb"],
+                   "--flow", workdir["flow"], "--prompt", "walk", "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 2 and len(err.splitlines()) == 1, err
+        assert repr(out) in err and ".tmp" not in err, err
 
     def test_divergence_exits_3(self, workdir, tmp_path):
         cfg = dict(TINY_CONFIG)
@@ -1031,3 +1055,136 @@ class TestDeterminism:
                      "--out", str(out)]) == 0
         assert out.read_bytes() != open(workdir["data"], "rb").read()
         assert read_json(str(out))["seed"] == 999
+
+
+LOG_SCALE = math.log(1e6)
+POSITIVE = ((1e-9, 1e-3), (0.1, 2.0), (1e5, 1e6))      # (0, 1e6]
+NON_NEGATIVE = ((0.0, 1e-6), (0.01, 1.0), (1e5, 1e6))  # [0, 1e6]
+# each float field's (low end, usual values, high end) of its valid range
+FLOAT_BANDS = {
+    ("world", "target_L_s"): ((1e-9, 1e-3), (0.3, 0.9), (0.999, 1 - 1e-9)),
+    ("world", "target_L_z"): POSITIVE,
+    ("world", "target_L_B"): POSITIVE,
+    ("world", "sigma_pi"): ((1e-6, 1e-4), (0.05, 0.5), (1e5, 1e6)),
+    ("extraction", "norm_floor"): ((1e-300, 1e-12), (1e-9, 1e-6), (0.5, 1.0)),
+    ("dataset", "script_noise"): NON_NEGATIVE,
+    ("dataset", "init_state_scale"): NON_NEGATIVE,
+    ("bottleneck", "beta"): NON_NEGATIVE,
+    ("bottleneck", "lambda_pi"): NON_NEGATIVE,
+    ("bottleneck", "lambda_sem"): NON_NEGATIVE,
+    ("bottleneck", "lambda_tok"): POSITIVE,
+    ("bottleneck", "lambda_frm"): POSITIVE,
+    ("bottleneck", "logit_scale_init"): ((-LOG_SCALE, -10.0), (0.0, 3.0), (10.0, LOG_SCALE)),
+    ("vbb_train", "lr"): ((1e-300, 1e-12), (1e-4, 1e-2), (1e6, 1e300)),
+    ("vbb_train", "weight_decay"): NON_NEGATIVE,
+    ("flow_train", "lr"): ((1e-300, 1e-12), (1e-4, 1e-2), (1e6, 1e300)),
+    ("flow_train", "weight_decay"): NON_NEGATIVE,
+    ("flow", "cond_dropout"): ((0.0, 1e-6), (0.1, 0.3), (0.99, 0.999999)),
+    ("sampler", "guidance"): ((-1e6, -1e5), (0.0, 3.0), (1e5, 1e6)),
+    ("generation", "init_state_scale"): NON_NEGATIVE,
+}
+
+
+@st.composite
+def run_configs(draw):
+    """A whole run config document: tiny sizes, two training steps per
+    trainer, and a few floats drawn near either end of their ranges, the
+    rest from their usual values."""
+    n_behaviors = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    dur_min = draw(st.integers(2, 6))
+    doc = {
+        "schema_version": 1,
+        "seed": draw(st.integers(0, 1000)),
+        "world": {"state_dim": draw(st.integers(1, 4)), "action_dim": draw(st.integers(1, 3)),
+                  "d_z": draw(st.integers(1, 3)), "seed": draw(st.integers(0, 1000))},
+        "extraction": {"lookahead": draw(st.integers(1, 4))},
+        "dataset": {"n_samples": draw(st.integers(1, 24)),
+                    "behaviors": ["walk", "turn", "jump"][:n_behaviors],
+                    "d_text": draw(st.integers(1, 4)), "embed_seed": draw(st.integers(0, 100)),
+                    "dur_min": dur_min, "dur_max": draw(st.integers(dur_min, dur_min + 4)),
+                    # one behavior cannot fill a second stage
+                    "stage_probs": ([w / sum(weights) for w in weights]
+                                    if n_behaviors > 1 else [1.0])},
+        "bottleneck": {"d_m": draw(st.integers(1, 4)), "d_e": draw(st.integers(1, 4)),
+                       "width": draw(st.integers(1, 4)), "levels": draw(st.integers(1, 2))},
+        **{section: {"steps": 2, "batch_size": draw(st.integers(1, 8)),
+                     "warmup": draw(st.integers(0, 3))}
+           for section in ("vbb_train", "flow_train")},
+        "flow": {"width": draw(st.integers(1, 4)), "blocks": draw(st.integers(1, 2)),
+                 "r_dim": draw(st.sampled_from([2, 4, 6]))},
+        "sampler": {"steps": draw(st.integers(1, 4))},
+        "generation": {"t_m": draw(st.integers(1, 3)), "overlap": draw(st.integers(0, 3)),
+                       "in_place": draw(st.booleans())},
+    }
+    at_edge = draw(st.sets(st.sampled_from(sorted(FLOAT_BANDS)), max_size=4))
+    for (section, name), (low, usual, high) in FLOAT_BANDS.items():
+        ranges = (low, high) if (section, name) in at_edge else (usual,)
+        doc[section][name] = draw(st.one_of(*(st.floats(lo, hi) for lo, hi in ranges)))
+    return doc
+
+
+def pipeline_commands(cfg: dict, root: Path) -> list:
+    """The pipeline's commands on ``cfg``, each reading what the ones before
+    it wrote under ``root``."""
+    files = {name: str(root / name) for name in ("cfg.json", "data.json", "vbb", "flow")}
+    common = ["--config", files["cfg.json"]]
+    model = [*common, "--vbb", files["vbb"], "--flow", files["flow"]]
+    behaviors = cfg["dataset"]["behaviors"]
+    return [
+        ["gen-data", *common, "--out", files["data.json"]],
+        ["train-vbb", *common, "--data", files["data.json"], "--out", files["vbb"],
+         "--history", str(root / "vbb.jsonl")],
+        ["train-flow", *common, "--data", files["data.json"], "--vbb", files["vbb"],
+         "--out", files["flow"], "--history", str(root / "flow.jsonl")],
+        ["generate", *model, "--prompt", behaviors[-1], "--out", str(root / "single.json")],
+        ["compose", *model, "--prompt", " then ".join(behaviors[:2]),
+         "--out", str(root / "composed.json")],
+        ["eval", *model, "--data", files["data.json"], "--retrieval-batch", "2",
+         "--n-eval", str(min(3, cfg["dataset"]["n_samples"])), "--out", str(root / "eval.json")],
+    ]
+
+
+def run_pipeline(cfg: dict, root: Path) -> list:
+    """Run the pipeline's commands in-process until one fails; returns each
+    run command's name, exit code and stderr."""
+    (root / "cfg.json").write_text(json.dumps(cfg))
+    runs = []
+    for argv in pipeline_commands(cfg, root):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        runs.append((argv[0], code, err.getvalue()))
+        if code:
+            break
+    return runs
+
+
+class TestDrawnConfigs:
+    @given(run_configs())
+    @example(dict(TINY_CONFIG, vbb_train=dict(TINY_CONFIG["vbb_train"], steps=2),
+                  flow_train=dict(TINY_CONFIG["flow_train"], steps=2)))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_pipeline_keeps_its_contracts(self, tmp_path, cfg):
+        root = Path(tempfile.mkdtemp(dir=tmp_path))
+        runs = run_pipeline(cfg, root)
+        for name, code, err in runs:
+            assert code in (0, 2, 3), (name, code, err)
+            if code:
+                assert err.count("\n") == 1 and err.endswith("\n"), (name, err)
+            else:
+                assert err == "", (name, err)
+            if code == 3 and name.startswith("train-"):
+                assert re.search(r" at step \d+$", err.rstrip("\n")), (name, err)
+        written = {f.name: f.read_bytes() for f in sorted(root.iterdir())}
+        for f in root.iterdir():
+            f.unlink()
+        assert run_pipeline(cfg, root) == runs
+        assert {f.name: f.read_bytes() for f in sorted(root.iterdir())} == written
+        for name, data in written.items():
+            if name.endswith(".jsonl"):
+                for line in data.decode().splitlines():
+                    assert line == reference_dumps(json.loads(line), indent=0).replace("\n", "")
+            elif name.endswith(".json") and name != "cfg.json":
+                assert data.decode() == reference_dumps(json.loads(data)), name

@@ -38,6 +38,7 @@ from behavegen.world import (
     make_vocabulary,
     make_world,
 )
+from test_nn import zero_grads
 
 GRAD_TOL = 1e-4
 
@@ -178,10 +179,10 @@ def packed_fm(fn, model, batch, **kwargs):
 def assert_packed_matches(model, batch, reference):
     """The packed fm_grad and fm_loss of ``batch`` match the loss that
     ``reference()`` returns and the gradients it accumulates, at 1e-12."""
-    model.zero_grad()
+    zero_grads(model)
     want = reference()
     oracle = {k: p.grad.copy() for k, p in model.params().items()}
-    model.zero_grad()
+    zero_grads(model)
     got = packed_fm(fm_grad, model, batch)
     assert abs(got - want) <= 1e-12 * abs(want)
     assert packed_fm(fm_loss, model, batch) == got
@@ -331,7 +332,7 @@ class TestFlowLoss:
         def loss_fn():
             return fm_loss(model, program, noise, r, y)
 
-        model.zero_grad()
+        zero_grads(model)
         analytic_loss = fm_grad(model, program, noise, r, y)
         np.testing.assert_allclose(analytic_loss, loss_fn(), rtol=1e-12)
         analytic = {k: p.grad.copy() for k, p in model.params().items()}
@@ -350,7 +351,7 @@ class TestFlowLoss:
         def loss_fn():
             return fm_loss(model, program, noise, r, None)
 
-        model.zero_grad()
+        zero_grads(model)
         fm_grad(model, program, noise, r, None)
         analytic = {k: p.grad.copy() for k, p in model.params().items()}
         numeric = finite_difference_grads(loss_fn, model.params())
@@ -364,10 +365,10 @@ class TestFlowLoss:
         rng = np.random.default_rng(12)
         program = rng.normal(size=(4, 3))
         noise = rng.normal(size=(4, 3))
-        model.zero_grad()
+        zero_grads(model)
         fm_grad(model, program, noise, 0.5, None, scale=1.0)
         full = {n: p.grad.copy() for n, p in model.params().items()}
-        model.zero_grad()
+        zero_grads(model)
         fm_grad(model, program, noise, 0.5, None, scale=0.25)
         for n, p in model.params().items():
             np.testing.assert_allclose(p.grad, 0.25 * full[n], rtol=1e-12,
@@ -512,7 +513,7 @@ class TestPacked:
     def test_packed_gradients_match_finite_differences(self):
         model = toy_flow(seed=26)
         batch = ragged_batch((2, 5, 1), (False, True, False), seed=27)
-        model.zero_grad()
+        zero_grads(model)
         packed_fm(fm_grad, model, batch)
         analytic = {k: p.grad.copy() for k, p in model.params().items()}
         numeric = finite_difference_grads(lambda: packed_fm(fm_loss, model, batch),

@@ -30,6 +30,12 @@ from behavegen.nn import (
 TOL = 1e-6  # these layers are tiny, so FD agreement is much tighter than 1e-4
 
 
+def zero_grads(module):
+    """Reset every parameter gradient of ``module`` before a backward pass."""
+    for p in module.params().values():
+        p.grad[...] = 0.0
+
+
 def check_layer(layer, x, seed=0):
     """FD-check parameter and input gradients of layer.forward against backward."""
     rng = np.random.default_rng(seed)
@@ -41,7 +47,7 @@ def check_layer(layer, x, seed=0):
         y, _ = layer.forward(x_param.value)
         return float((y * weights).sum())
 
-    layer.zero_grad()
+    zero_grads(layer)
     y, cache = layer.forward(x_param.value)
     dx = layer.backward(weights.copy(), cache)
 
@@ -152,11 +158,11 @@ class TestPackedConv1d:
         y, cache = conv.forward(np.concatenate(xs), Segments(lengths))
         assert conv.out_segments(Segments(lengths)).total == y.shape[0]
         dy = rng.normal(size=y.shape)
-        conv.zero_grad()
+        zero_grads(conv)
         dx = conv.backward(dy, cache)
         packed = {"W": conv.W.grad.copy(), "b": conv.b.grad.copy()}
 
-        conv.zero_grad()
+        zero_grads(conv)
         ys, dxs, row = [], [], 0
         for x in xs:
             y_seg, c_seg = conv.forward(x)

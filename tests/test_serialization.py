@@ -125,9 +125,17 @@ finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
                           st.floats(allow_nan=False, allow_infinity=False),
                           st.integers(-10 ** 6, 10 ** 6).map(float))
 shapes = array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+# float32 and float16 values, each finite at its own width
+narrow_floats = {width: st.floats(width=width, allow_nan=False, allow_infinity=False)
+                 for width in (16, 32)}
 leaves = st.one_of(
     arrays(np.float64, shapes, elements=finite_floats),
+    arrays(np.float32, shapes, elements=narrow_floats[32]),
+    arrays(np.float16, shapes, elements=narrow_floats[16]),
     arrays(np.int64, shapes, elements=st.integers(-10 ** 12, 10 ** 12)),
+    arrays(np.bool_, shapes),
+    finite_floats.map(np.float64), narrow_floats[32].map(np.float32),
+    narrow_floats[16].map(np.float16), st.integers(-10 ** 12, 10 ** 12).map(np.int64),
     finite_floats, st.integers(-10 ** 6, 10 ** 6), st.booleans(), st.none(),
     st.text(max_size=4),
     st.lists(finite_floats, max_size=5),
